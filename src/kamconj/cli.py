@@ -22,7 +22,7 @@ from .driver import (
     make_test_map,
     run_scheme,
 )
-from .errors import ConfigError, KamError
+from .errors import ConfigError, KamError, ResidualTooLarge
 from .rotation import rotation_set_estimate
 from .scheduler import (
     check_inductive_inequalities,
@@ -264,6 +264,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except ResidualTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, KamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as kio
-from .diophantine import DiophantineVector, best_gamma, verified
+from .diophantine import DiophantineVector, _ball, best_gamma, verified
 from .errors import (
     AliasingRisk,
     ConfigError,
@@ -26,18 +26,15 @@ from .errors import (
     SmallnessViolated,
 )
 from .kamstep import StepConfig, step
-from .scheduler import SchedulerParams, derive_constants, envelopes
+from .scheduler import SchedulerParams, _snapped_cutoffs, derive_constants, envelopes
 from .spectral import (
     PeriodicField,
     TorusMapLift,
-    _eval_displaced,
-    _round4,
+    _composition_defect,
     compose,
     conjugate,
     deviation_norm,
     rebase,
-    sampling_grid,
-    value_grid,
 )
 
 __all__ = [
@@ -213,24 +210,10 @@ class ExperimentConfig:
         )
 
 
-def _half_ball(dim: int, radius: int) -> list:
-    """One representative of each +-k coefficient pair, lexicographic."""
-    out = []
-    if dim == 1:
-        return [(k,) for k in range(1, radius + 1)]
-    for k1 in range(0, radius + 1):
-        for k2 in range(-radius, radius + 1):
-            if abs(k1) + abs(k2) > radius:
-                continue
-            if k1 > 0 or (k1 == 0 and k2 > 0):
-                out.append((k1, k2))
-    return out
-
-
 def _random_field(dim: int, degree: int, amplitude: float, decay: float, rng) -> PeriodicField:
     entries = []
-    for k in _half_ball(dim, degree):
-        scale = amplitude * math.exp(-decay * sum(abs(x) for x in k))
+    for k in _ball(dim, degree) if degree > 0 else ():  # degree 0: no modes to draw
+        scale = amplitude * math.exp(-decay * int(np.abs(k).sum()))
         re, im = rng.standard_normal(2)
         entries.append((k, 0.5 * scale * complex(re, im)))
     return PeriodicField.from_entries(dim, degree, entries)
@@ -327,34 +310,7 @@ def conjugacy_verification(h: TorusMapLift, f: TorusMapLift, alpha) -> float:
 
     Zero exactly when h carries f to the rigid rotation by alpha.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    deg = max(h.degree, f.degree, 1)
-    m = _round4(max(sampling_grid(deg), 2 * deg + 2))
-    uf = f.displacement_values(m)
-    uh = h.displacement_values(m)
-    worst = 0.0
-    for i in range(f.dim):
-        h_at = _eval_displaced(h.displacement[i], f.rho, uf, m)
-        worst = max(
-            worst,
-            float(np.max(np.abs(f.rho[i] + uf[i] + h_at - uh[i] - alpha[i]))),
-        )
-    return worst
-
-
-def _effective_cutoffs(start: int, sigma: float, count: int, cap: int) -> list:
-    """Schedule values clamped at the degree cap, computed in logs (no overflow)."""
-    out = []
-    log_cap = math.log(cap)
-    for n in range(1, count + 1):
-        ln_v = ((1.0 + sigma) ** (n - 1)) * math.log(start)
-        if ln_v >= log_cap:
-            out.append(int(cap))
-            continue
-        v = math.exp(ln_v)
-        r = round(v)
-        out.append(int(r) if abs(v - r) < 1e-6 * max(1.0, r) else int(math.ceil(v)))
-    return out
+    return _composition_defect(h, f, TorusMapLift.rotation(alpha), h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,9 +361,9 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         d=dim,
         start_cutoff=config.start_cutoff,
     )
-    cutoffs = _effective_cutoffs(
-        config.start_cutoff, config.sigma, config.max_iters + 1, config.max_degree
-    )
+    count = config.max_iters + 1
+    cutoffs = list(_snapped_cutoffs(config.start_cutoff, config.sigma, count, config.max_degree))
+    cutoffs += [config.max_degree] * (count - len(cutoffs))
     dc_radius = config.dc_radius if config.dc_radius is not None else max(cutoffs)
     gamma = (
         best_gamma(config.alpha, config.tau, dc_radius) * (1.0 + 1e-12)
@@ -475,14 +431,13 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
 
     composed = None
     residual = None
+    failure = None
     if status is RunStatus.CONVERGED and chain:
         composed = compose_chain(chain, config.max_degree)
         residual = conjugacy_verification(composed, first_map, vec.alpha)
         tol = 10.0 * config.eps_stop if config.residual_tol is None else config.residual_tol
         if residual > tol:
-            raise ResidualTooLarge(
-                f"composed conjugacy residual {residual:.3e} exceeds {tol:.3e}"
-            )
+            failure = f"composed conjugacy residual {residual:.3e} exceeds {tol:.3e}"
 
     result = RunResult(
         status=status,
@@ -500,6 +455,8 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         messages=messages,
     )
     _write_outputs(result, config)
+    if failure is not None:
+        raise ResidualTooLarge(failure)
     return result
 
 

@@ -18,8 +18,7 @@ from .errors import InsufficientData, SmallnessViolated
 from .rotation import convex_hull, hull_contains
 from .spectral import (
     TorusMapLift,
-    _eval_displaced,
-    _round4,
+    _composition_defect,
     conjugate,
     cs_norm,
     deviation_norm,
@@ -125,30 +124,6 @@ def posteriori_check(
     )
 
 
-def _conjugacy_residual(phi: TorusMapLift, f: TorusMapLift, f_next: TorusMapLift) -> float:
-    """Sup of f_next(phi(x)) - phi(f(x)) on a shared grid; zero for an exact pushforward."""
-    deg = max(f.degree, f_next.degree, phi.degree, 1)
-    m = _round4(max(sampling_grid(deg), 2 * deg + 2))
-    uf = f.displacement_values(m)
-    uphi = phi.displacement_values(m)
-    worst = 0.0
-    for i in range(f.dim):
-        lhs = (
-            phi.rho[i]
-            + uphi[i]
-            + f_next.rho[i]
-            + _eval_displaced(f_next.displacement[i], phi.rho, uphi, m)
-        )
-        rhs = (
-            f.rho[i]
-            + uf[i]
-            + phi.rho[i]
-            + _eval_displaced(phi.displacement[i], f.rho, uf, m)
-        )
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 def step(
     f: TorusMapLift,
     vec: DiophantineVector,
@@ -200,7 +175,8 @@ def step(
         drift_norm=post.drift_norm,
         drift_bound=post.bound,
         corrector_norm0=corrector_norm0,
-        conj_residual=_conjugacy_residual(phi, f, f_next),
+        # sup |f_next(phi(x)) - phi(f(x))|, zero for an exact pushforward
+        conj_residual=_composition_defect(f_next, phi, phi, f),
         posteriori_ok=post.drift_ok,
         hull_ok=post.hull_ok,
     )

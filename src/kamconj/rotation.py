@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import TorusMapLift, sampling_grid
+from .spectral import TorusMapLift, _mode_sum, _modes, sampling_grid
 
 __all__ = [
     "Hull",
@@ -113,19 +113,13 @@ def _birkhoff_batch(f: TorusMapLift, starts: np.ndarray, n_iter: int) -> np.ndar
     the number of iterates.
     """
     x = np.asarray(starts, dtype=float).reshape(-1, f.dim) % 1.0
-    modes = []
-    for u in f.displacement:
-        pairs = u.entries()
-        karr = np.array([k for k, _ in pairs], dtype=float).reshape(-1, f.dim)
-        carr = np.array([c for _, c in pairs], dtype=np.complex128)
-        modes.append((karr, carr))
+    modes = [_modes(u) for u in f.displacement]
     total = np.zeros_like(x)
     for _ in range(n_iter):
         disp = np.empty_like(x)
         disp[:] = f.rho
-        for j, (karr, carr) in enumerate(modes):
-            if len(carr):
-                disp[:, j] += (np.exp(2j * np.pi * (x @ karr.T)) @ carr).real
+        for j, mj in enumerate(modes):
+            disp[:, j] += _mode_sum(mj, x)
         total += disp
         x = (x + disp) % 1.0
     return total / n_iter

@@ -113,10 +113,25 @@ def derive_constants(
     )
 
 
-def _cutoff_value(start: int, sigma: float, n: int) -> float:
-    # N_n = start^((1+sigma)^(n-1)); evaluated from the start value so that
-    # integer snapping of earlier terms does not compound
-    return float(start) ** ((1.0 + sigma) ** (n - 1))
+def _snapped_cutoffs(start: int, sigma: float, count: int, cap: int):
+    """Snapped N_n = start^((1+sigma)^(n-1)) for n = 1..count, until one exceeds `cap`.
+
+    Each value is evaluated in logs from the start value, so integer snapping
+    of earlier terms does not compound and large exponents do not overflow.
+    Values a hair below an integer (from float rounding) snap to it; anything
+    else rounds up.
+    """
+    log_start, log_cap = math.log(start), math.log(cap)
+    for n in range(1, count + 1):
+        ln_v = ((1.0 + sigma) ** (n - 1)) * log_start
+        if ln_v > log_cap + 1e-6:  # cannot snap back to the cap; exp may overflow
+            return
+        v = math.exp(ln_v)
+        r = round(v)
+        value = int(r) if abs(v - r) < 1e-6 * max(1.0, r) else int(math.ceil(v))
+        if value > cap:
+            return
+        yield value
 
 
 def schedule_cutoffs(start: int, sigma: float, count: int, cap: int = 2 ** 20) -> list:
@@ -127,13 +142,9 @@ def schedule_cutoffs(start: int, sigma: float, count: int, cap: int = 2 ** 20) -
     """
     if start < 2:
         raise ValueError("start cutoff must be at least 2")
-    out = []
-    for n in range(1, count + 1):
-        v = _cutoff_value(start, sigma, n)
-        if v > cap:
-            raise ScheduleOverflow(f"cutoff {v:.3e} at step {n} exceeds cap {cap}")
-        r = round(v)
-        out.append(int(r) if abs(v - r) < 1e-6 * max(1.0, r) else int(math.ceil(v)))
+    out = list(_snapped_cutoffs(start, sigma, count, cap))
+    if len(out) < count:
+        raise ScheduleOverflow(f"cutoff at step {len(out) + 1} exceeds cap {cap}")
     return out
 
 

@@ -250,25 +250,33 @@ def field_from_grid(values: np.ndarray, degree: int) -> PeriodicField:
     return PeriodicField(dim, degree, box)
 
 
+def _modes(f: PeriodicField) -> tuple:
+    """Nonzero frequencies, as floats of shape (n, dim), and their coefficients."""
+    k = np.argwhere(f.coeffs)
+    return (k - f.degree).astype(float), f.coeffs[tuple(k.T)]
+
+
+def _mode_sum(modes: tuple, x: np.ndarray) -> np.ndarray:
+    """Values at points x of shape (n, dim) of the field whose `_modes` are given."""
+    k, c = modes
+    return (np.exp(2j * np.pi * (x @ k.T)) @ c).real
+
+
 def eval_at_points(f: PeriodicField, points) -> np.ndarray | float:
     """Evaluate at arbitrary points; 1D accepts scalars or arrays, 2D arrays (..., 2)."""
-    if f.dim == 1:
-        pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 0
-        x = np.atleast_1d(pts)
-        out = np.zeros(x.shape, dtype=np.complex128)
-        for k, c in f.entries():
-            out += c * np.exp(2j * np.pi * k[0] * x)
-        return float(out.real[0]) if scalar else out.real
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0 or pts.shape[-1] != 2:
-        raise ValueError("2D evaluation needs points of shape (..., 2)")
-    single = pts.ndim == 1
-    p = np.atleast_2d(pts)
-    out = np.zeros(p.shape[:-1], dtype=np.complex128)
-    for k, c in f.entries():
-        out += c * np.exp(2j * np.pi * (k[0] * p[..., 0] + k[1] * p[..., 1]))
-    return float(out.real[0]) if single else out.real
+    if f.dim == 1:
+        single, shape = pts.ndim == 0, np.atleast_1d(pts).shape
+    else:
+        if pts.ndim == 0 or pts.shape[-1] != 2:
+            raise ValueError("2D evaluation needs points of shape (..., 2)")
+        single, shape = pts.ndim == 1, np.atleast_2d(pts).shape[:-1]
+    x, modes = pts.reshape(-1, f.dim), _modes(f)
+    out = np.empty(len(x))
+    block = 2 ** 20 // max(1, len(modes[1])) + 1  # bounds the points-by-modes phase matrix
+    for lo in range(0, len(x), block):
+        out[lo:lo + block] = _mode_sum(modes, x[lo:lo + block])
+    return float(out[0]) if single else out.reshape(shape)
 
 
 def truncate(f: PeriodicField, cutoff: int, mode: str = "inhomogeneous") -> PeriodicField:
@@ -311,12 +319,22 @@ def cs_norm(f: PeriodicField, s: float = 0, method: str = "grid") -> float:
     on an oversampled grid (a lower bound on the true norm; integer s only).
     method "fourier" sums max(1, 2*pi*|k|_1)^s weighted coefficient magnitudes
     (an upper bound; any real s >= 0).  The two bracket the true norm.
+    The weighted sum is taken in logs over the nonzero coefficients, so it is
+    inf only when the norm itself passes the float maximum.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     if method == "fourier":
-        w = np.maximum(1.0, 2.0 * np.pi * _l1_radii(f.dim, f.degree)) ** float(s)
-        return float(np.sum(w * np.abs(f.coeffs)))
+        nz = f.coeffs != 0
+        if not nz.any():
+            return 0.0
+        weights = np.maximum(1.0, 2.0 * np.pi * _l1_radii(f.dim, f.degree)[nz])
+        logs = float(s) * np.log(weights) + np.log(np.abs(f.coeffs[nz]))
+        top = float(np.max(logs))
+        try:
+            return math.exp(top) * float(np.sum(np.exp(logs - top)))
+        except OverflowError:
+            return math.inf
     if method != "grid":
         raise ValueError(f"unknown norm method {method!r}")
     if s != int(s):
@@ -379,13 +397,11 @@ class TorusMapLift:
         return cls.rotation(np.zeros(dim))
 
     def __call__(self, points):
-        if self.dim == 1:
-            return np.asarray(points, dtype=float) + self.rho[0] + eval_at_points(self.displacement[0], points)
         pts = np.asarray(points, dtype=float)
-        vals = np.stack(
-            [np.atleast_1d(eval_at_points(u, pts)) for u in self.displacement], axis=-1
-        )
-        return pts + self.rho + vals.reshape(pts.shape)
+        vals = [eval_at_points(u, pts) for u in self.displacement]
+        if self.dim == 1:
+            return pts + self.rho[0] + vals[0]
+        return pts + self.rho + np.stack(vals, axis=-1)
 
     def displacement_values(self, m: int) -> tuple:
         return tuple(value_grid(u, m) for u in self.displacement)
@@ -546,19 +562,36 @@ def compose(g: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) 
     return TorusMapLift(f.rho + g.rho, fields)
 
 
-def _inversion_residuals(phi: TorusMapLift, psi: TorusMapLift, m: int) -> tuple:
-    d = phi.dim
-    wv = psi.displacement_values(m)
-    u_at = [_eval_displaced(u, psi.rho, wv, m) for u in phi.displacement]
-    r1 = max(
-        float(np.max(np.abs(psi.rho[i] + wv[i] + phi.rho[i] + u_at[i]))) for i in range(d)
-    )
-    uv = phi.displacement_values(m)
-    w_at = [_eval_displaced(w, phi.rho, uv, m) for w in psi.displacement]
-    r2 = max(
-        float(np.max(np.abs(phi.rho[i] + uv[i] + psi.rho[i] + w_at[i]))) for i in range(d)
-    )
-    return r1, r2
+def _composed_terms(a: TorusMapLift, b: TorusMapLift, m: int) -> list:
+    """Per component, the summands of a(b(x)) - x over the m-point grid.
+
+    Displacements of rotations are zero and are not sampled.
+    """
+    v = b.displacement_values(m) if b.degree else (np.zeros((m,) * b.dim),) * b.dim
+    return [
+        [b.rho[i], v[i], a.rho[i]]
+        + ([_eval_displaced(u, b.rho, v, m)] if u.degree else [])
+        for i, u in enumerate(a.displacement)
+    ]
+
+
+def _composition_defect(a, b, c, d, m: int | None = None) -> float:
+    """Sup over a grid of |a(b(x)) - c(d(x))|, max over components.
+
+    The grid defaults to the sampling grid of the largest degree among the
+    four maps.  The left side is summed first and the right side's terms are
+    then subtracted one at a time, so zero terms (the identity, the
+    translation of a zero-mean corrector) change no bits of the defect.
+    """
+    if m is None:
+        m = sampling_grid(max(a.degree, b.degree, c.degree, d.degree, 1))
+    worst = 0.0
+    for left, right in zip(_composed_terms(a, b, m), _composed_terms(c, d, m)):
+        defect = sum(left)
+        for term in right:
+            defect = defect - term
+        worst = max(worst, float(np.max(np.abs(defect))))
+    return worst
 
 
 def invert_near_identity(
@@ -583,6 +616,7 @@ def invert_near_identity(
     cap = max(4 * max(phi.degree, 4), 64) if max_degree is None else int(max_degree)
     cap = max(cap, deg_p)
     shift = -phi.rho
+    ident = TorusMapLift.identity(d)
     while True:
         m = _round4(max(sampling_grid(deg_p), 2 * phi.degree + 2))
         w = tuple(np.zeros((m,) * d) for _ in range(d))
@@ -603,7 +637,8 @@ def invert_near_identity(
             best = min(best, defect)
         fields = tuple(field_from_grid(w[i], deg_p) for i in range(d))
         psi = TorusMapLift(shift, fields)
-        r1, r2 = _inversion_residuals(phi, psi, m)
+        r1 = _composition_defect(phi, psi, ident, ident, m)
+        r2 = _composition_defect(psi, phi, ident, ident, m)
         if max(r1, r2) <= tol:
             return psi
         if deg_p >= cap:

@@ -71,6 +71,13 @@ class TestRun:
         assert abs(restored.rho[0] - GOLDEN) < 1e-9
         assert chain.exists()
 
+    def test_failed_residual_bound_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tolerances={"residual_tol": 1e-18})
+        trace = tmp_path / "trace.csv"
+        assert main(["run", "--config", str(cfg), "--trace", str(trace)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert trace.read_text().startswith("n,N,eps0")
+
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", typo=1)
         assert main(["run", "--config", str(cfg)]) == 1

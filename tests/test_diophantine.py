@@ -17,6 +17,7 @@ from kamconj import (
     verified,
     verify_dc,
 )
+from kamconj.diophantine import _ball
 
 from conftest import GOLDEN, PAIR_2D, dc_oracle
 
@@ -25,6 +26,12 @@ GOLDEN_WORST_RATIO = 0.3819660112501051
 GOLDEN_BEST_GAMMA = 2.6180339887498953
 PAIR_BEST_GAMMA = 16.936066824240672
 PAIR_WORST_K = (5, 4)
+
+
+def test_ball_needs_a_positive_radius():
+    # make_test_map skips the draw at degree 0 instead of asking for this ball
+    with pytest.raises(ValueError, match="radius"):
+        _ball(2, 0)
 
 
 class TestConstruction:

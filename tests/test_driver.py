@@ -152,6 +152,13 @@ class TestMakeTestMap:
         assert f.rho[0] == pytest.approx(GOLDEN, abs=1e-15)
         assert f.degree == 4
 
+    @pytest.mark.parametrize("kind", ["random-decay", "conjugate"])
+    @pytest.mark.parametrize("alpha", [[GOLDEN], PAIR_2D])
+    def test_degree_zero_is_the_rotation(self, kind, alpha):
+        f = make_test_map(kind, {"degree": 0}, alpha, seed=4)
+        assert np.allclose(f.rho, alpha, rtol=0.0, atol=1e-15)
+        assert deviation_norm(f, alpha) == 0.0
+
     def test_out_of_regime(self):
         with pytest.raises(OutOfRegime):
             make_test_map("random-decay", {"amplitude": 0.5}, [GOLDEN], seed=3)
@@ -254,12 +261,20 @@ class TestRunScheme:
         assert res.exit_code == 3
         assert res.trace[-1][9] == 0
 
-    def test_residual_tolerance_enforced(self):
+    def test_residual_tolerance_enforced(self, tmp_path):
+        trace_path = tmp_path / "trace.csv"
         cfg = ExperimentConfig.from_dict(
-            minimal_config(tolerances={"residual_tol": 1e-18})
+            minimal_config(
+                tolerances={"residual_tol": 1e-18}, output={"trace": str(trace_path)}
+            )
         )
         with pytest.raises(ResidualTooLarge):
             run_scheme(cfg)
+        # the failing run still leaves its trace: header plus one row per step
+        attempted = run_scheme(ExperimentConfig.from_dict(minimal_config())).trace
+        text = trace_path.read_text().splitlines()
+        assert text[0] == "n,N,eps0,eps_s0,drift,drift_bound,env_eps0,env_eps_s0,phi_norm0,accepted"
+        assert len(attempted) >= 1 and len(text) == 1 + len(attempted)
 
     def test_outputs_written(self, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -281,6 +296,22 @@ class TestRunScheme:
         restored = load_map(map_path)
         assert np.array_equal(restored.rho, res.final_map.rho)
         assert chain_path.exists()
+
+    def test_schedule_clamped_at_max_degree(self):
+        res = run_scheme(
+            ExperimentConfig.from_dict(minimal_config(max_degree=256, tolerances={"max_iters": 12}))
+        )
+        assert [row[1] for row in res.trace] == [8, 23, 108][: len(res.trace)]
+        assert res.vector.verified_up_to == 256  # the largest cutoff is the cap
+
+    def test_long_budget_does_not_overflow_the_schedule(self):
+        res = run_scheme(
+            ExperimentConfig.from_dict(
+                minimal_config(max_degree=2048, tolerances={"max_iters": 40})
+            )
+        )
+        assert res.status is RunStatus.CONVERGED
+        assert res.vector.verified_up_to == 2048
 
     def test_initial_map_dimension_mismatch(self, tmp_path):
         path = tmp_path / "rot2.json"

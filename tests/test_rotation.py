@@ -17,7 +17,7 @@ from kamconj import (
 )
 from kamconj.rotation import _birkhoff_batch
 
-from conftest import GOLDEN, PAIR_2D, seeded_field
+from conftest import GOLDEN, PAIR_2D, eval_oracle, seeded_field
 
 
 def sin_field(eps: float) -> PeriodicField:
@@ -143,6 +143,18 @@ class TestBirkhoff:
         batch = _birkhoff_batch(f, starts, 40)
         for i, x0 in enumerate(starts):
             assert np.array_equal(batch[i], birkhoff_rotation(f, x0, 40))
+
+    def test_batch_matches_oracle_orbits_2d(self):
+        u = (seeded_field(2, 3, 0.01, seed=93), seeded_field(2, 3, 0.01, seed=94))
+        f = TorusMapLift(np.array(PAIR_2D), u)
+        starts = np.array([[0.1, 0.5], [0.9, 0.2], [0.33, 0.71]])
+        for x0, avg in zip(starts, _birkhoff_batch(f, starts, 30)):
+            x, total = x0.copy(), np.zeros(2)
+            for _ in range(30):
+                disp = f.rho + np.array([eval_oracle(c, x) for c in u])
+                total += disp
+                x = (x + disp) % 1.0
+            assert np.max(np.abs(avg - total / 30)) < 1e-14
 
 
 class TestModeLockedMap:

@@ -20,6 +20,7 @@ from kamconj import (
     schedule_cutoffs,
     validate,
 )
+from kamconj.scheduler import _snapped_cutoffs
 
 
 class TestValidate:
@@ -113,6 +114,17 @@ class TestSchedule:
     def test_overflow_guard(self):
         with pytest.raises(ScheduleOverflow):
             schedule_cutoffs(10, 1.0, 8)
+
+    def test_schedule_stops_below_cap(self):
+        # the run scheme pads this with the cap: [8, 23, 108, 256, ...]
+        assert list(_snapped_cutoffs(8, 0.5, 13, 256)) == [8, 23, 108]
+        assert list(_snapped_cutoffs(4, 1.0, 5, 256)) == [4, 16, 256]
+
+    def test_long_schedule_does_not_overflow(self):
+        # 8^(1.5^40) is far past the float range; the log form never builds it
+        assert list(_snapped_cutoffs(8, 0.5, 41, 2048)) == [8, 23, 108, 1117]
+        with pytest.raises(ScheduleOverflow, match="step 5"):
+            schedule_cutoffs(8, 0.5, 41, cap=2048)
 
     def test_start_validation(self):
         with pytest.raises(ValueError, match="start"):

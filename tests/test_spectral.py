@@ -25,9 +25,14 @@ from kamconj import (
     truncate,
     value_grid,
 )
-from kamconj.spectral import _direct_displaced, _eval_displaced, _taylor_displaced
+from kamconj.spectral import (
+    _composition_defect,
+    _direct_displaced,
+    _eval_displaced,
+    _taylor_displaced,
+)
 
-from conftest import GOLDEN, eval_oracle, seeded_field
+from conftest import GOLDEN, PAIR_2D, eval_oracle, seeded_field
 
 
 def sin_field(eps: float, k: int = 1) -> PeriodicField:
@@ -231,6 +236,42 @@ class TestNorms:
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             cs_norm(sin_field(1.0), -1)
+
+    def test_fourier_past_the_float_range_of_the_weights(self):
+        # the weight at the zeroed corners overflows; the norm itself does not
+        f = PeriodicField.from_entries(2, 108, [((1, 1), 0.01)])
+        assert cs_norm(f, 120, "fourier") == pytest.approx(0.02 * (4 * math.pi) ** 120, rel=1e-12)
+        assert cs_norm(f, 400, "fourier") == math.inf
+        assert cs_norm(PeriodicField.zeros(2, 3), 120, "fourier") == 0.0
+
+
+def _oracle_map(f: TorusMapLift, x: np.ndarray) -> np.ndarray:
+    return x + f.rho + np.array([eval_oracle(u, x) for u in f.displacement])
+
+
+class TestCompositionDefect:
+    @pytest.mark.parametrize("rigid_right", [False, True])
+    def test_matches_oracle_on_the_grid_2d(self, rigid_right):
+        rng = np.random.default_rng(17)
+
+        def random_map(seed, degree):
+            u = tuple(seeded_field(2, degree, 0.01, seed=seed + i) for i in range(2))
+            return TorusMapLift(rng.random(2), u)
+
+        a, b = random_map(60, 3), random_map(62, 2)
+        if rigid_right:  # rotations on the right are not sampled
+            c, d = TorusMapLift.rotation(PAIR_2D), TorusMapLift.identity(2)
+        else:
+            c, d = random_map(64, 2), random_map(66, 3)
+        m = sampling_grid(3)
+        worst = 0.0
+        for i in range(m):
+            for j in range(m):
+                x = np.array([i, j]) / m
+                defect = _oracle_map(a, _oracle_map(b, x)) - _oracle_map(c, _oracle_map(d, x))
+                worst = max(worst, float(np.max(np.abs(defect))))
+        assert _composition_defect(a, b, c, d) == pytest.approx(worst, abs=1e-13)
+        assert _composition_defect(a, b, c, d, m) == _composition_defect(a, b, c, d)
 
 
 class TestTorusMapLift:
@@ -456,3 +497,34 @@ def test_fourier_norm_dominates_grid_norm(f):
 def test_grid_projection_round_trip(f):
     g = field_from_grid(value_grid(f), f.degree)
     assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-10 * max(1.0, np.max(np.abs(f.coeffs)))
+
+
+def _canonical_field(dim: int, degree: int, pairs) -> PeriodicField:
+    entries = {}
+    for k, v in pairs:
+        k = tuple(k)
+        if 0 < sum(abs(x) for x in k) <= degree:
+            entries[max(k, tuple(-x for x in k))] = v
+    return PeriodicField.from_entries(dim, degree, entries.items())
+
+
+lattice_fields = st.tuples(st.sampled_from([1, 2]), st.integers(min_value=1, max_value=40)).flatmap(
+    lambda dd: st.lists(
+        st.tuples(
+            st.lists(st.integers(-dd[1], dd[1]), min_size=dd[0], max_size=dd[0]),
+            st.complex_numbers(min_magnitude=1e-12, max_magnitude=1e3, allow_nan=False),
+        ),
+        max_size=5,
+    ).map(lambda pairs: _canonical_field(dd[0], dd[1], pairs))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_fields, st.floats(min_value=0.0, max_value=400.0))
+def test_fourier_norm_matches_direct_formula(f, s):
+    nz = f.coeffs != 0
+    radii = np.abs(np.indices(f.coeffs.shape) - f.degree).sum(axis=0)[nz]
+    with np.errstate(over="ignore"):
+        direct = float(np.sum(np.maximum(1.0, 2.0 * np.pi * radii) ** s * np.abs(f.coeffs[nz])))
+    if math.isfinite(direct):
+        assert cs_norm(f, s, "fourier") == pytest.approx(direct, rel=1e-12, abs=0.0)
