@@ -45,6 +45,11 @@ def _l1_radii(dim: int, degree: int) -> np.ndarray:
     return ax[:, None] + ax[None, :]
 
 
+# entries (complex, 16 bytes each) of the points-by-modes phase matrix that a
+# blocked off-grid evaluation holds at once
+_BLOCK_ENTRIES = 2 ** 20
+
+
 def _round4(m: int) -> int:
     return ((int(m) + 3) // 4) * 4
 
@@ -273,7 +278,7 @@ def eval_at_points(f: PeriodicField, points) -> np.ndarray | float:
         single, shape = pts.ndim == 1, np.atleast_2d(pts).shape[:-1]
     x, modes = pts.reshape(-1, f.dim), _modes(f)
     out = np.empty(len(x))
-    block = 2 ** 20 // max(1, len(modes[1])) + 1  # bounds the points-by-modes phase matrix
+    block = _BLOCK_ENTRIES // max(1, len(modes[1])) + 1
     for lo in range(0, len(x), block):
         out[lo:lo + block] = _mode_sum(modes, x[lo:lo + block])
     return float(out[0]) if single else out.reshape(shape)
@@ -447,71 +452,23 @@ def deviation_norm(f: TorusMapLift, alpha, s: float = 0, method: str = "grid") -
 def _eval_displaced(f: PeriodicField, shift, v: tuple, m: int) -> np.ndarray:
     """Values of f at x_j + shift + v(x_j) over the m-point grid carrying v.
 
-    Switches between a truncated expansion in powers of v (certified term
-    count, used when 2*pi*degree*max|v| is small and the grid resolves f) and
-    direct summation over the spectrum.
+    An exact spectral sum at the displaced points, factorized along axes, so
+    its accuracy does not depend on the size of v.  Hermitian symmetry halves
+    the frequency range of the outer axis (Horner in its unit phase); in 2D
+    the inner axis is contracted against the coefficient box in blocks of
+    points, so the cost is dense matrix products rather than a loop over
+    individual modes.  A zero displacement on a grid that resolves f is one
+    inverse FFT of the shifted field.
     """
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    vmax = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in v)
-    resolved = m >= 2 * f.degree + 1
-    if vmax == 0.0 and resolved:
+    if m >= 2 * f.degree + 1 and not any(np.any(a) for a in v):
         return value_grid(f.shift(shift), m)
-    rho_arg = 2.0 * np.pi * f.degree * vmax
-    if rho_arg <= 3.0 and resolved:
-        return _taylor_displaced(f, shift, v, m, rho_arg)
-    return _direct_displaced(f, shift, v, m)
-
-
-def _taylor_displaced(f, shift, v, m, rho_arg):
-    # tail past order p is bounded by sum|c_k| * rho^p/p!; stop below 1e-17 relative
-    p, term = 0, 1.0
-    while term >= 1e-17 and p < 60:
-        p += 1
-        term *= rho_arg / p
-    p = min(p + 2, 60)
-    base = f.shift(shift)
-    if f.dim == 1:
-        acc = np.zeros(m)
-        pw = np.ones(m)
-        g = base
-        for j in range(p + 1):
-            if j:
-                g = g.derivative(1)
-                pw = pw * (v[0] / j)
-            acc += value_grid(g, m) * pw
-        return acc
-    acc = np.zeros((m, m))
-    gj = base
-    a = np.ones((m, m))
-    for j in range(p + 1):
-        if j:
-            gj = gj.derivative((1, 0))
-            a = a * (v[0] / j)
-        gl = gj
-        b = np.ones((m, m))
-        for l in range(p - j + 1):
-            if l:
-                gl = gl.derivative((0, 1))
-                b = b * (v[1] / l)
-            acc += value_grid(gl, m) * a * b
-    return acc
-
-
-def _direct_displaced(f, shift, v, m):
-    """Exact spectral sum at the displaced points, factorized along axes.
-
-    Hermitian symmetry halves the frequency range of the outer axis (Horner
-    in its unit phase); the inner axis is contracted against the coefficient
-    box blockwise, so the cost is dense matrix products rather than a loop
-    over individual modes.
-    """
     deg = f.degree
     width = 2 * deg + 1
     ax = np.arange(m) / m
     if f.dim == 1:
-        x = ax + shift[0] + v[0]
-        z = np.exp(2j * np.pi * x)
-        acc = np.zeros(x.shape, dtype=np.complex128)
+        z = np.exp(2j * np.pi * (ax + shift[0] + v[0]))
+        acc = np.zeros(m, dtype=np.complex128)
         for i in range(2 * deg, deg, -1):  # k = deg .. 1
             acc = (acc + f.coeffs[i]) * z
         return (acc + acc.conj() + f.coeffs[deg]).real
@@ -522,7 +479,7 @@ def _direct_displaced(f, shift, v, m):
         warnings.warn("displaced evaluation over a very large spectrum/grid", RuntimeWarning)
     half = f.coeffs[deg:, :]  # rows k1 = 0 .. deg
     out = np.empty(n, dtype=float)
-    block = max(1, int(3e6) // width)
+    block = max(1, _BLOCK_ENTRIES // width)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         zb2 = np.exp(2j * np.pi * x2[lo:hi])

@@ -25,12 +25,7 @@ from kamconj import (
     truncate,
     value_grid,
 )
-from kamconj.spectral import (
-    _composition_defect,
-    _direct_displaced,
-    _eval_displaced,
-    _taylor_displaced,
-)
+from kamconj.spectral import _composition_defect, _eval_displaced
 
 from conftest import GOLDEN, PAIR_2D, eval_oracle, seeded_field
 
@@ -425,32 +420,42 @@ class TestConjugate:
         assert deviation_norm(back, [GOLDEN]) < 1e-9
 
 
-class TestDisplacedEvaluation:
-    def test_taylor_and_direct_agree_1d(self):
-        f = seeded_field(1, 6, 1.0, seed=40)
-        m = sampling_grid(6)
-        v = (np.full((m,), 0.004),)
-        shift = np.array([0.3])
-        rho_arg = 2 * math.pi * 6 * 0.004
-        a = _taylor_displaced(f, shift, v, m, rho_arg)
-        b = _direct_displaced(f, shift, v, m)
-        assert np.max(np.abs(a - b)) < 1e-13
+def _displacement(dim: int, m: int, size: float, seed: int | None) -> tuple:
+    """Constant displacement `size` (seed None), or `size` times Gaussian noise."""
+    if seed is None:
+        return tuple(np.full((m,) * dim, size) for _ in range(dim))
+    rng = np.random.default_rng(seed)
+    return tuple(size * rng.standard_normal((m,) * dim) for _ in range(dim))
 
-    def test_taylor_and_direct_agree_2d(self):
-        f = seeded_field(2, 4, 1.0, seed=41)
-        m = sampling_grid(4)
-        rng = np.random.default_rng(42)
-        v = tuple(0.005 * rng.standard_normal((m, m)) for _ in range(2))
-        shift = np.array([0.1, 0.2])
-        rho_arg = 2 * math.pi * 4 * max(float(np.max(np.abs(w))) for w in v)
-        a = _taylor_displaced(f, shift, v, m, rho_arg)
-        b = _direct_displaced(f, shift, v, m)
-        assert np.max(np.abs(a - b)) < 1e-13
+
+class TestDisplacedEvaluation:
+    # (dim, degree, field seed, grid points, shift, displacement size, noise seed)
+    CASES = {
+        "1d-small": (1, 6, 40, sampling_grid(6), [0.3], 0.004, None),
+        "2d-small": (2, 4, 41, sampling_grid(4), [0.1, 0.2], 0.005, 42),
+        "2d-large": (2, 4, 44, sampling_grid(4), [0.1, 0.2], 0.3, 45),
+        "1d-unresolved": (1, 10, 46, 12, [0.7], 0.01, 47),
+        "2d-unresolved": (2, 6, 48, 8, [0.25, 0.6], 0.02, 49),
+        "2d-unresolved-zero": (2, 6, 50, 8, [0.25, 0.6], 0.0, None),
+        "1d-zero": (1, 6, 51, sampling_grid(6), [0.3], 0.0, None),
+        "2d-zero": (2, 4, 52, sampling_grid(4), [0.1, 0.2], 0.0, None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_oracle(self, case):
+        dim, degree, seed, m, shift, size, noise = self.CASES[case]
+        f = seeded_field(dim, degree, 1.0, seed=seed)
+        v = _displacement(dim, m, size, noise)
+        out = _eval_displaced(f, np.array(shift), v, m)
+        assert out.shape == (m,) * dim
+        for idx in np.ndindex(out.shape):
+            x = [j / m + shift[i] + v[i][idx] for i, j in enumerate(idx)]
+            assert abs(out[idx] - eval_oracle(f, x)) < 1e-13
 
     def test_direct_matches_oracle_at_large_displacement(self):
         f = seeded_field(1, 3, 1.0, seed=43)
         m = 16
-        v = (np.full((m,), 0.3),)  # far outside the Taylor regime
+        v = (np.full((m,), 0.3),)  # 2*pi*degree*|v| is near 6
         out = _eval_displaced(f, np.array([0.0]), v, m)
         for i in [0, 4, 9]:
             assert out[i] == pytest.approx(eval_oracle(f, [i / m + 0.3]), abs=1e-12)
