@@ -37,7 +37,11 @@ class Hull:
 
 
 def convex_hull(points) -> Hull:
-    """Hull vertices of a finite point set (monotone chain in 2D)."""
+    """Hull vertices of a finite point set (monotone chain in 2D).
+
+    In 2D the points strictly inside an extreme-point polygon are dropped
+    first; they are never hull vertices, so the vertices are the chain's own.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dim = pts.shape[1]
     if dim == 1:
@@ -46,9 +50,45 @@ def convex_hull(points) -> Hull:
         return Hull(1, verts)
     if dim != 2:
         raise ValueError("only dimensions 1 and 2 are supported")
-    uniq = np.unique(pts, axis=0)
+    return Hull(2, _monotone_chain(_drop_interior(pts)))
+
+
+# Akl & Toussaint, Inf. Process. Lett. 7 (1978): the points extreme in these
+# directions span a polygon whose interior holds no hull vertex.
+_FILTER_DIRECTIONS = [
+    (float(np.cos(t)), float(np.sin(t))) for t in 2 * np.pi * np.arange(32) / 32
+]
+
+
+def _drop_interior(pts: np.ndarray) -> np.ndarray:
+    """The 2D points that are not strictly inside the extreme-point polygon.
+
+    A point is dropped only when it lies left of every polygon edge by more
+    than a relative margin, so one within rounding of an edge is kept.
+    """
+    if len(pts) < 3:
+        return pts
+    x, y = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
+    extent = max(float(np.ptp(x)), float(np.ptp(y)))
+    if not np.isfinite(extent):  # nan or inf points: no polygon to trust
+        return pts
+    poly = pts[[int(np.argmax(c * x + s * y)) for c, s in _FILTER_DIRECTIONS]]
+    poly = poly[np.any(poly != np.roll(poly, 1, axis=0), axis=1)]
+    if len(poly) < 3:
+        return pts
+    edges = np.roll(poly, -1, axis=0) - poly
+    margins = 1e-12 * extent * np.hypot(edges[:, 0], edges[:, 1])
+    inside = np.ones(len(pts), dtype=bool)
+    for (ax, ay), (ex, ey), margin in zip(poly.tolist(), edges.tolist(), margins.tolist()):
+        inside &= ex * (y - ay) - ey * (x - ax) > margin
+    return pts[~inside]
+
+
+def _monotone_chain(points: np.ndarray) -> np.ndarray:
+    """CCW hull vertices of the distinct points (Andrew's monotone chain)."""
+    uniq = np.unique(points, axis=0)
     if len(uniq) <= 2:
-        return Hull(2, uniq)
+        return uniq
     order = np.lexsort((uniq[:, 1], uniq[:, 0]))
     p = uniq[order]
 
@@ -65,7 +105,7 @@ def convex_hull(points) -> Hull:
     verts = np.array(lower[:-1] + upper[:-1])
     if len(verts) < 3:  # all collinear: keep the extreme pair
         verts = np.array([lower[0], lower[-1]])
-    return Hull(2, verts)
+    return verts
 
 
 def _cross(o, a, b) -> float:
@@ -73,7 +113,11 @@ def _cross(o, a, b) -> float:
 
 
 def hull_contains(hull: Hull, point, tol: float = 0.0) -> bool:
-    """Membership up to an absolute margin; degenerate hulls compare by distance."""
+    """Membership up to an absolute margin; degenerate hulls compare by distance.
+
+    A polygon edge a -> b rejects the point when its cross product falls
+    below -tol * max(1, |b - a|).
+    """
     p = np.atleast_1d(np.asarray(point, dtype=float))
     v = hull.vertices
     if hull.dim == 1:
@@ -82,11 +126,12 @@ def hull_contains(hull: Hull, point, tol: float = 0.0) -> bool:
         return bool(np.linalg.norm(p - v[0]) <= tol)
     if len(v) == 2:
         return _segment_distance(v[0], v[1], p) <= tol
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        if _cross(a, b, p) < -tol * max(1.0, float(np.linalg.norm(b - a))):
-            return False
-    return True
+    e = np.roll(v, -1, axis=0) - v
+    cross = e[:, 0] * (p[1] - v[:, 1]) - e[:, 1] * (p[0] - v[:, 0])
+    # |b - a| from the same dot product as np.linalg.norm(b - a), which BLAS
+    # may fuse; sqrt(ex*ex + ey*ey) differs in the last bit for some edges
+    length = np.sqrt((e[:, None, :] @ e[:, :, None]).ravel())
+    return not bool(np.any(cross < -tol * np.maximum(1.0, length)))
 
 
 def _segment_distance(a, b, p) -> float:

@@ -65,6 +65,29 @@ def dc_oracle(alpha, tau: float, radius: int):
     return worst, worst_k
 
 
+def hull_contains_oracle(vertices, point, tol: float) -> bool:
+    """2D hull membership edge by edge, one scalar cross product per edge.
+
+    An edge a -> b rejects the point when the cross product falls below
+    -tol * max(1, |b - a|); one or two vertices compare by distance.
+    """
+    p = np.asarray(point, dtype=float)
+    v = np.asarray(vertices, dtype=float)
+    if len(v) == 1:
+        return bool(np.linalg.norm(p - v[0]) <= tol)
+    if len(v) == 2:
+        ab = v[1] - v[0]
+        denom = float(ab @ ab)
+        t = 0.0 if denom == 0 else float(np.clip((p - v[0]) @ ab / denom, 0.0, 1.0))
+        return float(np.linalg.norm(p - (v[0] + t * ab))) <= tol
+    for i in range(len(v)):
+        a, b = v[i], v[(i + 1) % len(v)]
+        cross = float((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]))
+        if cross < -tol * max(1.0, float(np.linalg.norm(b - a))):
+            return False
+    return True
+
+
 def seeded_field(
     dim: int, degree: int, norm0: float, seed: int, decay: float = 0.5
 ) -> PeriodicField:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kamconj import (
     PeriodicField,
@@ -11,13 +13,14 @@ from kamconj import (
     birkhoff_rotation,
     conjugate,
     convex_hull,
+    cs_norm,
     displacement_hull,
     hull_contains,
     rotation_set_estimate,
 )
-from kamconj.rotation import _birkhoff_batch
+from kamconj.rotation import Hull, _birkhoff_batch, _drop_interior, _monotone_chain
 
-from conftest import GOLDEN, PAIR_2D, eval_oracle, seeded_field
+from conftest import GOLDEN, PAIR_2D, eval_oracle, hull_contains_oracle, seeded_field
 
 
 def sin_field(eps: float) -> PeriodicField:
@@ -66,6 +69,184 @@ class TestHull:
             a, b = v[i], v[(i + 1) % len(v)]
             area2 += a[0] * b[1] - b[0] * a[1]
         assert area2 > 0.0
+
+
+def rotation_2d_cloud(index: int = 0, resolution: int = 256) -> np.ndarray:
+    """Displacement samples of the benchmark's rotation-2d input `index`."""
+    rng = np.random.default_rng(index)
+    u = []
+    for _ in range(2):
+        entries = [
+            ((k1, k2), 0.5 * math.exp(-0.5 * (k1 + abs(k2))) * complex(*rng.standard_normal(2)))
+            for k1 in range(3)
+            for k2 in range(-2, 3)
+            if not (k1 == 0 and k2 <= 0) and k1 + abs(k2) <= 2
+        ]
+        field = PeriodicField.from_entries(2, 2, entries)
+        u.append(field * (0.01 / cs_norm(field, 0)))
+    f = TorusMapLift(np.array(PAIR_2D), tuple(u))
+    vals = f.displacement_values(resolution)
+    return np.stack([f.rho[i] + vals[i].ravel() for i in range(2)], axis=1)
+
+
+def _cocircular(n: int) -> np.ndarray:
+    t = 2 * np.pi * np.arange(n) / n
+    return np.stack([0.3 + 0.02 * np.cos(t), 0.7 + 0.02 * np.sin(t)], axis=1)
+
+
+def _on_polygon_edges(seed: int) -> np.ndarray:
+    """A polygon, points interpolated along its edges, and points inside it.
+
+    The edge points lie within rounding of the edges, so the chain's verdicts
+    on them are coin flips; a filter that dropped them on the sign of its own
+    cross product, with no margin, changes the vertices for some seeds.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    center = rng.random(2) * rng.choice([0, 1, 100])
+    radius = float(rng.choice([1e-3, 1, 50]))
+    t = 2 * np.pi * (np.arange(n) + rng.random(n) * 0.5) / n
+    corners = center + radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+    s = rng.random((200, 1))
+    edges = [a + s * (b - a) for a, b in zip(corners, np.roll(corners, -1, axis=0))]
+    inner = corners.mean(axis=0) + 0.1 * radius * rng.standard_normal((1000, 2))
+    return np.concatenate([corners, *edges, inner])
+
+
+def _prefilter_clouds():
+    rng = np.random.default_rng(17)
+    with_bad = rng.random((400, 2))
+    with_bad[[5, 90, 200]] = [[np.nan, 0.5], [np.inf, 0.2], [0.4, -np.inf]]
+    line = np.linspace(0.0, 1.0, 301)
+    return {
+        "one-point-repeated": np.tile([[0.3, 0.6]], (50, 1)),
+        "random": rng.random((2000, 2)),
+        "random-gaussian": rng.standard_normal((5000, 2)) * [3.0, 0.01],
+        "rounded-duplicates": np.round(rng.random((3000, 2)), 1),
+        "collinear": np.stack([line, 0.25 + 0.5 * line], axis=1),
+        "collinear-axis": np.stack([line, np.full_like(line, 0.5)], axis=1),
+        "cocircular": _cocircular(500),
+        "empty": np.zeros((0, 2)),
+        "one-point": np.array([[0.2, 0.4]]),
+        "two-points": np.array([[0.2, 0.4], [0.3, 0.1]]),
+        "two-distinct-repeated": np.array([[0.2, 0.4], [0.3, 0.1]] * 20),
+        "extent-1e-13": 0.5 + 1e-13 * rng.random((1000, 2)),
+        "nan-and-inf": with_bad,
+        "all-nan": np.full((10, 2), np.nan),
+        "rotation-2d-0": rotation_2d_cloud(0, 256),
+        **{f"on-polygon-edges-{seed}": _on_polygon_edges(seed) for seed in range(60, 90)},
+    }
+
+
+_PREFILTER = _prefilter_clouds()
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestHullPrefilter:
+    """The extreme-point filter drops only points the monotone chain drops anyway."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the chain
+    @pytest.mark.parametrize("name", sorted(_PREFILTER))
+    def test_vertices_equal_unfiltered_chain(self, name):
+        pts = _PREFILTER[name]
+        assert _bits(convex_hull(pts).vertices) == _bits(_monotone_chain(pts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+                st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+            ),
+            max_size=120,
+        )
+    )
+    def test_vertices_equal_unfiltered_chain_hypothesis(self, points):
+        pts = np.array(points, dtype=float).reshape(-1, 2)
+        assert _bits(convex_hull(pts).vertices) == _bits(_monotone_chain(pts))
+
+    def test_filter_drops_most_of_a_displacement_cloud(self):
+        pts = _PREFILTER["rotation-2d-0"]
+        assert len(_drop_interior(pts)) < len(pts) // 20
+
+    def test_cocircular_points_all_kept(self):
+        pts = _PREFILTER["cocircular"]
+        assert len(_drop_interior(pts)) == len(pts)
+        assert len(convex_hull(pts).vertices) == len(pts)
+
+
+def _contains_cases(v: np.ndarray, tol: float, rng) -> list:
+    """Vertices, points on and beside every edge, and points near the margin."""
+    pts = [v.mean(axis=0), v.min(axis=0) - 1.0, v.max(axis=0) + 1.0]
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        e = b - a
+        normal = np.array([e[1], -e[0]]) / max(float(np.hypot(*e)), 1e-300)  # outward for CCW
+        pts.append(a)
+        for t in (0.0, 0.5, 1.0, *rng.random(3)):
+            on_edge = a + t * e
+            pts.append(on_edge)
+            for d in (tol, 2 * tol, 1e-9, -1e-9):
+                q = on_edge + d * normal
+                pts.append(q)
+                pts.extend(np.nextafter(q, q + s) for s in ([1, 1], [-1, -1], [1, -1], [-1, 1]))
+    return pts
+
+
+def _ulp_steps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.copysign(np.inf, k))
+    return float(x)
+
+
+_CONTAINS_HULLS = {
+    "square-side-2": np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]),
+    "random-unit": convex_hull(np.random.default_rng(21).random((40, 2))).vertices,
+    "random-long-edges": convex_hull(np.random.default_rng(22).random((25, 2)) * 300 - 100).vertices,
+    "displacement": convex_hull(rotation_2d_cloud(0, 64)).vertices,
+    "one-vertex": np.array([[0.2, 0.4]]),
+    "two-vertices": np.array([[0.2, 0.4], [2.5, -1.0]]),
+}
+
+
+class TestHullContainsVectorized:
+    @pytest.mark.parametrize("tol", [0.0, 1e-13, 1e-6])
+    @pytest.mark.parametrize("name", sorted(_CONTAINS_HULLS))
+    def test_matches_per_edge_oracle(self, name, tol):
+        v = _CONTAINS_HULLS[name]
+        hull = Hull(2, v)
+        verdicts = []
+        for p in _contains_cases(v, tol, np.random.default_rng(23)):
+            expected = hull_contains_oracle(v, p, tol)
+            assert hull_contains(hull, p, tol) == expected, (p.tolist(), tol)
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-6])
+    def test_matches_per_edge_oracle_at_the_margin(self, tol):
+        """Points a few ulps around the margin line of each edge of a long-edged hull.
+
+        With the edge's start at the origin the cross products step finely
+        enough that a margin one ulp off flips verdicts here.
+        """
+        hull0 = _CONTAINS_HULLS["random-long-edges"]
+        for i in range(len(hull0)):
+            v = hull0 - hull0[i]
+            e = v[(i + 1) % len(v)]
+            q0 = tol * np.array([e[1], -e[0]]) / np.hypot(*e)
+            hull = Hull(2, v)
+            for k0 in range(-4, 5):
+                for k1 in range(-4, 5):
+                    q = np.array([_ulp_steps(q0[0], k0), _ulp_steps(q0[1], k1)])
+                    assert hull_contains(hull, q, tol) == hull_contains_oracle(v, q, tol)
+
+    def test_edge_points_and_vertices_inside_at_zero_tol(self):
+        hull = Hull(2, _CONTAINS_HULLS["square-side-2"])
+        for p in ([1.0, 0.0], [2.0, 1.5], [0.0, 2.0], [2.0, 2.0], [0.0, 0.0]):
+            assert hull_contains(hull, p, 0.0)
+        assert not hull_contains(hull, [1.0, -1e-300], 0.0)
 
 
 class TestDisplacementHull:
