@@ -377,8 +377,9 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
     trace, chain, diagnostics, messages = [], [], [], []
     status = None
     n = 0
+    # the deviation of the current f; an accepted step reports that of its successor
+    eps0 = deviation_norm(f, vec.alpha, 0)
     while n < config.max_iters:
-        eps0 = deviation_norm(f, vec.alpha, 0)
         if eps0 <= config.eps_stop:
             status = RunStatus.CONVERGED
             break
@@ -390,7 +391,6 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
             smallness_c=config.smallness_c,
             c_post=config.c_post,
             target_degree=target,
-            invert_tol=1e-12,
             drift_tol_abs=config.drift_tol_abs,
         )
         used = cutoff
@@ -416,8 +416,8 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         )
         chain.append(phi)
         diagnostics.append(diag)
-        f = f_next
-        if diag.eps0_after > config.eps_stop and not (diag.posteriori_ok and diag.hull_ok):
+        f, eps0 = f_next, diag.eps0_after
+        if eps0 > config.eps_stop and not (diag.posteriori_ok and diag.hull_ok):
             messages.append(
                 f"step {n}: drift {diag.drift_norm:.3e} fails its bound "
                 f"{diag.drift_bound:.3e} (hull_ok={diag.hull_ok})"
@@ -425,9 +425,8 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
             status = RunStatus.DRIFT_OBSTRUCTION
             break
 
-    final_eps0 = deviation_norm(f, vec.alpha, 0)
     if status is None:
-        status = RunStatus.CONVERGED if final_eps0 <= config.eps_stop else RunStatus.MAX_ITERS
+        status = RunStatus.CONVERGED if eps0 <= config.eps_stop else RunStatus.MAX_ITERS
 
     composed = None
     residual = None
@@ -444,7 +443,7 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         exit_code=EXIT_CODES[status],
         n_steps=len(chain),
         trace=trace,
-        final_eps0=final_eps0,
+        final_eps0=eps0,
         final_map=f,
         vector=vec,
         params=params,

@@ -38,8 +38,13 @@ SCHEMA_VERSION = 1
 TRACE_HEADER = "n,N,eps0,eps_s0,drift,drift_bound,env_eps0,env_eps_s0,phi_norm0,accepted"
 
 
-def _f(x) -> float:
-    return float(x)
+def _coeffs_to_doc(u: PeriodicField) -> list:
+    return [[list(k), c.real, c.imag] for k, c in u.entries()]
+
+
+def _coeffs_from_doc(dim: int, degree: int, coeffs) -> PeriodicField:
+    entries = [(tuple(int(x) for x in k), complex(re, im)) for k, re, im in coeffs]
+    return PeriodicField.from_entries(dim, degree, entries)
 
 
 def field_to_doc(f: PeriodicField) -> dict:
@@ -48,7 +53,7 @@ def field_to_doc(f: PeriodicField) -> dict:
         "kind": "field",
         "dim": f.dim,
         "degree": f.degree,
-        "coeffs": [[list(k), _f(c.real), _f(c.imag)] for k, c in f.entries()],
+        "coeffs": _coeffs_to_doc(f),
     }
 
 
@@ -63,8 +68,7 @@ def _expect(doc: dict, kind: str) -> None:
 
 def field_from_doc(doc: dict) -> PeriodicField:
     _expect(doc, "field")
-    entries = [(tuple(int(x) for x in k), complex(re, im)) for k, re, im in doc["coeffs"]]
-    return PeriodicField.from_entries(int(doc["dim"]), int(doc["degree"]), entries)
+    return _coeffs_from_doc(int(doc["dim"]), int(doc["degree"]), doc["coeffs"])
 
 
 def map_to_doc(f: TorusMapLift) -> dict:
@@ -73,12 +77,9 @@ def map_to_doc(f: TorusMapLift) -> dict:
         "kind": "torus_map",
         "dim": f.dim,
         "degree": f.degree,
-        "rho": [_f(x) for x in f.rho],
+        "rho": f.rho.tolist(),
         # one coefficient list per displacement component, in axis order
-        "coeffs": [
-            [[list(k), _f(c.real), _f(c.imag)] for k, c in u.entries()]
-            for u in f.displacement
-        ],
+        "coeffs": [_coeffs_to_doc(u) for u in f.displacement],
     }
 
 
@@ -89,12 +90,7 @@ def map_from_doc(doc: dict) -> TorusMapLift:
     comps = doc["coeffs"]
     if len(comps) != dim:
         raise ConfigError("component count does not match dim")
-    fields = tuple(
-        PeriodicField.from_entries(
-            dim, degree, [(tuple(int(x) for x in k), complex(re, im)) for k, re, im in comp]
-        )
-        for comp in comps
-    )
+    fields = tuple(_coeffs_from_doc(dim, degree, comp) for comp in comps)
     return TorusMapLift(np.array([float(x) for x in doc["rho"]]), fields)
 
 
@@ -103,7 +99,7 @@ def chain_to_doc(chain, alpha, composed: TorusMapLift | None = None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "conjugacy_chain",
         "dim": len(np.atleast_1d(alpha)),
-        "alpha": [_f(x) for x in np.atleast_1d(alpha)],
+        "alpha": [float(x) for x in np.atleast_1d(alpha)],
         "steps": [map_to_doc(phi) for phi in chain],
     }
     if composed is not None:

@@ -18,7 +18,6 @@ from .errors import InsufficientData, SmallnessViolated
 from .rotation import convex_hull, hull_contains
 from .spectral import (
     TorusMapLift,
-    _composition_defect,
     conjugate,
     cs_norm,
     deviation_norm,
@@ -52,7 +51,6 @@ class StepConfig:
     c_post: float = 2.0
     target_degree: int | None = None
     s_report: tuple = (0.0,)
-    invert_tol: float = 1e-12
     drift_tol_abs: float = 0.0
 
 
@@ -69,7 +67,6 @@ class StepDiagnostics:
     drift_norm: float
     drift_bound: float
     corrector_norm0: float
-    conj_residual: float
     posteriori_ok: bool
     hull_ok: bool
 
@@ -155,7 +152,7 @@ def step(
     target = config.target_degree
     if target is None:
         target = max(int(cutoff), f.degree)
-    f_next = rebase(conjugate(phi, f, target, config.invert_tol), vec.alpha)
+    f_next = rebase(conjugate(phi, f, target), vec.alpha)
 
     post = posteriori_check(f_next, vec, config.c_post, config.drift_tol_abs)
     eps0_after = deviation_norm(f_next, vec.alpha, 0)
@@ -175,8 +172,6 @@ def step(
         drift_norm=post.drift_norm,
         drift_bound=post.bound,
         corrector_norm0=corrector_norm0,
-        # sup |f_next(phi(x)) - phi(f(x))|, zero for an exact pushforward
-        conj_residual=_composition_defect(f_next, phi, phi, f),
         posteriori_ok=post.drift_ok,
         hull_ok=post.hull_ok,
     )

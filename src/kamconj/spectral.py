@@ -50,6 +50,12 @@ def _l1_radii(dim: int, degree: int) -> np.ndarray:
 _BLOCK_ENTRIES = 2 ** 20
 
 
+# sup-norm tolerance of both composition residuals of a near-identity inverse,
+# and the fixed-point sweeps allowed per projection degree
+_INVERT_TOL = 1e-12
+_INVERT_SWEEPS = 100
+
+
 def _round4(m: int) -> int:
     return ((int(m) + 3) // 4) * 4
 
@@ -124,12 +130,9 @@ class PeriodicField:
 
     def entries(self) -> list:
         """Nonzero (k, coefficient) pairs in lexicographic frequency order."""
-        out = []
-        for idx in np.ndindex(self.coeffs.shape):
-            v = self.coeffs[idx]
-            if v != 0:
-                out.append((tuple(i - self.degree for i in idx), complex(v)))
-        return out
+        idx = np.argwhere(self.coeffs)
+        ks = (idx - self.degree).tolist()
+        return [(tuple(k), c) for k, c in zip(ks, self.coeffs[tuple(idx.T)].tolist())]
 
     def mean(self) -> float:
         return float(self.coeffs[(self.degree,) * self.dim].real)
@@ -204,9 +207,6 @@ class PeriodicField:
         else:
             w = ((2j * np.pi * ax[:, None]) ** order[0]) * ((2j * np.pi * ax[None, :]) ** order[1])
         return PeriodicField(self.dim, self.degree, self.coeffs * w)
-
-    def values(self, m: int | None = None) -> np.ndarray:
-        return value_grid(self, m)
 
 
 def sampling_grid(degree: int, oversample: int = 4, minimum: int = 16) -> int:
@@ -553,8 +553,7 @@ def _composition_defect(a, b, c, d, m: int | None = None) -> float:
 
 def invert_near_identity(
     phi: TorusMapLift,
-    tol: float = 1e-12,
-    max_sweeps: int = 100,
+    tol: float = _INVERT_TOL,
     degree: int | None = None,
     max_degree: int | None = None,
 ) -> TorusMapLift:
@@ -579,7 +578,7 @@ def invert_near_identity(
         w = tuple(np.zeros((m,) * d) for _ in range(d))
         best = math.inf
         stagnant = 0
-        for _ in range(max_sweeps):
+        for _ in range(_INVERT_SWEEPS):
             uvals = [_eval_displaced(u, shift, w, m) for u in phi.displacement]
             defect = max(float(np.max(np.abs(w[i] + uvals[i]))) for i in range(d))
             w = tuple(-uvals[i] for i in range(d))
@@ -605,12 +604,7 @@ def invert_near_identity(
         deg_p = min(2 * deg_p, cap)
 
 
-def conjugate(
-    phi: TorusMapLift,
-    f: TorusMapLift,
-    target_degree: int | None = None,
-    invert_tol: float = 1e-12,
-) -> TorusMapLift:
+def conjugate(phi: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:
     """Push f forward by phi: the inverse of phi, then f, then phi on top.
 
     The three maps are chained pointwise on a single oversampled grid and the
@@ -620,7 +614,7 @@ def conjugate(
     if phi.dim != f.dim:
         raise ValueError("dimension mismatch")
     d = f.dim
-    psi = invert_near_identity(phi, tol=invert_tol)
+    psi = invert_near_identity(phi)
     target = max(f.degree, phi.degree) if target_degree is None else int(target_degree)
     m = _round4(
         max(

@@ -34,6 +34,16 @@ def eval_oracle(f: PeriodicField, x) -> float:
     return float(total.real)
 
 
+def entries_oracle(f: PeriodicField) -> list:
+    """Nonzero (k, coefficient) pairs by a walk over every cell of the box."""
+    out = []
+    for idx in np.ndindex(f.coeffs.shape):
+        v = f.coeffs[idx]
+        if v != 0:
+            out.append((tuple(i - f.degree for i in idx), complex(v)))
+    return out
+
+
 def dc_oracle(alpha, tau: float, radius: int):
     """Worst-case ratio dist(k.alpha, Z) * |k|_1^tau by explicit enumeration.
 

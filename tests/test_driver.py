@@ -18,6 +18,7 @@ from kamconj import (
     deviation_norm,
     eval_at_points,
     make_test_map,
+    rebase,
     run_scheme,
 )
 from kamconj.io import load_map, save_map
@@ -260,6 +261,34 @@ class TestRunScheme:
         assert res.status is RunStatus.DIVERGED
         assert res.exit_code == 3
         assert res.trace[-1][9] == 0
+
+    @pytest.mark.parametrize(
+        "overrides, status",
+        [
+            ({}, RunStatus.CONVERGED),
+            ({"smallness_c": 1e6}, RunStatus.DIVERGED),
+            ({"tolerances": {"max_iters": 1}}, RunStatus.MAX_ITERS),
+            (
+                {"initial_map": {"kind": "drifted", "params": {"delta": [0.01]}}},
+                RunStatus.DRIFT_OBSTRUCTION,
+            ),
+        ],
+        ids=["converged", "diverged", "max-iters", "drift-obstruction"],
+    )
+    def test_eps0_carried_from_the_accepted_step(self, overrides, status):
+        raw = minimal_config(**overrides)
+        res = run_scheme(ExperimentConfig.from_dict(raw))
+        assert res.status is status
+        imap = raw["initial_map"]
+        f0 = make_test_map(imap["kind"], imap["params"], [GOLDEN], raw["seed"])
+        eps0 = deviation_norm(rebase(f0, [GOLDEN]), [GOLDEN])
+        accepted = iter(res.diagnostics)
+        for row in res.trace:
+            assert row[2] == eps0
+            if row[9]:
+                eps0 = next(accepted).eps0_after
+        assert res.final_eps0 == eps0
+        assert res.final_eps0 == deviation_norm(res.final_map, [GOLDEN])
 
     def test_residual_tolerance_enforced(self, tmp_path):
         trace_path = tmp_path / "trace.csv"

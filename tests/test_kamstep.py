@@ -19,6 +19,7 @@ from kamconj import (
     rebase,
     step,
 )
+from kamconj.spectral import _composition_defect
 
 from conftest import GOLDEN, seeded_field
 
@@ -62,10 +63,17 @@ class TestStep:
         assert after < 1e-4
         assert diag.posteriori_ok and diag.hull_ok
 
+    # sup |f_next(phi(x)) - phi(f(x))|, zero for an exact pushforward; a run
+    # checks it only through the inverse's residuals and the final verification
     def test_conjugacy_residual_small(self, golden_vector):
         f = perturbed_rotation([GOLDEN], 1e-3, seed=73)
-        _, _, diag = step(f, golden_vector, 12, StepConfig(smallness_c=1e-8))
-        assert diag.conj_residual < 1e-9
+        f_next, phi, _ = step(f, golden_vector, 12, StepConfig(smallness_c=1e-8))
+        assert _composition_defect(f_next, phi, phi, f) < 1e-9
+
+    def test_conjugacy_residual_small_2d(self, pair_vector):
+        f = perturbed_rotation(pair_vector.alpha, 1e-3, seed=72, degree=2)
+        f_next, phi, _ = step(f, pair_vector, 8, StepConfig(smallness_c=1e-12))
+        assert _composition_defect(f_next, phi, phi, f) < 1e-9
 
     def test_diagnostics_fields(self, golden_vector):
         f = perturbed_rotation([GOLDEN], 1e-3, seed=74)

@@ -27,7 +27,7 @@ from kamconj import (
 )
 from kamconj.spectral import _composition_defect, _eval_displaced
 
-from conftest import GOLDEN, PAIR_2D, eval_oracle, seeded_field
+from conftest import GOLDEN, PAIR_2D, entries_oracle, eval_oracle, seeded_field
 
 
 def sin_field(eps: float, k: int = 1) -> PeriodicField:
@@ -80,6 +80,19 @@ class TestConstruction:
         f = PeriodicField.from_entries(1, 2, [((2,), 1.0j), ((1,), 0.5)])
         ks = [k for k, _ in f.entries()]
         assert ks == [(-2,), (-1,), (1,), (2,)]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_entries_match_box_walk(self, dim):
+        c = seeded_field(dim, 6, 0.1, seed=12).coeffs.copy()
+        for k, v in [(1, 0.0), (2, 0.25), (3, 0.5j)]:  # zeroed, real, imaginary pairs
+            c[(6 + k,) * dim], c[(6 - k,) * dim] = v, np.conj(v)
+        c[(6,) * dim] = -0.0
+        f = PeriodicField(dim, 6, c)
+        got = f.entries()
+        assert got == entries_oracle(f)
+        assert all(type(x) is int for k, _ in got for x in k)
+        assert all(type(v) is complex for _, v in got)
+        assert PeriodicField.zeros(dim).entries() == []
 
 
 class TestArithmetic:
