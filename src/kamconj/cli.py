@@ -14,11 +14,11 @@ import numpy as np
 
 from . import io as kio
 from .cohomology import solve
-from .diophantine import DiophantineVector, best_gamma, verified, verify_dc
+from .diophantine import DiophantineVector, best_gamma, verified_vector, verify_dc
 from .driver import (
     EXIT_CODES,
-    NAMED_ALPHAS,
     ExperimentConfig,
+    _resolve_alpha,
     make_test_map,
     run_scheme,
 )
@@ -33,7 +33,7 @@ from .scheduler import (
     schedule_cutoffs,
     validate,
 )
-from .spectral import cs_norm
+from .spectral import TorusMapLift, cs_norm
 
 __all__ = ["main"]
 
@@ -45,12 +45,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_alpha(text: str) -> np.ndarray:
-    if text in NAMED_ALPHAS:
-        return np.array([NAMED_ALPHAS[text]])
-    try:
-        return np.array([float(x) for x in text.split(",")])
-    except ValueError:
-        raise ConfigError(f"cannot parse alpha {text!r}: use a tag or comma-separated floats") from None
+    """Comma-separated components, each a decimal value or a rotation tag."""
+    pieces = []
+    for piece in text.split(","):
+        try:
+            pieces.append(float(piece))
+        except ValueError:
+            pieces.append(piece.strip())
+    return _resolve_alpha(pieces)
 
 
 def _build_parser() -> _Parser:
@@ -194,12 +196,8 @@ def _cmd_cohomology(args) -> int:
     alpha = _parse_alpha(args.alpha)
     if alpha.size != f.dim:
         raise ConfigError("alpha dimension does not match the map")
-    gamma = (
-        best_gamma(alpha, args.tau, args.cutoff) * (1.0 + 1e-12)
-        if args.gamma == "auto"
-        else float(args.gamma)
-    )
-    vec = verified(DiophantineVector(alpha, gamma, args.tau), args.cutoff)
+    gamma = None if args.gamma == "auto" else float(args.gamma)
+    vec = verified_vector(alpha, args.tau, args.cutoff, gamma)
     correctors = []
     for i, u in enumerate(f.displacement):
         sol = solve(u, vec, args.cutoff)
@@ -209,8 +207,6 @@ def _cmd_cohomology(args) -> int:
             f"residual={sol.residual:.3e} min divisor={sol.min_divisor:.6e}"
         )
     if args.out:
-        from .spectral import TorusMapLift
-
         phi = TorusMapLift(np.zeros(f.dim), tuple(correctors))
         kio.save_map(phi, args.out)
     return 0

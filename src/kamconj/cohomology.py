@@ -15,7 +15,7 @@ import numpy as np
 
 from .diophantine import DiophantineVector
 from .errors import CohomologyResidualError, DCViolation, DivisorTooSmall
-from .spectral import PeriodicField, cs_norm, frequency_axis, truncate
+from .spectral import PeriodicField, _l1_radii, cs_norm, frequency_axis, truncate
 
 __all__ = ["CohomologySolution", "solve", "growth_ratios"]
 
@@ -59,8 +59,7 @@ def solve(f: PeriodicField, vec: DiophantineVector, cutoff: int) -> CohomologySo
     center = (rhs.degree,) * rhs.dim
     mags = np.abs(div)
     mags[center] = np.inf
-    radii = np.abs(frequency_axis(rhs.degree))
-    radii = radii if rhs.dim == 1 else radii[:, None] + radii[None, :]
+    radii = _l1_radii(rhs.dim, rhs.degree)
     in_ball = (radii <= rhs.degree) & (radii > 0)
     min_divisor = float(np.min(mags[in_ball])) if in_ball.any() else np.inf
     if min_divisor < _DIVISOR_FLOOR:

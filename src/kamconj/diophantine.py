@@ -16,6 +16,7 @@ __all__ = [
     "verify_dc",
     "verified",
     "best_gamma",
+    "verified_vector",
 ]
 
 _RESONANCE_FLOOR = 1e-13
@@ -136,3 +137,10 @@ def best_gamma(alpha, tau: float, radius: int) -> float:
     if worst_ratio < _RESONANCE_FLOOR:
         raise DegenerateVector(f"resonance at k={worst_k}: k.alpha is an integer to roundoff")
     return 1.0 / worst_ratio
+
+
+def verified_vector(alpha, tau: float, radius: int, gamma=None) -> DiophantineVector:
+    """(alpha, gamma, tau) verified up to `radius`; no gamma means `best_gamma` plus 1e-12 relative."""
+    if gamma is None:
+        gamma = best_gamma(alpha, tau, radius) * (1.0 + 1e-12)
+    return verified(DiophantineVector(alpha, gamma, tau), radius)

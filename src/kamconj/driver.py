@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as kio
-from .diophantine import DiophantineVector, _ball, best_gamma, verified
+from .diophantine import DiophantineVector, _ball, verified_vector
 from .errors import (
     AliasingRisk,
     ConfigError,
@@ -350,6 +350,8 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
 
     Trace rows carry the pre-step deviations, the step outcome, and the
     scheduled envelopes; a rejected step contributes a row with accepted=0.
+    A step that fails smallness is retried at halved cutoffs, never below the
+    last accepted one, and its row carries the cutoff finally used.
     """
     dim = config.alpha.size
     params = derive_constants(
@@ -365,18 +367,14 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
     cutoffs = list(_snapped_cutoffs(config.start_cutoff, config.sigma, count, config.max_degree))
     cutoffs += [config.max_degree] * (count - len(cutoffs))
     dc_radius = config.dc_radius if config.dc_radius is not None else max(cutoffs)
-    gamma = (
-        best_gamma(config.alpha, config.tau, dc_radius) * (1.0 + 1e-12)
-        if config.gamma is None
-        else config.gamma
-    )
-    vec = verified(DiophantineVector(config.alpha, gamma, config.tau), dc_radius)
+    vec = verified_vector(config.alpha, config.tau, dc_radius, config.gamma)
 
     f = rebase(_load_initial_map(config), vec.alpha)
     first_map = f
     trace, chain, diagnostics, messages = [], [], [], []
     status = None
     n = 0
+    floor = 2  # smallness retries stop at the last accepted cutoff, 2 before any
     # the deviation of the current f; an accepted step reports that of its successor
     eps0 = deviation_norm(f, vec.alpha, 0)
     while n < config.max_iters:
@@ -395,14 +393,16 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         )
         used = cutoff
         try:
-            try:
-                f_next, phi, diag = step(f, vec, cutoff, step_cfg)
-            except SmallnessViolated:
-                used = max(2, cutoff // 2)
-                if used >= cutoff:
-                    raise
-                messages.append(f"step {n}: retrying at cutoff {used}")
-                f_next, phi, diag = step(f, vec, used, step_cfg)
+            while True:
+                try:
+                    f_next, phi, diag = step(f, vec, used, step_cfg)
+                    break
+                except SmallnessViolated:
+                    lower = max(floor, used // 2)
+                    if lower >= used:
+                        raise
+                    used = lower
+                    messages.append(f"step {n}: retrying at cutoff {used}")
         except KamError as exc:
             messages.append(f"step {n}: {exc}")
             trace.append((n, used, eps0, eps_s0, 0.0, 0.0, env0, env_s, 0.0, 0))
@@ -416,7 +416,7 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         )
         chain.append(phi)
         diagnostics.append(diag)
-        f, eps0 = f_next, diag.eps0_after
+        f, eps0, floor = f_next, diag.eps0_after, used
         if eps0 > config.eps_stop and not (diag.posteriori_ok and diag.hull_ok):
             messages.append(
                 f"step {n}: drift {diag.drift_norm:.3e} fails its bound "

@@ -15,14 +15,13 @@ import numpy as np
 from .cohomology import solve
 from .diophantine import DiophantineVector
 from .errors import InsufficientData, SmallnessViolated
-from .rotation import convex_hull, hull_contains
+from .rotation import displacement_hull, hull_contains
 from .spectral import (
     TorusMapLift,
     conjugate,
     cs_norm,
     deviation_norm,
     rebase,
-    sampling_grid,
 )
 
 __all__ = [
@@ -107,9 +106,7 @@ def posteriori_check(
     drift_norm = float(np.linalg.norm(drift))
     eps0 = deviation_norm(f_next, f_next.rho, 0)
     bound = c_post * eps0
-    m = sampling_grid(f_next.degree)
-    vals = f_next.displacement_values(m)
-    pts = np.stack([drift[i] + vals[i].ravel() for i in range(f_next.dim)], axis=1)
+    hull = displacement_hull(TorusMapLift(drift, f_next.displacement))
     hull_tol = tol_abs + 1e-13 + 1e-9 * eps0
     return PosterioriReport(
         drift=drift,
@@ -117,7 +114,7 @@ def posteriori_check(
         eps0=eps0,
         bound=bound,
         drift_ok=bool(drift_norm <= bound + tol_abs),
-        hull_ok=hull_contains(convex_hull(pts), np.zeros(f_next.dim), hull_tol),
+        hull_ok=hull_contains(hull, np.zeros(f_next.dim), hull_tol),
     )
 
 
@@ -142,7 +139,8 @@ def step(
             f"at cutoff {cutoff}"
         )
     eps_s_before = tuple(
-        (float(s), deviation_norm(f, vec.alpha, s, _norm_method(s))) for s in config.s_report
+        (float(s), eps0_before if s == 0 else deviation_norm(f, vec.alpha, s, _norm_method(s)))
+        for s in config.s_report
     )
 
     correctors = tuple(solve(u, vec, cutoff).corrector for u in f.displacement)
@@ -157,7 +155,7 @@ def step(
     post = posteriori_check(f_next, vec, config.c_post, config.drift_tol_abs)
     eps0_after = deviation_norm(f_next, vec.alpha, 0)
     eps_s_after = tuple(
-        (float(s), deviation_norm(f_next, f_next.rho, s, _norm_method(s)))
+        (float(s), post.eps0 if s == 0 else deviation_norm(f_next, f_next.rho, s, _norm_method(s)))
         for s in config.s_report
     )
     diags = StepDiagnostics(

@@ -496,6 +496,21 @@ def _eval_displaced(f: PeriodicField, shift, v: tuple, m: int) -> np.ndarray:
     return out.reshape(m, m)
 
 
+def _grid(target: int, maps) -> int:
+    """Points per axis to sample maps at, resolving each of them, and project at `target`."""
+    return _round4(max(sampling_grid(target), *(2 * p.degree + 2 for p in maps)))
+
+
+def _chain(maps, target: int) -> TorusMapLift:
+    """maps[0] then each later map, walked pointwise on one grid and projected once at `target`."""
+    m = _grid(target, maps)
+    v, rho = maps[0].displacement_values(m), maps[0].rho
+    for p in maps[1:]:
+        v = tuple(v[i] + _eval_displaced(u, rho, v, m) for i, u in enumerate(p.displacement))
+        rho = rho + p.rho
+    return TorusMapLift(rho, tuple(field_from_grid(a, target) for a in v))
+
+
 def compose(g: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:
     """Compose lifts, returning the band-limited projection of g after f.
 
@@ -512,11 +527,7 @@ def compose(g: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) 
             "target degree below the combined bandwidth; spectrum will be clipped",
             AliasingRisk,
         )
-    m = _round4(max(sampling_grid(target), 2 * f.degree + 2, 2 * g.degree + 2))
-    vf = f.displacement_values(m)
-    disp = [vf[i] + _eval_displaced(g.displacement[i], f.rho, vf, m) for i in range(f.dim)]
-    fields = tuple(field_from_grid(a, target) for a in disp)
-    return TorusMapLift(f.rho + g.rho, fields)
+    return _chain((f, g), target)
 
 
 def _composed_terms(a: TorusMapLift, b: TorusMapLift, m: int) -> list:
@@ -574,7 +585,7 @@ def invert_near_identity(
     shift = -phi.rho
     ident = TorusMapLift.identity(d)
     while True:
-        m = _round4(max(sampling_grid(deg_p), 2 * phi.degree + 2))
+        m = _grid(deg_p, (phi,))
         w = tuple(np.zeros((m,) * d) for _ in range(d))
         best = math.inf
         stagnant = 0
@@ -613,21 +624,5 @@ def conjugate(phi: TorusMapLift, f: TorusMapLift, target_degree: int | None = No
     """
     if phi.dim != f.dim:
         raise ValueError("dimension mismatch")
-    d = f.dim
-    psi = invert_near_identity(phi)
     target = max(f.degree, phi.degree) if target_degree is None else int(target_degree)
-    m = _round4(
-        max(
-            sampling_grid(target),
-            2 * f.degree + 2,
-            2 * phi.degree + 2,
-            2 * psi.degree + 2,
-        )
-    )
-    upsi = psi.displacement_values(m)
-    uf_at = [_eval_displaced(u, psi.rho, upsi, m) for u in f.displacement]
-    mid = tuple(upsi[i] + uf_at[i] for i in range(d))
-    shift2 = psi.rho + f.rho
-    uphi_at = [_eval_displaced(v, shift2, mid, m) for v in phi.displacement]
-    fields = tuple(field_from_grid(mid[i] + uphi_at[i], target) for i in range(d))
-    return TorusMapLift(shift2 + phi.rho, fields)
+    return _chain((invert_near_identity(phi), f, phi), target)

@@ -1,6 +1,7 @@
 """End-to-end command line coverage for every subcommand."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import kamconj
-from kamconj.cli import main
+from kamconj.cli import _parse_alpha, main
 from kamconj.io import load_map
 
 from conftest import GOLDEN
@@ -149,6 +150,20 @@ class TestDcCheck:
 
     def test_unparseable_alpha(self, capsys):
         assert main(["dc-check", "--alpha", "gold", "--tau", "1", "--K", "8"]) == 1
+
+    # 0.41 is rational: k = (0, 100) is an exact resonance, so its ball stays below 100
+    @pytest.mark.parametrize("alpha, radius", [("sqrt2-1,sqrt3-1", "256"), ("sqrt2-1,0.41", "64")])
+    def test_tag_lists_and_mixtures(self, alpha, radius, capsys):
+        assert main(["dc-check", "--alpha", alpha, "--tau", "2", "--K", radius]) == 0
+        assert f"worst-case gamma over |k|_1 <= {radius}" in capsys.readouterr().out
+
+    def test_mixture_components(self):
+        assert _parse_alpha("sqrt2-1,0.41").tolist() == [math.sqrt(2.0) - 1.0, 0.41]
+        assert _parse_alpha("golden").tolist() == [GOLDEN]
+
+    def test_three_components_is_error(self, capsys):
+        assert main(["dc-check", "--alpha", "0.1,0.2,0.3", "--tau", "2", "--K", "8"]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCohomologyCommand:

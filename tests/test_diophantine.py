@@ -17,7 +17,7 @@ from kamconj import (
     verified,
     verify_dc,
 )
-from kamconj.diophantine import _ball
+from kamconj.diophantine import _ball, verified_vector
 
 from conftest import GOLDEN, PAIR_2D, dc_oracle
 
@@ -142,6 +142,19 @@ class TestBestGamma:
     def test_near_resonance_raises(self):
         with pytest.raises(DegenerateVector):
             best_gamma([0.25 + 1e-16], 1.0, 8)
+
+
+class TestVerifiedVector:
+    @pytest.mark.parametrize("alpha, tau", [([GOLDEN], 1.0), (PAIR_2D, 2.0)])
+    def test_auto_gamma_is_best_gamma_raised_past_roundoff(self, alpha, tau):
+        vec = verified_vector(alpha, tau, 128)
+        assert vec.gamma == best_gamma(alpha, tau, 128) * (1.0 + 1e-12)
+        assert vec.verified_up_to == 128
+
+    def test_explicit_gamma_is_verified(self):
+        assert verified_vector([GOLDEN], 1.0, 64, 3.0).gamma == 3.0
+        with pytest.raises(DCViolation):
+            verified_vector([GOLDEN], 1.0, 64, 2.0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,6 +12,7 @@ from kamconj import (
     PeriodicField,
     ResidualTooLarge,
     RunStatus,
+    SmallnessViolated,
     TorusMapLift,
     compose_chain,
     conjugacy_verification,
@@ -21,6 +22,7 @@ from kamconj import (
     rebase,
     run_scheme,
 )
+from kamconj import driver
 from kamconj.io import load_map, save_map
 
 from conftest import GOLDEN, PAIR_2D
@@ -261,6 +263,51 @@ class TestRunScheme:
         assert res.status is RunStatus.DIVERGED
         assert res.exit_code == 3
         assert res.trace[-1][9] == 0
+
+    def test_smallness_retry_keeps_halving_while_converging(self):
+        # the step-4 cutoff 1116 and its first halving 558 both fail smallness
+        cfg = ExperimentConfig.from_dict(
+            minimal_config(
+                tau=1.0,
+                seed=26,
+                initial_map={"kind": "conjugate", "params": {"amplitude": 0.01}},
+            )
+        )
+        res = run_scheme(cfg)
+        assert res.status is RunStatus.CONVERGED
+        assert [row[1] for row in res.trace] == [8, 23, 108, 279]
+        assert [row[9] for row in res.trace] == [1, 1, 1, 1]
+        assert res.messages == [
+            "step 4: retrying at cutoff 558",
+            "step 4: retrying at cutoff 279",
+        ]
+
+    def test_smallness_retry_stops_at_the_last_accepted_cutoff(self, monkeypatch):
+        tried = []
+
+        def step_failing_after_two(f, vec, cutoff, config):
+            tried.append(cutoff)
+            if len(tried) > 2:
+                raise SmallnessViolated(f"at cutoff {cutoff}")
+            return step(f, vec, cutoff, config)
+
+        step = driver.step
+        monkeypatch.setattr(driver, "step", step_failing_after_two)
+        res = run_scheme(
+            ExperimentConfig.from_dict(minimal_config(tolerances={"eps_stop": 1e-30}))
+        )
+        assert res.status is RunStatus.DIVERGED
+        assert tried == [8, 23, 108, 54, 27, 23]
+        assert [(row[1], row[9]) for row in res.trace] == [(8, 1), (23, 1), (23, 0)]
+        assert [m for m in res.messages if "retrying" in m] == [
+            f"step 3: retrying at cutoff {c}" for c in (54, 27, 23)
+        ]
+
+    def test_smallness_retry_floor_before_any_accepted_step(self):
+        res = run_scheme(ExperimentConfig.from_dict(minimal_config(smallness_c=1e6)))
+        assert res.status is RunStatus.DIVERGED
+        assert [(row[1], row[9]) for row in res.trace] == [(2, 0)]
+        assert res.messages[:2] == ["step 1: retrying at cutoff 4", "step 1: retrying at cutoff 2"]
 
     @pytest.mark.parametrize(
         "overrides, status",

@@ -85,6 +85,19 @@ class TestStep:
         assert diag.eps0_after < diag.eps0_before
         assert diag.corrector_norm0 > 0.0
         assert diag.drift_bound >= 0.0
+        # the order-0 entries are the step's own eps0 values, bit for bit
+        assert diag.eps_s_before[0][1] == diag.eps0_before
+        assert diag.eps_s_after[0][1] == diag.eps0_after_drifted
+        assert diag.eps0_after_drifted == deviation_norm(f_next, f_next.rho, 0)
+
+    def test_diagnostics_fields_2d(self, pair_vector):
+        f = perturbed_rotation(pair_vector.alpha, 1e-3, seed=72, degree=2)
+        cfg = StepConfig(smallness_c=1e-12, s_report=(0.0, 1.0))
+        f_next, _, diag = step(f, pair_vector, 8, cfg)
+        assert [s for s, _ in diag.eps_s_after] == [0.0, 1.0]
+        assert diag.eps_s_before[0][1] == diag.eps0_before
+        assert diag.eps_s_after[0][1] == diag.eps0_after_drifted
+        assert diag.eps0_after_drifted == deviation_norm(f_next, f_next.rho, 0)
 
     def test_rho_rebased_into_window(self, golden_vector):
         f = TorusMapLift(np.array([GOLDEN + 3.0]), (seeded_field(1, 3, 1e-4, seed=75),))
