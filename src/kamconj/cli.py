@@ -235,7 +235,10 @@ def _cmd_make_map(args) -> int:
     if args.target_degree is not None:
         params["target_degree"] = args.target_degree
     if args.delta is not None:
-        params["delta"] = [float(x) for x in args.delta.split(",")]
+        try:
+            params["delta"] = [float(x) for x in args.delta.split(",")]
+        except ValueError:
+            raise ConfigError(f"--delta must be comma-separated numbers, got {args.delta!r}") from None
     if args.modes is not None:
         params["modes"] = json.loads(args.modes)
     alpha = _parse_alpha(args.alpha)

@@ -99,6 +99,8 @@ def _resolve_alpha(spec) -> np.ndarray:
         raise ConfigError("alpha must be a tag, a number, or a list of those") from None
     if arr.size not in (1, 2):
         raise ConfigError("alpha must have one or two components")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("alpha must be finite")
     return arr
 
 
@@ -258,6 +260,8 @@ def make_test_map(kind: str, params: dict, alpha, seed: int) -> TorusMapLift:
             delta = np.atleast_1d(np.asarray(params.get("delta", [0.0] * dim), dtype=float))
             if delta.size != dim:
                 raise ConfigError("delta must match the dimension")
+            if not np.all(np.isfinite(delta)):
+                raise ConfigError("delta must be finite")
             f = TorusMapLift(f.rho + delta, f.displacement)
     elif kind == "single-mode":
         _reject_unknown(params, {"modes"}, "params for 'single-mode'")

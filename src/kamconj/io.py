@@ -68,7 +68,10 @@ def _expect(doc: dict, kind: str) -> None:
 
 def field_from_doc(doc: dict) -> PeriodicField:
     _expect(doc, "field")
-    return _coeffs_from_doc(int(doc["dim"]), int(doc["degree"]), doc["coeffs"])
+    try:
+        return _coeffs_from_doc(int(doc["dim"]), int(doc["degree"]), doc["coeffs"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid field document: {exc}") from None
 
 
 def map_to_doc(f: TorusMapLift) -> dict:
@@ -90,8 +93,11 @@ def map_from_doc(doc: dict) -> TorusMapLift:
     comps = doc["coeffs"]
     if len(comps) != dim:
         raise ConfigError("component count does not match dim")
-    fields = tuple(_coeffs_from_doc(dim, degree, comp) for comp in comps)
-    return TorusMapLift(np.array([float(x) for x in doc["rho"]]), fields)
+    try:
+        fields = tuple(_coeffs_from_doc(dim, degree, comp) for comp in comps)
+        return TorusMapLift(np.array([float(x) for x in doc["rho"]]), fields)
+    except ValueError as exc:
+        raise ConfigError(f"invalid map document: {exc}") from None
 
 
 def chain_to_doc(chain, alpha, composed: TorusMapLift | None = None) -> dict:
@@ -116,9 +122,9 @@ def chain_from_doc(doc: dict) -> tuple:
 
 
 def save_json(doc: dict, path) -> None:
+    # json.dumps without indent runs the C encoder; json.dump never does
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_json(path) -> dict:

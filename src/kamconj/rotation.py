@@ -37,12 +37,14 @@ class Hull:
 
 
 def convex_hull(points) -> Hull:
-    """Hull vertices of a finite point set (monotone chain in 2D).
+    """Hull vertices of a finite point set (monotone chain in 2D); nan or inf raise.
 
     In 2D the points strictly inside an extreme-point polygon are dropped
     first; they are never hull vertices, so the vertices are the chain's own.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("hull points must be finite")
     dim = pts.shape[1]
     if dim == 1:
         lo, hi = float(pts.min()), float(pts.max())
@@ -70,8 +72,6 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
         return pts
     x, y = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
     extent = max(float(np.ptp(x)), float(np.ptp(y)))
-    if not np.isfinite(extent):  # nan or inf points: no polygon to trust
-        return pts
     poly = pts[[int(np.argmax(c * x + s * y)) for c, s in _FILTER_DIRECTIONS]]
     poly = poly[np.any(poly != np.roll(poly, 1, axis=0), axis=1)]
     if len(poly) < 3:
@@ -119,6 +119,8 @@ def hull_contains(hull: Hull, point, tol: float = 0.0) -> bool:
     below -tol * max(1, |b - a|).
     """
     p = np.atleast_1d(np.asarray(point, dtype=float))
+    if not np.all(np.isfinite(p)):
+        raise ValueError("point must be finite")
     v = hull.vertices
     if hull.dim == 1:
         return bool(v.min() - tol <= p[0] <= v.max() + tol)

@@ -55,6 +55,13 @@ _BLOCK_ENTRIES = 2 ** 20
 _INVERT_TOL = 1e-12
 _INVERT_SWEEPS = 100
 
+# largest coefficient beyond the target band above which a map chain doubles
+# its grid.  A kept coefficient's aliases lie just past that band, so this
+# holds each one within about 1e-16 of its value on the widest grid.  The
+# largest entry's roundoff floor (about 5e-19 on the 2D reference run's chain
+# grids) does not grow with the grid, where that of a sum over the band does.
+_CHAIN_TAIL = 1e-4 * _INVERT_TOL
+
 
 def _round4(m: int) -> int:
     return ((int(m) + 3) // 4) * 4
@@ -79,8 +86,11 @@ class PeriodicField:
             raise ValueError(
                 f"coefficient box must have shape {(n,) * self.dim}, got {c.shape}"
             )
+        top = float(np.max(np.abs(c)))
+        if not math.isfinite(top):
+            raise ValueError("coefficients must be finite")
         flipped = np.conj(np.flip(c))
-        scale = max(1.0, float(np.max(np.abs(c))))
+        scale = max(1.0, top)
         if float(np.max(np.abs(c - flipped))) > 1e-9 * scale:
             raise ValueError("coefficients are not Hermitian-symmetric (field must be real)")
         c = 0.5 * (c + flipped)
@@ -249,10 +259,24 @@ def field_from_grid(values: np.ndarray, degree: int) -> PeriodicField:
         raise ValueError("grid must be square")
     if m < 2 * degree + 1:
         raise ValueError("grid too coarse for the requested degree")
-    spec = np.fft.fftn(values) / (m ** dim)
-    ax = frequency_axis(degree) % m
-    box = spec[ax] if dim == 1 else spec[np.ix_(ax, ax)]
-    return PeriodicField(dim, degree, box)
+    return _project(np.fft.fftn(values) / (m ** dim), degree)
+
+
+def _project(spec: np.ndarray, degree: int) -> PeriodicField:
+    """The field carried by the box [-degree, degree]^d of a normalized DFT."""
+    ax = frequency_axis(degree) % spec.shape[0]
+    box = spec[ax] if spec.ndim == 1 else spec[np.ix_(ax, ax)]
+    return PeriodicField(spec.ndim, degree, box)
+
+
+def _beyond(spec: np.ndarray, degree: int) -> float:
+    """Largest |c| among the entries of a normalized DFT outside the box [-degree, degree]^d."""
+    m = spec.shape[0]
+    out = slice(degree + 1, m - degree)
+    top = float(np.max(np.abs(spec[out])))
+    if spec.ndim == 2:
+        top = max(top, float(np.max(np.abs(spec[frequency_axis(degree) % m, out]))))
+    return top
 
 
 def _modes(f: PeriodicField) -> tuple:
@@ -345,11 +369,9 @@ def cs_norm(f: PeriodicField, s: float = 0, method: str = "grid") -> float:
     if s != int(s):
         raise ValueError("grid method needs integer s; use method='fourier'")
     m = sampling_grid(f.degree)
-    best = 0.0
-    for order in _multi_orders(f.dim, int(s)):
-        g = f.derivative(order)
-        best = max(best, float(np.max(np.abs(value_grid(g, m)))))
-    return best
+    # np.max, not max(): a nan sup (an overflowed grid) stays nan instead of losing to 0.0
+    sups = [np.max(np.abs(value_grid(f.derivative(o), m))) for o in _multi_orders(f.dim, int(s))]
+    return float(np.max(sups))
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,6 +392,8 @@ class TorusMapLift:
             raise ValueError("only dimensions 1 and 2 are supported")
         if len(disp) != rho.size:
             raise ValueError("need one displacement component per axis")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("rho must be finite")
         fixed = []
         for i, u in enumerate(disp):
             if not isinstance(u, PeriodicField) or u.dim != rho.size:
@@ -442,11 +466,8 @@ def deviation_norm(f: TorusMapLift, alpha, s: float = 0, method: str = "grid") -
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.size != f.dim:
         raise ValueError("alpha does not match the map dimension")
-    best = 0.0
-    for i, u in enumerate(f.displacement):
-        g = u + (f.rho[i] - alpha[i])
-        best = max(best, cs_norm(g, s, method))
-    return best
+    norms = [cs_norm(u + (f.rho[i] - alpha[i]), s, method) for i, u in enumerate(f.displacement)]
+    return float(np.max(norms))
 
 
 def _eval_displaced(f: PeriodicField, shift, v: tuple, m: int) -> np.ndarray:
@@ -502,13 +523,25 @@ def _grid(target: int, maps) -> int:
 
 
 def _chain(maps, target: int) -> TorusMapLift:
-    """maps[0] then each later map, walked pointwise on one grid and projected once at `target`."""
-    m = _grid(target, maps)
-    v, rho = maps[0].displacement_values(m), maps[0].rho
-    for p in maps[1:]:
-        v = tuple(v[i] + _eval_displaced(u, rho, v, m) for i, u in enumerate(p.displacement))
-        rho = rho + p.rho
-    return TorusMapLift(rho, tuple(field_from_grid(a, target) for a in v))
+    """maps[0] then each later map, walked pointwise on one grid and projected once at `target`.
+
+    Only modes at |k| >= m - target alias into the kept band, so the walk
+    starts on the smallest grid that resolves every map and samples the
+    target twice over.  The spectrum that the projection reads also gives the
+    largest coefficient beyond `target`; while that is above `_CHAIN_TAIL` the
+    grid is doubled, up to `_grid`.
+    """
+    ceiling = _grid(target, maps)
+    m = _round4(max(2 * (target + 1), *(2 * p.degree + 2 for p in maps)))
+    while True:
+        v, rho = maps[0].displacement_values(m), maps[0].rho
+        for p in maps[1:]:
+            v = tuple(v[i] + _eval_displaced(u, rho, v, m) for i, u in enumerate(p.displacement))
+            rho = rho + p.rho
+        spec = [np.fft.fftn(a) / a.size for a in v]
+        if m >= ceiling or all(_beyond(c, target) <= _CHAIN_TAIL for c in spec):
+            return TorusMapLift(rho, tuple(_project(c, target) for c in spec))
+        m = min(2 * m, ceiling)
 
 
 def compose(g: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:

@@ -88,6 +88,16 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_map_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(
+            {"schema_version": 1, "kind": "torus_map", "dim": 1, "degree": 1,
+             "rho": [GOLDEN], "coeffs": [[[[1], math.nan, 0.0], [[-1], math.nan, 0.0]]]}
+        ))
+        cfg = write_config(tmp_path / "cfg.json", initial_map={"file": str(path)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -265,6 +275,19 @@ class TestMakeMap:
             ["make-map", "--kind", "bogus", "--alpha", "golden", "--seed", "0", "--out", str(tmp_path / "x.json")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("delta", ["abc", "0.01,x", "nan"])
+    def test_bad_delta_is_usage_error(self, tmp_path, capsys, delta):
+        out = tmp_path / "x.json"
+        code = main(
+            [
+                "make-map", "--kind", "drifted", "--alpha", "golden", "--seed", "0",
+                "--delta", delta, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_2d_alpha(self, tmp_path, capsys):
         out = tmp_path / "f2.json"

@@ -1,5 +1,6 @@
 """Configuration parsing, test map families, and the full iteration driver."""
 
+import json
 import math
 
 import numpy as np
@@ -72,6 +73,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="components"):
             ExperimentConfig.from_dict(minimal_config(alpha=[0.1, 0.2, 0.3]))
 
+    def test_non_finite_alpha_rejected(self):
+        for alpha in (math.nan, [0.3, math.inf]):
+            with pytest.raises(ConfigError, match="finite"):
+                ExperimentConfig.from_dict(minimal_config(alpha=alpha))
+
     def test_unknown_keys_rejected_everywhere(self):
         with pytest.raises(ConfigError, match="unknown keys in config"):
             ExperimentConfig.from_dict(minimal_config(typo=1))
@@ -134,6 +140,8 @@ class TestMakeTestMap:
     def test_drifted_delta_dimension(self):
         with pytest.raises(ConfigError, match="delta"):
             make_test_map("drifted", {"delta": [0.01, 0.02]}, [GOLDEN], seed=9)
+        with pytest.raises(ConfigError, match="finite"):
+            make_test_map("drifted", {"delta": [math.nan]}, [GOLDEN], seed=9)
 
     def test_single_mode_1d(self):
         f = make_test_map("single-mode", {"modes": [[1, 0.0, -5e-4]]}, [GOLDEN], seed=0)
@@ -203,6 +211,17 @@ class TestRunScheme:
         assert res.trace == []
         assert res.final_eps0 == 0.0
         assert res.composed is None and res.verification_residual is None
+
+    def test_nan_map_file_is_config_error(self, tmp_path):
+        # one nan coefficient used to run 0 steps and report converged at eps0 0.0
+        path = tmp_path / "nan.json"
+        save_map(make_test_map("conjugate", CONJ_PARAMS, [GOLDEN], 3), path)
+        doc = json.loads(path.read_text())
+        doc["coeffs"][0][1][1] = math.nan
+        path.write_text(json.dumps(doc))
+        cfg = ExperimentConfig.from_dict(minimal_config(initial_map={"file": str(path)}))
+        with pytest.raises(ConfigError, match="finite"):
+            run_scheme(cfg)
 
     def test_exact_conjugate_converges(self):
         cfg = ExperimentConfig.from_dict(minimal_config())

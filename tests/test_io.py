@@ -97,6 +97,47 @@ class TestMapDocs:
         assert len(doc["coeffs"]) == 2
         assert doc["kind"] == "torus_map"
 
+    def test_indented_file_loads_identically(self, tmp_path):
+        # maps written before output went compact used json.dump(doc, fh, indent=1)
+        u = (seeded_field(2, 3, 0.01, seed=111), seeded_field(2, 3, 0.01, seed=112))
+        f = TorusMapLift(np.array([AWKWARD[0], AWKWARD[1]]), u)
+        path = tmp_path / "indented.json"
+        with open(path, "w") as fh:
+            json.dump(map_to_doc(f), fh, indent=1)
+            fh.write("\n")
+        g = load_map(path)
+        assert np.array_equal(g.rho, f.rho)
+        for a, b in zip(g.displacement, f.displacement):
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        u = (seeded_field(2, 3, 0.01, seed=113), seeded_field(2, 3, 0.01, seed=114))
+        f = TorusMapLift(np.array([GOLDEN, AWKWARD[2]]), u)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_map(f, first)
+        save_map(load_map(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert b"\n " not in first.read_bytes()  # compact: one line
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        f = TorusMapLift(np.array([0.1]), (seeded_field(1, 2, 0.01, seed=115),))
+        doc = map_to_doc(f)
+        doc["coeffs"][0][0][1] = float(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert bad in path.read_text()
+        with pytest.raises(ConfigError, match="finite"):
+            load_map(path)
+        doc = map_to_doc(f)
+        doc["rho"] = [float(bad)]
+        with pytest.raises(ConfigError, match="finite"):
+            map_from_doc(doc)
+        fdoc = field_to_doc(f.displacement[0])
+        fdoc["coeffs"][0][2] = float(bad)
+        with pytest.raises(ConfigError, match="finite"):
+            field_from_doc(fdoc)
+
     def test_awkward_rho_round_trips(self, tmp_path):
         f = TorusMapLift(np.array([AWKWARD[0]]), (seeded_field(1, 1, 0.01, seed=107),))
         path = tmp_path / "awkward.json"
@@ -121,6 +162,15 @@ class TestChainDocs:
         assert np.array_equal(
             loaded_comp.displacement[0].coeffs, composed.displacement[0].coeffs
         )
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        chain = [TorusMapLift(np.zeros(2), (seeded_field(2, 2, 0.01, seed=s),) * 2) for s in (116, 117)]
+        composed = TorusMapLift(np.array([AWKWARD[1], 0.0]), (seeded_field(2, 4, 0.02, seed=118),) * 2)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_chain(chain, [GOLDEN, AWKWARD[0]], first, composed)
+        loaded, alpha, loaded_comp = load_chain(first)
+        save_chain(loaded, alpha, second, loaded_comp)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_composed_optional(self):
         doc = chain_to_doc([], [0.5])

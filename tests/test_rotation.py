@@ -71,6 +71,35 @@ class TestHull:
         assert area2 > 0.0
 
 
+def _non_finite_clouds():
+    with_bad = np.random.default_rng(17).random((400, 2))
+    with_bad[[5, 90, 200]] = [[np.nan, 0.5], [np.inf, 0.2], [0.4, -np.inf]]
+    return {
+        "nan-point": [[0, 0], [1, 0], [0, 1], [0.2, np.nan]],
+        "inf-point": [[0, 0], [1, 0], [0, 1], [0.2, np.inf]],
+        "nan-and-inf": with_bad,
+        "all-nan": np.full((10, 2), np.nan),
+        "1d-inf": [[0.1], [-np.inf], [0.3]],
+    }
+
+
+class TestNonFinitePoints:
+    """A nan or inf point has no place in a hull; it is an error, never a verdict."""
+
+    @pytest.mark.parametrize("name", sorted(_non_finite_clouds()))
+    def test_convex_hull_rejects(self, name):
+        with pytest.raises(ValueError, match="finite"):
+            convex_hull(_non_finite_clouds()[name])
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.2], [0.2, np.inf], [-np.inf, -np.inf]])
+    def test_hull_contains_rejects(self, point):
+        hull = convex_hull([[0, 0], [1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="finite"):
+            hull_contains(hull, point)
+        with pytest.raises(ValueError, match="finite"):
+            hull_contains(convex_hull([[0.1], [0.3]]), [x for x in point if not np.isfinite(x)][:1])
+
+
 def rotation_2d_cloud(index: int = 0, resolution: int = 256) -> np.ndarray:
     """Displacement samples of the benchmark's rotation-2d input `index`."""
     rng = np.random.default_rng(index)
@@ -115,8 +144,6 @@ def _on_polygon_edges(seed: int) -> np.ndarray:
 
 def _prefilter_clouds():
     rng = np.random.default_rng(17)
-    with_bad = rng.random((400, 2))
-    with_bad[[5, 90, 200]] = [[np.nan, 0.5], [np.inf, 0.2], [0.4, -np.inf]]
     line = np.linspace(0.0, 1.0, 301)
     return {
         "one-point-repeated": np.tile([[0.3, 0.6]], (50, 1)),
@@ -131,8 +158,6 @@ def _prefilter_clouds():
         "two-points": np.array([[0.2, 0.4], [0.3, 0.1]]),
         "two-distinct-repeated": np.array([[0.2, 0.4], [0.3, 0.1]] * 20),
         "extent-1e-13": 0.5 + 1e-13 * rng.random((1000, 2)),
-        "nan-and-inf": with_bad,
-        "all-nan": np.full((10, 2), np.nan),
         "rotation-2d-0": rotation_2d_cloud(0, 256),
         **{f"on-polygon-edges-{seed}": _on_polygon_edges(seed) for seed in range(60, 90)},
     }
@@ -148,7 +173,6 @@ def _bits(a: np.ndarray) -> tuple:
 class TestHullPrefilter:
     """The extreme-point filter drops only points the monotone chain drops anyway."""
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the chain
     @pytest.mark.parametrize("name", sorted(_PREFILTER))
     def test_vertices_equal_unfiltered_chain(self, name):
         pts = _PREFILTER[name]

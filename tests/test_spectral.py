@@ -25,7 +25,8 @@ from kamconj import (
     truncate,
     value_grid,
 )
-from kamconj.spectral import _composition_defect, _eval_displaced
+from kamconj import spectral
+from kamconj.spectral import _composition_defect, _eval_displaced, _grid, _round4
 
 from conftest import GOLDEN, PAIR_2D, entries_oracle, eval_oracle, seeded_field
 
@@ -51,6 +52,15 @@ class TestConstruction:
         box[2] = 1.0 + 0.0j  # k=1 entry with no conjugate mirror at k=-1
         with pytest.raises(ValueError, match="Hermitian"):
             PeriodicField(1, 1, box)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        box = np.zeros(3, dtype=complex)
+        box[0] = box[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PeriodicField(1, 1, box)
+        with pytest.raises(ValueError, match="finite"):
+            PeriodicField.from_entries(2, 1, [((1, 0), complex(0.1, bad))])
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
@@ -252,6 +262,14 @@ class TestNorms:
         assert cs_norm(f, 400, "fourier") == math.inf
         assert cs_norm(PeriodicField.zeros(2, 3), 120, "fourier") == 0.0
 
+    def test_nan_sup_propagates(self):
+        # finite coefficients whose grid values overflow to inf - inf = nan
+        f = PeriodicField.from_entries(1, 8, [((k,), 4e307) for k in range(1, 9)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(value_grid(f, sampling_grid(f.degree))).any()
+            assert math.isnan(cs_norm(f, 0))
+            assert math.isnan(deviation_norm(TorusMapLift(np.array([0.25]), (f,)), [0.25]))
+
 
 def _oracle_map(f: TorusMapLift, x: np.ndarray) -> np.ndarray:
     return x + f.rho + np.array([eval_oracle(u, x) for u in f.displacement])
@@ -283,6 +301,11 @@ class TestCompositionDefect:
 
 
 class TestTorusMapLift:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rho(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TorusMapLift(np.array([0.1, bad]), (PeriodicField.zeros(2),) * 2)
+
     def test_constant_displacement_folds_into_rho(self):
         u = sin_field(0.1) + 0.25
         f = TorusMapLift(np.array([0.5]), (u,))
@@ -374,6 +397,60 @@ class TestCompose:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             compose(TorusMapLift.identity(1), TorusMapLift.identity(2))
+
+
+def _tail_reads(monkeypatch) -> list:
+    """(grid size, largest coefficient beyond the target) of each tail `_chain` reads."""
+    seen = []
+    beyond = spectral._beyond
+
+    def record(spec, degree):
+        top = beyond(spec, degree)
+        seen.append((spec.shape[0], top))
+        return top
+
+    monkeypatch.setattr(spectral, "_beyond", record)
+    return seen
+
+
+class TestChainGrid:
+    """The map chain starts at oversample 2 and doubles while its tail is not negligible."""
+
+    def test_slow_tail_doubles_and_matches_oversample_4_oracle(self, monkeypatch):
+        slow = [seeded_field(2, 3, 0.02, seed, decay=0.05) for seed in (40, 41, 42, 43)]
+        f = TorusMapLift(np.array([0.1, 0.2]), tuple(slow[:2]))
+        g = TorusMapLift(np.array([0.3, 0.4]), tuple(slow[2:]))
+        target = 6
+        seen = _tail_reads(monkeypatch)
+        h = compose(g, f, target_degree=target)
+        start, m = _round4(2 * (target + 1)), _grid(target, (f, g))
+        assert start < m
+        assert seen[0][0] == start and seen[0][1] > spectral._CHAIN_TAIL
+        # g(f(x)) - x sampled pointwise by the naive oracle on the oversample-4 grid
+        ax = np.arange(m) / m
+        pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+        rho = f.rho + g.rho
+        vals = np.array([_oracle_map(g, _oracle_map(f, x)) - x for x in pts]) - rho
+        fields = tuple(field_from_grid(vals[:, i].reshape(m, m), target) for i in (0, 1))
+        want = TorusMapLift(rho, fields)
+        assert np.max(np.abs(h.rho - want.rho)) <= 1e-15
+        for a, b in zip(h.displacement, want.displacement):
+            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15
+
+    def test_fast_tail_stays_on_oversample_2_grid(self, monkeypatch):
+        # like the criterion-4 change of variables: degree 2, C0 size 0.01
+        h = TorusMapLift(np.zeros(2), (seeded_field(2, 2, 0.01, 44), seeded_field(2, 2, 0.01, 45)))
+        rotation = TorusMapLift.rotation(PAIR_2D)
+        seen = _tail_reads(monkeypatch)
+        small = conjugate(h, rotation, target_degree=24)
+        # the inverse of h has degree 32, so the chain starts at 68 points rather than 52
+        assert [m for m, _ in seen] == [68, 68] and 68 < _grid(24, (h,))
+        assert all(top <= spectral._CHAIN_TAIL for _, top in seen)
+        monkeypatch.setattr(spectral, "_CHAIN_TAIL", -1.0)  # always widen: the oversample-4 grid
+        wide = conjugate(h, rotation, target_degree=24)
+        assert np.array_equal(small.rho, wide.rho)
+        for a, b in zip(small.displacement, wide.displacement):
+            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15
 
 
 class TestInvert:
