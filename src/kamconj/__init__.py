@@ -24,6 +24,7 @@ from .errors import (
     InsufficientData,
     KamError,
     NoConvergence,
+    NonFinite,
     NotContractive,
     NotDiffeomorphic,
     OutOfRegime,

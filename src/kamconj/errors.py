@@ -5,6 +5,10 @@ class KamError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class NonFinite(KamError, ValueError):
+    """A field, map or point holds nan or inf."""
+
+
 class ConfigError(KamError):
     """Malformed or inconsistent experiment configuration."""
 

@@ -8,13 +8,14 @@ its distance from the target ("drift") is reported, not subtracted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cohomology import solve
 from .diophantine import DiophantineVector
-from .errors import InsufficientData, SmallnessViolated
+from .errors import InsufficientData, NonFinite, SmallnessViolated
 from .rotation import displacement_hull, hull_contains
 from .spectral import (
     TorusMapLift,
@@ -132,6 +133,8 @@ def step(
     f = rebase(f, vec.alpha)
     d = f.dim
     eps0_before = deviation_norm(f, vec.alpha, 0)
+    if not math.isfinite(eps0_before):  # a nan margin would pass the smallness test
+        raise NonFinite(f"deviation eps0 = {eps0_before} is not finite")
     margin = vec.gamma * float(cutoff) ** (2.0 * vec.tau + d + 2.0) * eps0_before
     if config.smallness_c * margin >= 1.0:
         raise SmallnessViolated(

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFinite
 from .spectral import TorusMapLift, _mode_sum, _modes, sampling_grid
 
 __all__ = [
@@ -44,7 +45,7 @@ def convex_hull(points) -> Hull:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
-        raise ValueError("hull points must be finite")
+        raise NonFinite("hull points must be finite")
     dim = pts.shape[1]
     if dim == 1:
         lo, hi = float(pts.min()), float(pts.max())
@@ -120,7 +121,7 @@ def hull_contains(hull: Hull, point, tol: float = 0.0) -> bool:
     """
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if not np.all(np.isfinite(p)):
-        raise ValueError("point must be finite")
+        raise NonFinite("point must be finite")
     v = hull.vertices
     if hull.dim == 1:
         return bool(v.min() - tol <= p[0] <= v.max() + tol)
@@ -160,15 +161,15 @@ def _birkhoff_batch(f: TorusMapLift, starts: np.ndarray, n_iter: int) -> np.ndar
     the number of iterates.
     """
     x = np.asarray(starts, dtype=float).reshape(-1, f.dim) % 1.0
-    modes = [_modes(u) for u in f.displacement]
+    modes = _modes(f.displacement, f.rho)
+    trig = np.ones((len(x), modes[1].shape[1]))
+    disp = np.empty_like(x)
     total = np.zeros_like(x)
     for _ in range(n_iter):
-        disp = np.empty_like(x)
-        disp[:] = f.rho
-        for j, mj in enumerate(modes):
-            disp[:, j] += _mode_sum(mj, x)
+        _mode_sum(modes, x, trig, disp)
         total += disp
-        x = (x + disp) % 1.0
+        x += disp
+        x %= 1.0
     return total / n_iter
 
 

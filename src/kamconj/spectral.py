@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingRisk, NoConvergence, NotContractive
+from .errors import AliasingRisk, NoConvergence, NonFinite, NotContractive
 
 __all__ = [
     "PeriodicField",
@@ -45,8 +45,7 @@ def _l1_radii(dim: int, degree: int) -> np.ndarray:
     return ax[:, None] + ax[None, :]
 
 
-# entries (complex, 16 bytes each) of the points-by-modes phase matrix that a
-# blocked off-grid evaluation holds at once
+# entries of the points-by-modes matrix that a blocked evaluation holds at once
 _BLOCK_ENTRIES = 2 ** 20
 
 
@@ -86,14 +85,14 @@ class PeriodicField:
             raise ValueError(
                 f"coefficient box must have shape {(n,) * self.dim}, got {c.shape}"
             )
-        top = float(np.max(np.abs(c)))
-        if not math.isfinite(top):
-            raise ValueError("coefficients must be finite")
+        if not np.all(np.isfinite(c)):
+            raise NonFinite("coefficients must be finite")
         flipped = np.conj(np.flip(c))
-        scale = max(1.0, top)
+        scale = max(1.0, float(np.max(np.abs(c))))
         if float(np.max(np.abs(c - flipped))) > 1e-9 * scale:
             raise ValueError("coefficients are not Hermitian-symmetric (field must be real)")
-        c = 0.5 * (c + flipped)
+        # 0.5 * (c + flipped) without its overflow: halving is exact in the normal range
+        c = 0.5 * c + 0.5 * flipped
         c[_l1_radii(self.dim, self.degree) > self.degree] = 0.0
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -279,33 +278,71 @@ def _beyond(spec: np.ndarray, degree: int) -> float:
     return top
 
 
-def _modes(f: PeriodicField) -> tuple:
-    """Nonzero frequencies, as floats of shape (n, dim), and their coefficients."""
-    k = np.argwhere(f.coeffs)
-    return (k - f.degree).astype(float), f.coeffs[tuple(k.T)]
+def _modes(fields, means) -> tuple:
+    """The half spectrum of real fields on one torus, as `_mode_sum` reads it.
+
+    Keeps each frequency k whose first nonzero component is positive, where
+    some field has a coefficient, as 2*pi*k of shape (dim, n).  The weights
+    have one row per field: 2 Re c_k, then -2 Im c_k, then the field's entry
+    of `means` in place of its own mean.
+    """
+    deg = max(u.degree for u in fields)
+    box = np.stack([u._embed(deg) for u in fields])
+    flat = box.reshape(len(fields), -1)
+    centre = flat.shape[1] // 2
+    # in C order the entries after the centre are exactly the half spectrum
+    idx = centre + 1 + np.flatnonzero(np.any(flat[:, centre + 1:] != 0, axis=0))
+    k = np.array(np.unravel_index(idx, box.shape[1:])) - deg
+    c = flat[:, idx]
+    w = np.concatenate([2.0 * c.real, -2.0 * c.imag, np.asarray(means, dtype=float)[:, None]], axis=1)
+    return 2.0 * np.pi * k, w
 
 
-def _mode_sum(modes: tuple, x: np.ndarray) -> np.ndarray:
-    """Values at points x of shape (n, dim) of the field whose `_modes` are given."""
-    k, c = modes
-    return (np.exp(2j * np.pi * (x @ k.T)) @ c).real
+def _mode_sum(modes: tuple, x: np.ndarray, trig: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Values at points x of shape (p, dim) of the fields whose `_modes` are given, into out.
+
+    One phase theta = 2*pi k.x serves every field: the value is
+    [cos theta, sin theta, 1] . w.  `trig` is scratch of shape (p, 2n+1) whose
+    last column holds ones; out has shape (p, fields).  Both contractions run
+    point by point, without BLAS, so a point's value does not depend on the
+    other points in the batch.
+    """
+    k, w = modes
+    n = k.shape[1]
+    theta = trig[:, n:2 * n]
+    np.einsum("pd,dm->pm", x, k, out=theta)
+    np.cos(theta, out=trig[:, :n])
+    np.sin(theta, out=theta)
+    return np.einsum("pm,jm->pj", trig, w, out=out)
+
+
+def _values(fields, means, x: np.ndarray) -> np.ndarray:
+    """`_mode_sum` at points x of shape (p, dim), in blocks; shape (p, len(fields))."""
+    modes = _modes(fields, means)
+    width = modes[1].shape[1]
+    out = np.empty((len(x), len(fields)))
+    block = _BLOCK_ENTRIES // width + 1
+    trig = np.ones((min(block, len(x)), width))
+    for lo in range(0, len(x), block):
+        xb = x[lo:lo + block]
+        _mode_sum(modes, xb, trig[:len(xb)], out[lo:lo + block])
+    return out
+
+
+def _points(pts: np.ndarray, dim: int) -> tuple:
+    """(flat points of shape (p, dim), shape of the point array without its axis)."""
+    if dim == 1:
+        return pts.reshape(-1, 1), pts.shape
+    if pts.ndim == 0 or pts.shape[-1] != 2:
+        raise ValueError("2D evaluation needs points of shape (..., 2)")
+    return pts.reshape(-1, 2), pts.shape[:-1]
 
 
 def eval_at_points(f: PeriodicField, points) -> np.ndarray | float:
     """Evaluate at arbitrary points; 1D accepts scalars or arrays, 2D arrays (..., 2)."""
-    pts = np.asarray(points, dtype=float)
-    if f.dim == 1:
-        single, shape = pts.ndim == 0, np.atleast_1d(pts).shape
-    else:
-        if pts.ndim == 0 or pts.shape[-1] != 2:
-            raise ValueError("2D evaluation needs points of shape (..., 2)")
-        single, shape = pts.ndim == 1, np.atleast_2d(pts).shape[:-1]
-    x, modes = pts.reshape(-1, f.dim), _modes(f)
-    out = np.empty(len(x))
-    block = _BLOCK_ENTRIES // max(1, len(modes[1])) + 1
-    for lo in range(0, len(x), block):
-        out[lo:lo + block] = _mode_sum(modes, x[lo:lo + block])
-    return float(out[0]) if single else out.reshape(shape)
+    x, shape = _points(np.asarray(points, dtype=float), f.dim)
+    out = _values((f,), (f.mean(),), x)[:, 0]
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def truncate(f: PeriodicField, cutoff: int, mode: str = "inhomogeneous") -> PeriodicField:
@@ -369,8 +406,15 @@ def cs_norm(f: PeriodicField, s: float = 0, method: str = "grid") -> float:
     if s != int(s):
         raise ValueError("grid method needs integer s; use method='fourier'")
     m = sampling_grid(f.degree)
+    sups = []
+    for o in _multi_orders(f.dim, int(s)):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                df = f.derivative(o)
+        except NonFinite:  # a coefficient of the derivative, and so its sup, passes the float maximum
+            return math.inf
+        sups.append(np.max(np.abs(value_grid(df, m))))
     # np.max, not max(): a nan sup (an overflowed grid) stays nan instead of losing to 0.0
-    sups = [np.max(np.abs(value_grid(f.derivative(o), m))) for o in _multi_orders(f.dim, int(s))]
     return float(np.max(sups))
 
 
@@ -393,7 +437,7 @@ class TorusMapLift:
         if len(disp) != rho.size:
             raise ValueError("need one displacement component per axis")
         if not np.all(np.isfinite(rho)):
-            raise ValueError("rho must be finite")
+            raise NonFinite("rho must be finite")
         fixed = []
         for i, u in enumerate(disp):
             if not isinstance(u, PeriodicField) or u.dim != rho.size:
@@ -427,10 +471,8 @@ class TorusMapLift:
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        vals = [eval_at_points(u, pts) for u in self.displacement]
-        if self.dim == 1:
-            return pts + self.rho[0] + vals[0]
-        return pts + self.rho + np.stack(vals, axis=-1)
+        x, _ = _points(pts, self.dim)
+        return pts + _values(self.displacement, self.rho, x).reshape(pts.shape)
 
     def displacement_values(self, m: int) -> tuple:
         return tuple(value_grid(u, m) for u in self.displacement)
@@ -637,13 +679,14 @@ def invert_near_identity(
             best = min(best, defect)
         fields = tuple(field_from_grid(w[i], deg_p) for i in range(d))
         psi = TorusMapLift(shift, fields)
-        r1 = _composition_defect(phi, psi, ident, ident, m)
-        r2 = _composition_defect(psi, phi, ident, ident, m)
-        if max(r1, r2) <= tol:
-            return psi
+        residual = _composition_defect(phi, psi, ident, ident, m)
+        if residual <= tol:  # the second residual decides only when the first passes
+            residual = max(residual, _composition_defect(psi, phi, ident, ident, m))
+            if residual <= tol:
+                return psi
         if deg_p >= cap:
             raise NoConvergence(
-                f"inverse residual {max(r1, r2):.3e} above tolerance {tol:.1e} at degree {deg_p}"
+                f"inverse residual {residual:.3e} above tolerance {tol:.1e} at degree {deg_p}"
             )
         deg_p = min(2 * deg_p, cap)
 

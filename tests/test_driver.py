@@ -24,6 +24,7 @@ from kamconj import (
     run_scheme,
 )
 from kamconj import driver
+from kamconj import kamstep as kstep
 from kamconj.io import load_map, save_map
 
 from conftest import GOLDEN, PAIR_2D
@@ -222,6 +223,30 @@ class TestRunScheme:
         cfg = ExperimentConfig.from_dict(minimal_config(initial_map={"file": str(path)}))
         with pytest.raises(ConfigError, match="finite"):
             run_scheme(cfg)
+
+    def test_non_finite_value_inside_a_step_diverges(self, tmp_path, monkeypatch):
+        def nan_pushforward(phi, f, target_degree=None):
+            return TorusMapLift(f.rho, tuple(u * math.nan for u in f.displacement))
+
+        monkeypatch.setattr(kstep, "conjugate", nan_pushforward)
+        output = {"trace": str(tmp_path / "trace.csv"), "final_map": str(tmp_path / "final.json")}
+        res = run_scheme(ExperimentConfig.from_dict(minimal_config(output=output)))
+        assert res.status is RunStatus.DIVERGED and res.exit_code == 3
+        assert res.messages == ["step 1: coefficients must be finite"]
+        assert [row[9] for row in res.trace] == [0]
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 2
+        assert np.array_equal(load_map(tmp_path / "final.json").rho, res.final_map.rho)
+
+    def test_map_with_overflowing_values_diverges(self, tmp_path):
+        # finite coefficients whose grid values overflow: eps0 is nan, which passed smallness
+        path = tmp_path / "huge.json"
+        u = PeriodicField.from_entries(1, 8, [((k,), 4e307) for k in range(1, 9)])
+        save_map(TorusMapLift(np.array([GOLDEN]), (u,)), path)
+        cfg = ExperimentConfig.from_dict(minimal_config(initial_map={"file": str(path)}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_scheme(cfg)
+        assert res.status is RunStatus.DIVERGED and res.exit_code == 3
+        assert res.messages == ["step 1: deviation eps0 = nan is not finite"]
 
     def test_exact_conjugate_converges(self):
         cfg = ExperimentConfig.from_dict(minimal_config())

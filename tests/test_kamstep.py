@@ -8,6 +8,8 @@ import pytest
 
 from kamconj import (
     InsufficientData,
+    KamError,
+    NonFinite,
     PeriodicField,
     SmallnessViolated,
     StepConfig,
@@ -147,6 +149,14 @@ class TestPosteriori:
         report = posteriori_check(f, pair_vector)
         assert np.allclose(report.drift, delta, atol=1e-12)
         assert report.drift_norm == pytest.approx(float(np.linalg.norm(delta)), rel=1e-9)
+
+    def test_non_finite_map_raises(self, golden_vector):
+        # finite coefficients whose grid values overflow to inf - inf = nan
+        u = PeriodicField.from_entries(1, 8, [((k,), 4e307) for k in range(1, 9)])
+        f = TorusMapLift(np.array([GOLDEN]), (u,))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="finite"):
+            posteriori_check(f, golden_vector)
+        assert issubclass(NonFinite, KamError)
 
 
 class TestErrorModel:

@@ -349,12 +349,24 @@ class TestBirkhoff:
         for i, x0 in enumerate(starts):
             assert np.array_equal(batch[i], birkhoff_rotation(f, x0, 40))
 
-    def test_batch_matches_oracle_orbits_2d(self):
-        u = (seeded_field(2, 3, 0.01, seed=93), seeded_field(2, 3, 0.01, seed=94))
-        f = TorusMapLift(np.array(PAIR_2D), u)
-        starts = np.array([[0.1, 0.5], [0.9, 0.2], [0.33, 0.71]])
+    def test_batch_matches_single_on_random_maps(self):
+        # a point's orbit does not depend on the other points in its batch
+        rng = np.random.default_rng(98)
+        for seed in range(20):
+            u = (seeded_field(2, 2, 0.01, seed=200 + seed), seeded_field(2, 2, 0.01, seed=300 + seed))
+            f = TorusMapLift(rng.random(2), u)
+            starts = rng.random((16, 2))
+            batch = _birkhoff_batch(f, starts, 25)
+            for x0, avg in zip(starts, batch):
+                assert np.array_equal(avg, birkhoff_rotation(f, x0, 25))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batch_matches_oracle_orbits(self, dim):
+        u = tuple(seeded_field(dim, 3, 0.01, seed=93 + i) for i in range(dim))
+        f = TorusMapLift(np.array([GOLDEN] if dim == 1 else PAIR_2D), u)
+        starts = np.array([[0.1, 0.5], [0.9, 0.2], [0.33, 0.71]])[:, :dim]
         for x0, avg in zip(starts, _birkhoff_batch(f, starts, 30)):
-            x, total = x0.copy(), np.zeros(2)
+            x, total = x0.copy(), np.zeros(dim)
             for _ in range(30):
                 disp = f.rho + np.array([eval_oracle(c, x) for c in u])
                 total += disp

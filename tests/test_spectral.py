@@ -1,6 +1,7 @@
 """Field arithmetic, evaluation, norms, and map composition."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,12 @@ class TestConstruction:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
             PeriodicField(1, 2, np.zeros(3, dtype=complex))
+
+    def test_symmetrizes_near_the_float_maximum(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = PeriodicField.from_entries(1, 1, [(1, 1e308)])
+        assert f.coeffs.tolist() == [1e308, 0.0, 1e308]
 
     def test_corner_modes_outside_l1_ball_are_dropped(self):
         box = np.zeros((5, 5), dtype=complex)
@@ -166,6 +173,17 @@ class TestEvaluation:
         assert out.shape == (2,)
         assert out[1] == pytest.approx(eval_oracle(f, [0.3, 0.4]), abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_eval_at_points_matches_oracle_across_blocks(self, dim, monkeypatch):
+        f = seeded_field(dim, 4, 0.3, seed=12) + 0.7
+        width = spectral._modes((f,), (f.mean(),))[1].shape[1]
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 5 * width)  # blocks of 6 points
+        x = np.random.default_rng(13).random((17, dim))
+        vals = eval_at_points(f, x if dim == 2 else x[:, 0])
+        assert vals.shape == (17,)
+        for v, p in zip(vals, x):
+            assert abs(v - eval_oracle(f, p)) < 1e-13
+
     def test_field_from_grid_round_trip(self):
         f = seeded_field(2, 4, 0.7, seed=10)
         g = field_from_grid(value_grid(f, 32), 4)
@@ -255,6 +273,12 @@ class TestNorms:
         with pytest.raises(ValueError, match="nonnegative"):
             cs_norm(sin_field(1.0), -1)
 
+    def test_grid_norm_past_the_float_maximum(self):
+        # the derivative's coefficient 4e307 * 4 pi overflows, and so does its sup
+        f = PeriodicField.from_entries(1, 2, [(2, 4e307)])
+        assert cs_norm(f, 0) == 8e307
+        assert cs_norm(f, 1) == math.inf
+
     def test_fourier_past_the_float_range_of_the_weights(self):
         # the weight at the zeroed corners overflows; the norm itself does not
         f = PeriodicField.from_entries(2, 108, [((1, 1), 0.01)])
@@ -323,6 +347,17 @@ class TestTorusMapLift:
         f = TorusMapLift(np.array([0.1]), (sin_field(0.05),))
         x = 0.3
         assert f(x) == pytest.approx(0.3 + 0.1 + 0.05 * math.sin(2 * math.pi * 0.3), abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_call_matches_oracle_across_blocks(self, dim, monkeypatch):
+        u = tuple(seeded_field(dim, 4, 0.02, seed=14 + i) + 0.1 for i in range(dim))
+        f = TorusMapLift(np.array([0.3, -1.2][:dim]), u)
+        width = spectral._modes(f.displacement, f.rho)[1].shape[1]
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 5 * width)  # blocks of 6 points
+        x = np.random.default_rng(15).random((17, dim))
+        got = f(x) if dim == 2 else f(x[:, 0])[:, None]
+        for y, p in zip(got, x):
+            assert np.max(np.abs(y - _oracle_map(f, p))) < 1e-13
 
     def test_jacobian_sup_of_sine(self):
         f = TorusMapLift(np.array([0.0]), (sin_field(0.02),))
@@ -477,6 +512,25 @@ class TestInvert:
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.07),))
         with pytest.raises(NoConvergence):
             invert_near_identity(phi, tol=1e-15, degree=1, max_degree=1)
+
+    def test_failing_first_residual_skips_the_second(self, monkeypatch):
+        calls = []
+
+        def counted(*maps):
+            calls.append(maps)
+            return _composition_defect(*maps)
+
+        monkeypatch.setattr(spectral, "_composition_defect", counted)
+        phi = TorusMapLift(np.array([0.0]), (sin_field(0.07),))
+        with pytest.raises(NoConvergence, match="above tolerance") as info:
+            invert_near_identity(phi, tol=1e-15, degree=1, max_degree=1)
+        assert len(calls) == 1
+        assert float(str(info.value).split()[2]) > 1e-15
+        calls.clear()
+        invert_near_identity(phi)
+        # each failing first residual stands alone; the passing one is followed by the second
+        assert [c[0] is phi for c in calls] == [True] * (len(calls) - 1) + [False]
+        assert calls[-1][1] is phi
 
     def test_inverse_2d(self):
         u = (seeded_field(2, 2, 0.02, seed=30), seeded_field(2, 2, 0.02, seed=31))
