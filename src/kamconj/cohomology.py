@@ -9,12 +9,13 @@ coefficientwise: phi_k = -f_k / (e^(2*pi*i*k.alpha) - 1), with phi_0 = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diophantine import DiophantineVector
-from .errors import CohomologyResidualError, DCViolation, DivisorTooSmall
+from .errors import CohomologyResidualError, DCViolation, DivisorTooSmall, NonFinite
 from .spectral import PeriodicField, _l1_radii, cs_norm, frequency_axis, truncate
 
 __all__ = ["CohomologySolution", "solve", "growth_ratios"]
@@ -70,10 +71,15 @@ def solve(f: PeriodicField, vec: DiophantineVector, cutoff: int) -> CohomologySo
     np.divide(-rhs.coeffs, div, out=coeffs, where=in_ball)
     phi = PeriodicField(rhs.dim, rhs.degree, coeffs)
 
-    # residual phi(x+alpha) - phi(x) + rhs(x), exact in coefficients
-    res_field = PeriodicField(rhs.dim, rhs.degree, phi.coeffs * div + rhs.coeffs)
+    # residual phi(x+alpha) - phi(x) + rhs(x), exact in coefficients.  Its real
+    # part is taken here: the roundoff of the product is not Hermitian, and for
+    # huge coefficients it can be as large as the residual itself
+    res = phi.coeffs * div + rhs.coeffs
+    res_field = PeriodicField(rhs.dim, rhs.degree, 0.5 * res + 0.5 * np.conj(np.flip(res)))
     residual = cs_norm(res_field, 0, "grid")
     scale = max(cs_norm(f, 0, "grid"), 1e-300)
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        raise NonFinite(f"grid sup of the residual ({residual:.3e}) or the field ({scale:.3e}) overflows")
     if residual > _RESIDUAL_REL * scale:
         raise CohomologyResidualError(
             f"corrector residual {residual:.3e} exceeds {_RESIDUAL_REL:.0e} * {scale:.3e}"

@@ -512,51 +512,69 @@ def deviation_norm(f: TorusMapLift, alpha, s: float = 0, method: str = "grid") -
     return float(np.max(norms))
 
 
-def _eval_displaced(f: PeriodicField, shift, v: tuple, m: int) -> np.ndarray:
-    """Values of f at x_j + shift + v(x_j) over the m-point grid carrying v.
+def _horner(rows, z: np.ndarray, out: np.ndarray) -> None:
+    """out = Re(rows[0] + 2 sum_{j >= 1} rows[j] z^j), by Horner in z, in place.
 
-    An exact spectral sum at the displaced points, factorized along axes, so
-    its accuracy does not depend on the size of v.  Hermitian symmetry halves
-    the frequency range of the outer axis (Horner in its unit phase); in 2D
-    the inner axis is contracted against the coefficient box in blocks of
-    points, so the cost is dense matrix products rather than a loop over
-    individual modes.  A zero displacement on a grid that resolves f is one
-    inverse FFT of the shifted field.
+    Each rows[j] is a scalar or an array broadcast to out's shape.
+    """
+    acc = np.zeros(out.shape, dtype=np.complex128)
+    for j in range(len(rows) - 1, 0, -1):
+        acc += rows[j]
+        acc *= z
+    # the real part of acc + conj(acc) + rows[0], bit for bit
+    np.add(acc.real, acc.real, out=out)
+    np.add(out, rows[0].real, out=out)
+
+
+def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
+    """Values of each field at x_j + shift + v(x_j) over the m-point grid carrying v.
+
+    One exact spectral sum at the displaced points serves all the fields (the
+    components of one map), so its accuracy does not depend on the size of v.
+    Hermitian symmetry halves the frequency range of the outer axis, summed
+    by Horner in its unit phase, which the fields share.  In 2D the inner
+    axis's phases (a Vandermonde block of points) are formed once per block
+    of points and contracted against every field's half box in one matrix
+    product, so the cost is dense BLAS rather than a loop over individual
+    modes; the block buffers are reused from block to block.  A zero
+    displacement on a grid that resolves the fields is one inverse FFT per
+    shifted field.
     """
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if m >= 2 * f.degree + 1 and not any(np.any(a) for a in v):
-        return value_grid(f.shift(shift), m)
-    deg = f.degree
-    width = 2 * deg + 1
+    deg = max(u.degree for u in fields)
+    if m >= 2 * deg + 1 and not any(np.any(a) for a in v):
+        return tuple(value_grid(u.shift(shift), m) for u in fields)
+    nf = len(fields)
+    out = np.empty((nf, m ** fields[0].dim))
     ax = np.arange(m) / m
-    if f.dim == 1:
+    if fields[0].dim == 1:
         z = np.exp(2j * np.pi * (ax + shift[0] + v[0]))
-        acc = np.zeros(m, dtype=np.complex128)
-        for i in range(2 * deg, deg, -1):  # k = deg .. 1
-            acc = (acc + f.coeffs[i]) * z
-        return (acc + acc.conj() + f.coeffs[deg]).real
+        for u, row in zip(fields, out):  # scalar coefficients, k = 0 .. degree
+            _horner(u.coeffs[u.degree:].tolist(), z, row)
+        return tuple(out)
+    width = 2 * deg + 1
     x1 = (ax[:, None] + shift[0] + v[0]).ravel()
     x2 = (ax[None, :] + shift[1] + v[1]).ravel()
     n = x1.size
     if (deg + 1) * width * n > 2e11:
         warnings.warn("displaced evaluation over a very large spectrum/grid", RuntimeWarning)
-    half = f.coeffs[deg:, :]  # rows k1 = 0 .. deg
-    out = np.empty(n, dtype=float)
+    # row (k1, field) of every field's box, for k1 = 0 .. deg
+    half = np.stack([u._embed(deg)[deg:] for u in fields], axis=1).reshape(-1, width)
     block = max(1, _BLOCK_ENTRIES // width)
+    p2_buf = np.empty(width * min(block, n), dtype=np.complex128)
+    rows_buf = np.empty(len(half) * min(block, n), dtype=np.complex128)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
+        size = hi - lo
         zb2 = np.exp(2j * np.pi * x2[lo:hi])
-        p2 = np.empty((width, hi - lo), dtype=np.complex128)
+        p2 = p2_buf[:width * size].reshape(width, size)
         p2[0] = np.exp(-2j * np.pi * deg * x2[lo:hi])
         for i in range(1, width):
             np.multiply(p2[i - 1], zb2, out=p2[i])
-        rows = half @ p2  # rows[j] = sum_k2 c[j, k2] z2^k2 for k1 = j
-        zb1 = np.exp(2j * np.pi * x1[lo:hi])
-        acc = np.zeros(hi - lo, dtype=np.complex128)
-        for j in range(deg, 0, -1):
-            acc = (acc + rows[j]) * zb1
-        out[lo:hi] = (acc + acc.conj() + rows[0]).real
-    return out.reshape(m, m)
+        # rows[k1, f] = sum_k2 c_f[k1, k2] z2^k2
+        rows = np.matmul(half, p2, out=rows_buf[:len(half) * size].reshape(len(half), size))
+        _horner(rows.reshape(deg + 1, nf, size), np.exp(2j * np.pi * x1[lo:hi]), out[:, lo:hi])
+    return tuple(out.reshape(nf, m, m))
 
 
 def _grid(target: int, maps) -> int:
@@ -578,7 +596,7 @@ def _chain(maps, target: int) -> TorusMapLift:
     while True:
         v, rho = maps[0].displacement_values(m), maps[0].rho
         for p in maps[1:]:
-            v = tuple(v[i] + _eval_displaced(u, rho, v, m) for i, u in enumerate(p.displacement))
+            v = tuple(a + b for a, b in zip(v, _eval_displaced(p.displacement, rho, v, m)))
             rho = rho + p.rho
         spec = [np.fft.fftn(a) / a.size for a in v]
         if m >= ceiling or all(_beyond(c, target) <= _CHAIN_TAIL for c in spec):
@@ -611,9 +629,9 @@ def _composed_terms(a: TorusMapLift, b: TorusMapLift, m: int) -> list:
     Displacements of rotations are zero and are not sampled.
     """
     v = b.displacement_values(m) if b.degree else (np.zeros((m,) * b.dim),) * b.dim
+    av = _eval_displaced(a.displacement, b.rho, v, m) if a.degree else None
     return [
-        [b.rho[i], v[i], a.rho[i]]
-        + ([_eval_displaced(u, b.rho, v, m)] if u.degree else [])
+        [b.rho[i], v[i], a.rho[i]] + ([av[i]] if u.degree else [])
         for i, u in enumerate(a.displacement)
     ]
 
@@ -665,7 +683,7 @@ def invert_near_identity(
         best = math.inf
         stagnant = 0
         for _ in range(_INVERT_SWEEPS):
-            uvals = [_eval_displaced(u, shift, w, m) for u in phi.displacement]
+            uvals = _eval_displaced(phi.displacement, shift, w, m)
             defect = max(float(np.max(np.abs(w[i] + uvals[i]))) for i in range(d))
             w = tuple(-uvals[i] for i in range(d))
             if defect <= 0.2 * tol:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kamconj import (
+    CohomologyResidualError,
     DCViolation,
     DiophantineVector,
     DivisorTooSmall,
+    NonFinite,
     PeriodicField,
     cs_norm,
     eval_at_points,
@@ -124,6 +127,28 @@ def test_divisor_floor():
     f = PeriodicField.from_entries(1, 1, [((1,), 1.0)])
     with pytest.raises(DivisorTooSmall, match="k="):
         solve(f, vec, 1)
+
+
+def _flat_field(size: float) -> PeriodicField:
+    return PeriodicField.from_entries(1, 8, [((k,), size) for k in range(1, 9)])
+
+
+@pytest.mark.parametrize("size", [1e200, 1e307])
+def test_huge_finite_field_solves(golden_vector, size):
+    # the residual's roundoff is as large as the residual itself here, and
+    # is not Hermitian; the field's grid sup (16 * size) is still finite
+    sol = solve(_flat_field(size), golden_vector, 8)
+    unit = solve(_flat_field(1.0), golden_vector, 8)
+    assert sol.residual <= 1e-10 * cs_norm(_flat_field(size), 0)
+    assert np.allclose(sol.corrector.coeffs, size * unit.corrector.coeffs, rtol=1e-14, atol=0.0)
+
+
+def test_overflowing_field_ends_classified(golden_vector):
+    # grid values 16 * 4e307 pass the float maximum: a classified error, not a bare ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises((NonFinite, CohomologyResidualError)):
+            solve(_flat_field(4e307), golden_vector, 8)
 
 
 def test_growth_ratios_shape_and_envelope(golden_vector):

@@ -1,6 +1,7 @@
 """Field arithmetic, evaluation, norms, and map composition."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -590,7 +591,7 @@ class TestDisplacedEvaluation:
         dim, degree, seed, m, shift, size, noise = self.CASES[case]
         f = seeded_field(dim, degree, 1.0, seed=seed)
         v = _displacement(dim, m, size, noise)
-        out = _eval_displaced(f, np.array(shift), v, m)
+        (out,) = _eval_displaced((f,), np.array(shift), v, m)
         assert out.shape == (m,) * dim
         for idx in np.ndindex(out.shape):
             x = [j / m + shift[i] + v[i][idx] for i, j in enumerate(idx)]
@@ -600,9 +601,60 @@ class TestDisplacedEvaluation:
         f = seeded_field(1, 3, 1.0, seed=43)
         m = 16
         v = (np.full((m,), 0.3),)  # 2*pi*degree*|v| is near 6
-        out = _eval_displaced(f, np.array([0.0]), v, m)
+        (out,) = _eval_displaced((f,), np.array([0.0]), v, m)
         for i in [0, 4, 9]:
             assert out[i] == pytest.approx(eval_oracle(f, [i / m + 0.3]), abs=1e-12)
+
+    @staticmethod
+    def _fields(dim: int) -> tuple:
+        """Three fields of unequal degree on one torus, the last of degree 0."""
+        return (
+            seeded_field(dim, 5, 1.0, seed=60) + 0.4,
+            seeded_field(dim, 3, 0.5, seed=61),
+            PeriodicField.constant(dim, -0.7),
+        )
+
+    @pytest.mark.parametrize("size", [0.02, 0.0], ids=["displaced", "zero"])
+    @pytest.mark.parametrize("dim, blocks", [(1, False), (2, False), (2, True)], ids=["1d", "2d", "2d-blocks"])
+    def test_fields_match_oracle(self, dim, blocks, size, monkeypatch):
+        fields = self._fields(dim)
+        m = 16
+        if blocks:  # blocks of 7 points of width 11, the last one short (256 = 7 * 36 + 4)
+            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 7 * 11)
+        shift = [0.15, -0.35][:dim]
+        v = _displacement(dim, m, size, 62 if size else None)
+        out = _eval_displaced(fields, np.array(shift), v, m)
+        assert len(out) == len(fields)
+        for f, vals in zip(fields, out):
+            assert vals.shape == (m,) * dim
+            for idx in np.ndindex(vals.shape):
+                x = [j / m + shift[i] + v[i][idx] for i, j in enumerate(idx)]
+                assert abs(vals[idx] - eval_oracle(f, x)) < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_field_matches_its_own_call(self, dim):
+        fields = self._fields(dim)[:2]
+        m = 24
+        v = _displacement(dim, m, 0.01, 63)
+        shift = np.array([0.3, 0.1][:dim])
+        both = _eval_displaced(fields, shift, v, m)
+        for f, vals in zip(fields, both):
+            (alone,) = _eval_displaced((f,), shift, v, m)
+            assert np.max(np.abs(vals - alone)) < 1e-15
+
+    def test_two_fields_peak_memory(self):
+        # the largest ref-2d grid at degree 48; 41.8 MB is the peak of one field
+        # evaluated alone with a fresh Vandermonde block for every block of points
+        fields = tuple(seeded_field(2, 48, 0.01, seed=64 + i) for i in range(2))
+        m = 196
+        v = _displacement(2, m, 1e-4, 66)
+        tracemalloc.start()
+        try:
+            _eval_displaced(fields, np.array([0.2, 0.7]), v, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 41.8e6
 
 
 # positive frequencies only; the negative half is the forced conjugate mirror
