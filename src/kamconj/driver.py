@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from . import io as kio
 from .diophantine import DiophantineVector, _ball, verified_vector
 from .errors import (
-    AliasingRisk,
     ConfigError,
     KamError,
     OutOfRegime,
@@ -30,8 +28,8 @@ from .scheduler import SchedulerParams, _snapped_cutoffs, derive_constants, enve
 from .spectral import (
     PeriodicField,
     TorusMapLift,
+    _chain,
     _composition_defect,
-    compose,
     conjugate,
     deviation_norm,
     rebase,
@@ -294,19 +292,15 @@ def make_test_map(kind: str, params: dict, alpha, seed: int) -> TorusMapLift:
 def compose_chain(chain, max_degree: int | None = None) -> TorusMapLift:
     """Compose corrector maps in order: chain[0] acts first, later ones on top.
 
-    Intermediate degrees are capped, which deliberately clips far-out spectrum;
-    the quality of the result is judged by `conjugacy_verification`.
+    One pointwise walk on one grid, projected once at the sum of the degrees
+    capped at `max_degree`; `conjugacy_verification` judges the clipped result.
     """
     if not chain:
         raise ValueError("empty chain")
-    total = chain[0]
-    for phi in chain[1:]:
-        full = total.degree + phi.degree
-        target = full if max_degree is None else min(full, int(max_degree))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AliasingRisk)
-            total = compose(phi, total, target_degree=target)
-    return total
+    if len(chain) == 1:
+        return chain[0]
+    target = sum(phi.degree for phi in chain)
+    return _chain(tuple(chain), target if max_degree is None else min(target, int(max_degree)))
 
 
 def conjugacy_verification(h: TorusMapLift, f: TorusMapLift, alpha) -> float:

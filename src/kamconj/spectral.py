@@ -50,7 +50,7 @@ _BLOCK_ENTRIES = 2 ** 20
 
 
 # sup-norm tolerance of both composition residuals of a near-identity inverse,
-# and the fixed-point sweeps allowed per projection degree
+# and the fixed-point sweeps allowed per grid
 _INVERT_TOL = 1e-12
 _INVERT_SWEEPS = 100
 
@@ -276,6 +276,14 @@ def _beyond(spec: np.ndarray, degree: int) -> float:
     if spec.ndim == 2:
         top = max(top, float(np.max(np.abs(spec[frequency_axis(degree) % m, out]))))
     return top
+
+
+def _live_degree(spec: np.ndarray) -> int:
+    """Largest l1 radius of an entry of a normalized DFT above `_CHAIN_TAIL` (0 if none)."""
+    m = spec.shape[0]
+    ax = np.minimum(np.arange(m), m - np.arange(m))
+    radii = ax if spec.ndim == 1 else ax[:, None] + ax[None, :]
+    return int(np.max(radii, where=np.abs(spec) > _CHAIN_TAIL, initial=0))
 
 
 def _modes(fields, means) -> tuple:
@@ -655,38 +663,31 @@ def _composition_defect(a, b, c, d, m: int | None = None) -> float:
     return worst
 
 
-def invert_near_identity(
-    phi: TorusMapLift,
-    tol: float = _INVERT_TOL,
-    degree: int | None = None,
-    max_degree: int | None = None,
-) -> TorusMapLift:
+def invert_near_identity(phi: TorusMapLift) -> TorusMapLift:
     """Invert a lift that is a small perturbation of a translation.
 
-    Runs the fixed-point iteration w <- -u(y - rho + w) on a sampling grid,
-    projects onto a band, and verifies both composition residuals against
-    `tol`, doubling the projection degree (up to `max_degree`) as needed.
-    Raises NotContractive when the displacement is too steep for the
-    iteration to contract, NoConvergence when the residuals cannot be met.
+    Runs the fixed-point iteration w <- -u(y - rho + w) on a grid and projects
+    w at its largest live shell (`_live_degree`), within the band the grid
+    samples four times over.  Both composition residuals decide, at
+    `_INVERT_TOL`; while one fails the grid doubles, up to a last grid, and
+    the sweeps restart from the projected fields.  Raises NotContractive on a
+    displacement too steep to contract, NoConvergence when residuals fail.
     """
     d = phi.dim
     if phi.jacobian_sup() >= 0.5:
         raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
-    deg_p = max(phi.degree, 4) if degree is None else max(int(degree), 1)
-    cap = max(4 * max(phi.degree, 4), 64) if max_degree is None else int(max_degree)
-    cap = max(cap, deg_p)
+    m = _grid(max(phi.degree, 4), (phi,))
+    last = _grid(max(4 * max(phi.degree, 4), 64), (phi,))
     shift = -phi.rho
     ident = TorusMapLift.identity(d)
+    w = tuple(np.zeros((m,) * d) for _ in range(d))
     while True:
-        m = _grid(deg_p, (phi,))
-        w = tuple(np.zeros((m,) * d) for _ in range(d))
-        best = math.inf
-        stagnant = 0
+        best, stagnant = math.inf, 0
         for _ in range(_INVERT_SWEEPS):
             uvals = _eval_displaced(phi.displacement, shift, w, m)
             defect = max(float(np.max(np.abs(w[i] + uvals[i]))) for i in range(d))
             w = tuple(-uvals[i] for i in range(d))
-            if defect <= 0.2 * tol:
+            if defect <= 0.2 * _INVERT_TOL:
                 break
             if defect >= 0.9 * best:
                 stagnant += 1
@@ -695,18 +696,21 @@ def invert_near_identity(
             else:
                 stagnant = 0
             best = min(best, defect)
-        fields = tuple(field_from_grid(w[i], deg_p) for i in range(d))
+        spec = (np.fft.fftn(a) / a.size for a in w)  # one spectrum alive at a time
+        fields = tuple(_project(c, min(_live_degree(c), (m - 4) // 4)) for c in spec)
         psi = TorusMapLift(shift, fields)
         residual = _composition_defect(phi, psi, ident, ident, m)
-        if residual <= tol:  # the second residual decides only when the first passes
+        if residual <= _INVERT_TOL:  # the second residual decides only when the first passes
             residual = max(residual, _composition_defect(psi, phi, ident, ident, m))
-            if residual <= tol:
+            if residual <= _INVERT_TOL:
                 return psi
-        if deg_p >= cap:
+        if m >= last:
             raise NoConvergence(
-                f"inverse residual {residual:.3e} above tolerance {tol:.1e} at degree {deg_p}"
+                f"inverse residual {residual:.3e} above tolerance {_INVERT_TOL:.1e} at degree {psi.degree}"
             )
-        deg_p = min(2 * deg_p, cap)
+        m = min(2 * m, last)
+        # psi.displacement has lost its means to rho; the fields keep them
+        w = tuple(value_grid(u, m) for u in fields)
 
 
 def conjugate(phi: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:

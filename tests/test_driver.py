@@ -19,6 +19,7 @@ from kamconj import (
     conjugacy_verification,
     deviation_norm,
     eval_at_points,
+    field_from_grid,
     make_test_map,
     rebase,
     run_scheme,
@@ -193,6 +194,25 @@ class TestChainHelpers:
         phi = TorusMapLift(np.zeros(1), (PeriodicField.from_entries(1, 1, [((1,), -0.005j)]),))
         total = compose_chain([phi])
         assert total is phi
+
+    @pytest.mark.parametrize("max_degree", [None, 4])
+    def test_compose_chain_is_one_walk(self, max_degree):
+        chain = [
+            TorusMapLift(np.array([0.1 * j]), (PeriodicField.from_entries(1, j, [((j,), 0.004j)]),))
+            for j in (1, 2, 3)
+        ]
+        total = compose_chain(chain, max_degree)
+        assert total.degree == (6 if max_degree is None else 4)
+        # the walk chain[2](chain[1](chain[0](x))) sampled pointwise and projected once
+        m = 64
+        x = np.arange(m) / m
+        rho = sum(phi.rho for phi in chain)
+        walk = field_from_grid(chain[2](chain[1](chain[0](x))) - x - rho, total.degree)
+        want = TorusMapLift(rho, (walk,))
+        assert np.max(np.abs(total.rho - want.rho)) <= 2e-16
+        # at cap 4 the chain stops at its 20-point ceiling, which aliases modes from 16 on
+        tol = 1e-15 if max_degree is None else 1e-12
+        assert np.max(np.abs(total.displacement[0].coeffs - want.displacement[0].coeffs)) <= tol
 
     def test_conjugacy_verification_exact_for_rotation(self):
         h = TorusMapLift.identity(1)

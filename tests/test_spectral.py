@@ -479,8 +479,8 @@ class TestChainGrid:
         rotation = TorusMapLift.rotation(PAIR_2D)
         seen = _tail_reads(monkeypatch)
         small = conjugate(h, rotation, target_degree=24)
-        # the inverse of h has degree 32, so the chain starts at 68 points rather than 52
-        assert [m for m, _ in seen] == [68, 68] and 68 < _grid(24, (h,))
+        # the inverse of h arrives at its measured band, at most 24, so the chain starts at 52 points
+        assert [m for m, _ in seen] == [52, 52] and 52 < _grid(24, (h,))
         assert all(top <= spectral._CHAIN_TAIL for _, top in seen)
         monkeypatch.setattr(spectral, "_CHAIN_TAIL", -1.0)  # always widen: the oversample-4 grid
         wide = conjugate(h, rotation, target_degree=24)
@@ -489,10 +489,28 @@ class TestChainGrid:
             assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15
 
 
+def _oracle_inverse(f: TorusMapLift, y: np.ndarray) -> np.ndarray:
+    """The x with f(x) = y, by the plain fixed-point iteration x <- y - rho - u(x) on `eval_oracle`."""
+    x = y - f.rho
+    for _ in range(200):
+        nxt = y - f.rho - np.array([eval_oracle(u, x) for u in f.displacement])
+        if np.array_equal(nxt, x):
+            break
+        x = nxt
+    return x
+
+
+# correctors whose inverses need more than one round: (rho, displacement)
+_INVERT_CASES = {
+    "1d": (np.array([0.3]), (sin_field(0.04) + cos_field(0.005, k=3),)),
+    "2d": (np.array([0.1, -0.2]), (seeded_field(2, 3, 0.02, 32), seeded_field(2, 3, 0.02, 33))),
+}
+
+
 class TestInvert:
     def test_inverse_of_sine_perturbation(self):
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.05),))
-        psi = invert_near_identity(phi, tol=1e-12)
+        psi = invert_near_identity(phi)
         x = np.linspace(0, 1, 13, endpoint=False)
         assert np.max(np.abs(phi(psi(x)) - x)) < 1e-11
         assert np.max(np.abs(psi(phi(x)) - x)) < 1e-11
@@ -509,10 +527,12 @@ class TestInvert:
         with pytest.raises(NotContractive):
             invert_near_identity(phi)
 
-    def test_no_convergence_when_degree_capped(self):
+    def test_no_convergence_when_degree_capped(self, monkeypatch):
+        # one sweep per round: the last grid, and so the degree cap, is reached unconverged
+        monkeypatch.setattr(spectral, "_INVERT_SWEEPS", 1)
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.07),))
         with pytest.raises(NoConvergence):
-            invert_near_identity(phi, tol=1e-15, degree=1, max_degree=1)
+            invert_near_identity(phi)
 
     def test_failing_first_residual_skips_the_second(self, monkeypatch):
         calls = []
@@ -523,10 +543,14 @@ class TestInvert:
 
         monkeypatch.setattr(spectral, "_composition_defect", counted)
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.07),))
-        with pytest.raises(NoConvergence, match="above tolerance") as info:
-            invert_near_identity(phi, tol=1e-15, degree=1, max_degree=1)
-        assert len(calls) == 1
-        assert float(str(info.value).split()[2]) > 1e-15
+        with monkeypatch.context() as capped:
+            capped.setattr(spectral, "_INVERT_SWEEPS", 1)
+            with pytest.raises(NoConvergence, match="above tolerance") as info:
+                invert_near_identity(phi)
+        # one failing first residual per round, each grid doubled up to the last
+        assert [c[0] is phi for c in calls] == [True] * len(calls)
+        assert [c[4] for c in calls] == [20, 40, 80, 160, 260]
+        assert float(str(info.value).split()[2]) > spectral._INVERT_TOL
         calls.clear()
         invert_near_identity(phi)
         # each failing first residual stands alone; the passing one is followed by the second
@@ -536,9 +560,44 @@ class TestInvert:
     def test_inverse_2d(self):
         u = (seeded_field(2, 2, 0.02, seed=30), seeded_field(2, 2, 0.02, seed=31))
         phi = TorusMapLift(np.array([0.1, -0.2]), u)
-        psi = invert_near_identity(phi, tol=1e-12)
+        psi = invert_near_identity(phi)
         pts = np.array([[0.1, 0.9], [0.44, 0.27], [0.71, 0.05]])
         assert np.max(np.abs(phi(psi(pts)) - pts)) < 1e-11
+
+    @pytest.mark.parametrize("case", sorted(_INVERT_CASES))
+    def test_matches_naive_inverse_off_grid(self, case):
+        rho, u = _INVERT_CASES[case]
+        phi = TorusMapLift(rho, u)
+        psi = invert_near_identity(phi)
+        rng = np.random.default_rng(34)
+        for y in rng.random((5, phi.dim)):
+            assert np.max(np.abs(_oracle_map(psi, y) - _oracle_inverse(phi, y))) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(_INVERT_CASES))
+    def test_no_dead_shells(self, case):
+        psi = invert_near_identity(TorusMapLift(*_INVERT_CASES[case]))
+        for u in psi.displacement:
+            outer = np.abs(u.coeffs[spectral._l1_radii(u.dim, u.degree) == u.degree])
+            assert np.max(outer) > spectral._CHAIN_TAIL
+
+    def test_warm_start_last_round(self, monkeypatch):
+        # a degree-8 2D corrector whose inverse takes rounds on 36, 72 and 144 points
+        u = (seeded_field(2, 8, 0.001, 50, decay=1.0), seeded_field(2, 8, 0.001, 51, decay=1.0))
+        phi = TorusMapLift(np.array([0.1, -0.2]), u)
+        calls = []
+        kernel = spectral._eval_displaced
+
+        def counted(fields, shift, v, m):
+            calls.append((m, fields is phi.displacement))
+            return kernel(fields, shift, v, m)
+
+        monkeypatch.setattr(spectral, "_eval_displaced", counted)
+        invert_near_identity(phi)
+        assert sorted({m for m, _ in calls}) == [36, 72, 144]
+        last = [own for m, own in calls if m == 144]
+        # seeded with the last round's fields, means included: at most two sweeps
+        # and r1 evaluate the corrector, then r2 evaluates the inverse
+        assert last.count(True) <= 3 and last[-1] is False and last.count(False) == 1
 
 
 class TestConjugate:
