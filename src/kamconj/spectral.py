@@ -4,6 +4,12 @@ Coefficients live on the index box [-N, N]^d, but only the l1 ball
 |k|_1 <= N carries data; constructors zero the corners.  Fields are
 real-valued, so coefficient arrays are kept exactly Hermitian-symmetric.
 Dimensions 1 and 2 are supported.
+
+The box degree N is the nominal band, the one a schedule or caller asked
+for, and the check grids (norms, hulls, Jacobians, verification) follow it.
+The live degree is the largest l1 shell holding a nonzero coefficient; the
+evaluation kernels and the grids of the map chain and the inversion sweeps
+follow that, since the box past it is exactly zero.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +61,10 @@ _BLOCK_ENTRIES = 2 ** 20
 _INVERT_TOL = 1e-12
 _INVERT_SWEEPS = 100
 
-# largest coefficient beyond the target band above which a map chain doubles
-# its grid.  A kept coefficient's aliases lie just past that band, so this
-# holds each one within about 1e-16 of its value on the widest grid.  The
+# largest coefficient beyond the kept band above which a map chain doubles
+# its grid; the kept band ends at the last l1 shell holding a coefficient above
+# it.  A kept coefficient's aliases lie just past that band, so this holds
+# each one within about 1e-16 of its value on the widest grid.  The
 # largest entry's roundoff floor (about 5e-19 on the 2D reference run's chain
 # grids) does not grow with the grid, where that of a sum over the band does.
 _CHAIN_TAIL = 1e-4 * _INVERT_TOL
@@ -146,11 +154,20 @@ class PeriodicField:
     def mean(self) -> float:
         return float(self.coeffs[(self.degree,) * self.dim].real)
 
+    @cached_property
+    def live_degree(self) -> int:
+        """Largest l1 radius of a nonzero coefficient (0 for a constant field)."""
+        return int(np.max(_l1_radii(self.dim, self.degree), where=self.coeffs != 0, initial=0))
+
     def _embed(self, degree: int) -> np.ndarray:
+        """The coefficients in the box [-degree, degree]^d, which must hold the live shell."""
         if degree == self.degree:
             return self.coeffs
         if degree < self.degree:
-            raise ValueError("cannot embed into a smaller box")
+            if degree < self.live_degree:
+                raise ValueError("cannot embed into a box smaller than the live shell")
+            lo = self.degree - degree
+            return self.coeffs[(slice(lo, lo + 2 * degree + 1),) * self.dim]
         box = np.zeros((2 * degree + 1,) * self.dim, dtype=np.complex128)
         lo, hi = degree - self.degree, degree + self.degree + 1
         box[(slice(lo, hi),) * self.dim] = self.coeffs
@@ -229,18 +246,23 @@ def sampling_grid(degree: int, oversample: int = 4, minimum: int = 16) -> int:
 
 
 def value_grid(f: PeriodicField, m: int | None = None) -> np.ndarray:
-    """Values of f on the uniform grid (j/m)_j, exact for m >= 2*degree+1."""
+    """Values of f on the uniform grid (j/m)_j, exact for m >= 2*live_degree+1.
+
+    The default grid samples the box degree.
+    """
     if m is None:
         m = sampling_grid(f.degree)
     m = int(m)
-    if m < 2 * f.degree + 1:
+    # the box past the live shell is zero: a grid that resolves the box reads all of it
+    deg = f.degree if m > 2 * f.degree else f.live_degree
+    if m < 2 * deg + 1:
         raise ValueError("grid too coarse for the field's bandwidth")
     big = np.zeros((m,) * f.dim, dtype=np.complex128)
-    ax = frequency_axis(f.degree) % m
+    ax = frequency_axis(deg) % m
     if f.dim == 1:
-        big[ax] = f.coeffs
+        big[ax] = f._embed(deg)
     else:
-        big[np.ix_(ax, ax)] = f.coeffs
+        big[np.ix_(ax, ax)] = f._embed(deg)
     vals = np.fft.ifftn(big) * (m ** f.dim)
     return np.ascontiguousarray(vals.real)
 
@@ -261,11 +283,17 @@ def field_from_grid(values: np.ndarray, degree: int) -> PeriodicField:
     return _project(np.fft.fftn(values) / (m ** dim), degree)
 
 
-def _project(spec: np.ndarray, degree: int) -> PeriodicField:
-    """The field carried by the box [-degree, degree]^d of a normalized DFT."""
+def _project(spec: np.ndarray, degree: int, box: int | None = None) -> PeriodicField:
+    """The field carried by the l1 ball of radius `degree` of a normalized DFT.
+
+    Its box is [-box, box]^d (default: the ball's own), zero past the ball.
+    """
     ax = frequency_axis(degree) % spec.shape[0]
-    box = spec[ax] if spec.ndim == 1 else spec[np.ix_(ax, ax)]
-    return PeriodicField(spec.ndim, degree, box)
+    c = spec[ax] if spec.ndim == 1 else spec[np.ix_(ax, ax)]
+    if box is not None and box > degree:
+        c = PeriodicField(spec.ndim, degree, c)._embed(box)
+        degree = box
+    return PeriodicField(spec.ndim, degree, c)
 
 
 def _beyond(spec: np.ndarray, degree: int) -> float:
@@ -467,6 +495,10 @@ class TorusMapLift:
     def degree(self) -> int:
         return max(u.degree for u in self.displacement)
 
+    @property
+    def live_degree(self) -> int:
+        return max(u.live_degree for u in self.displacement)
+
     @classmethod
     def rotation(cls, rho) -> "TorusMapLift":
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -546,10 +578,11 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     product, so the cost is dense BLAS rather than a loop over individual
     modes; the block buffers are reused from block to block.  A zero
     displacement on a grid that resolves the fields is one inverse FFT per
-    shifted field.
+    shifted field.  Only the live shells are read, so a field gives the same
+    bits in any box that holds them.
     """
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    deg = max(u.degree for u in fields)
+    deg = max(u.live_degree for u in fields)
     if m >= 2 * deg + 1 and not any(np.any(a) for a in v):
         return tuple(value_grid(u.shift(shift), m) for u in fields)
     nf = len(fields)
@@ -557,8 +590,8 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     ax = np.arange(m) / m
     if fields[0].dim == 1:
         z = np.exp(2j * np.pi * (ax + shift[0] + v[0]))
-        for u, row in zip(fields, out):  # scalar coefficients, k = 0 .. degree
-            _horner(u.coeffs[u.degree:].tolist(), z, row)
+        for u, row in zip(fields, out):  # scalar coefficients, k = 0 .. live degree
+            _horner(u._embed(u.live_degree)[u.live_degree:].tolist(), z, row)
         return tuple(out)
     width = 2 * deg + 1
     x1 = (ax[:, None] + shift[0] + v[0]).ravel()
@@ -586,29 +619,35 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
 
 
 def _grid(target: int, maps) -> int:
-    """Points per axis to sample maps at, resolving each of them, and project at `target`."""
-    return _round4(max(sampling_grid(target), *(2 * p.degree + 2 for p in maps)))
+    """Points per axis to sample maps at, resolving each live shell, and project at `target`."""
+    return _round4(max(sampling_grid(target), *(2 * p.live_degree + 2 for p in maps)))
 
 
 def _chain(maps, target: int) -> TorusMapLift:
     """maps[0] then each later map, walked pointwise on one grid and projected once at `target`.
 
-    Only modes at |k| >= m - target alias into the kept band, so the walk
-    starts on the smallest grid that resolves every map and samples the
-    target twice over.  The spectrum that the projection reads also gives the
-    largest coefficient beyond `target`; while that is above `_CHAIN_TAIL` the
-    grid is doubled, up to `_grid`.
+    Each component keeps the band L = min(its live degree, target), its
+    largest l1 shell above `_CHAIN_TAIL` on the walk's grid, in the box of
+    `target`.  Only modes at |k| >= m - L alias into the kept band, so the
+    walk starts on the smallest grid that resolves every map and samples
+    min(target, sum of the live degrees) twice over.  The grid is accepted
+    when it samples each L twice over and no coefficient beyond it is above
+    `_CHAIN_TAIL`; until then it is doubled, up to `_grid`.
     """
     ceiling = _grid(target, maps)
-    m = _round4(max(2 * (target + 1), *(2 * p.degree + 2 for p in maps)))
+    live = [p.live_degree for p in maps]
+    m = _round4(max(2 * (min(target, sum(live)) + 1), *(2 * d + 2 for d in live)))
     while True:
         v, rho = maps[0].displacement_values(m), maps[0].rho
         for p in maps[1:]:
             v = tuple(a + b for a, b in zip(v, _eval_displaced(p.displacement, rho, v, m)))
             rho = rho + p.rho
         spec = [np.fft.fftn(a) / a.size for a in v]
-        if m >= ceiling or all(_beyond(c, target) <= _CHAIN_TAIL for c in spec):
-            return TorusMapLift(rho, tuple(_project(c, target) for c in spec))
+        bands = [min(_live_degree(c), target) for c in spec]
+        if m >= ceiling or all(
+            2 * band + 2 <= m and _beyond(c, band) <= _CHAIN_TAIL for c, band in zip(spec, bands)
+        ):
+            return TorusMapLift(rho, tuple(_project(c, band, target) for c, band in zip(spec, bands)))
         m = min(2 * m, ceiling)
 
 
@@ -666,18 +705,21 @@ def _composition_defect(a, b, c, d, m: int | None = None) -> float:
 def invert_near_identity(phi: TorusMapLift) -> TorusMapLift:
     """Invert a lift that is a small perturbation of a translation.
 
-    Runs the fixed-point iteration w <- -u(y - rho + w) on a grid and projects
-    w at its largest live shell (`_live_degree`), within the band the grid
-    samples four times over.  Both composition residuals decide, at
-    `_INVERT_TOL`; while one fails the grid doubles, up to a last grid, and
-    the sweeps restart from the projected fields.  Raises NotContractive on a
-    displacement too steep to contract, NoConvergence when residuals fail.
+    Runs the fixed-point iteration w <- -u(y - rho + w) on a grid sized by
+    phi's live degree and projects w at its largest live shell
+    (`_live_degree`), within the band the grid samples four times over.  Both
+    composition residuals decide, at `_INVERT_TOL`, on a grid no coarser than
+    the one phi's box degree sets; while one fails the grid doubles, up to a
+    last grid, and the sweeps restart from the projected fields.  Raises
+    NotContractive on a displacement too steep to contract, NoConvergence
+    when residuals fail.
     """
     d = phi.dim
     if phi.jacobian_sup() >= 0.5:
         raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
-    m = _grid(max(phi.degree, 4), (phi,))
-    last = _grid(max(4 * max(phi.degree, 4), 64), (phi,))
+    m = _grid(max(phi.live_degree, 4), (phi,))
+    last = _grid(max(4 * max(phi.live_degree, 4), 64), (phi,))
+    check = _grid(max(phi.degree, 4), (phi,))
     shift = -phi.rho
     ident = TorusMapLift.identity(d)
     w = tuple(np.zeros((m,) * d) for _ in range(d))
@@ -699,9 +741,9 @@ def invert_near_identity(phi: TorusMapLift) -> TorusMapLift:
         spec = (np.fft.fftn(a) / a.size for a in w)  # one spectrum alive at a time
         fields = tuple(_project(c, min(_live_degree(c), (m - 4) // 4)) for c in spec)
         psi = TorusMapLift(shift, fields)
-        residual = _composition_defect(phi, psi, ident, ident, m)
+        residual = _composition_defect(phi, psi, ident, ident, max(m, check))
         if residual <= _INVERT_TOL:  # the second residual decides only when the first passes
-            residual = max(residual, _composition_defect(psi, phi, ident, ident, m))
+            residual = max(residual, _composition_defect(psi, phi, ident, ident, max(m, check)))
             if residual <= _INVERT_TOL:
                 return psi
         if m >= last:

@@ -16,8 +16,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PAIR_2D = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
 
 
-def eval_oracle(f: PeriodicField, x) -> float:
-    """Plain double loop over every mode in the coefficient box."""
+def eval_oracle(f: PeriodicField, x) -> float | np.ndarray:
+    """Plain double loop over every mode in the coefficient box.
+
+    x is one point, or points of shape (dim, ...) with an array of values back.
+    """
     x = np.asarray(x, dtype=float)
     deg = f.degree
     total = 0.0 + 0.0j
@@ -31,7 +34,7 @@ def eval_oracle(f: PeriodicField, x) -> float:
                 k = (i - deg, j - deg)
                 phase = k[0] * x[0] + k[1] * x[1]
                 total += f.coeffs[i, j] * np.exp(2j * np.pi * phase)
-    return float(total.real)
+    return float(total.real) if np.ndim(total) == 0 else total.real
 
 
 def entries_oracle(f: PeriodicField) -> list:

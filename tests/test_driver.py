@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,14 +25,30 @@ from kamconj import (
     rebase,
     run_scheme,
 )
-from kamconj import driver
+from kamconj import driver, spectral
 from kamconj import kamstep as kstep
 from kamconj.io import load_map, save_map
+from kamconj.spectral import _grid, sampling_grid
 
 from conftest import GOLDEN, PAIR_2D
 
 
 CONJ_PARAMS = {"amplitude": 0.005}
+
+# a 2D conjugate that converges in two steps, at cutoffs 8 and 23
+TWO_STEP_2D = {
+    "alpha": ["sqrt2-1", "sqrt3-1"],
+    "initial_map": {
+        "kind": "conjugate",
+        "params": {"degree": 2, "amplitude": 0.005, "target_degree": 8},
+    },
+    "tolerances": {"eps_stop": 1e-6},
+    "smallness_c": 1e-16,
+    "seed": 11,
+}
+
+# functions that sample a field on a grid to check a result
+_CHECKS = {"cs_norm", "jacobian_sup", "displacement_hull", "_composition_defect"}
 
 
 def minimal_config(**overrides) -> dict:
@@ -463,19 +480,69 @@ class TestRunScheme:
     def test_2d_conjugate_converges(self):
         # two quadratic steps reach 1e-6; the tight-tolerance 2D run lives in
         # the acceptance suite
-        cfg = ExperimentConfig.from_dict(
-            minimal_config(
-                alpha=["sqrt2-1", "sqrt3-1"],
-                initial_map={
-                    "kind": "conjugate",
-                    "params": {"degree": 2, "amplitude": 0.005, "target_degree": 8},
-                },
-                tolerances={"eps_stop": 1e-6},
-                smallness_c=1e-16,
-                seed=11,
-            )
-        )
+        cfg = ExperimentConfig.from_dict(minimal_config(**TWO_STEP_2D))
         res = run_scheme(cfg)
         assert res.status is RunStatus.CONVERGED
         assert res.final_eps0 <= 1e-6
         assert res.n_steps <= 2
+
+    def test_check_grids_follow_the_box(self, monkeypatch):
+        """Each check samples on the grid its box degree sets, never on a live-degree grid.
+
+        A grid sup is a lower bound, so no check may get coarser when the
+        kernels and the chain and sweep grids follow the live degree.
+        """
+        grids, defects = [], []
+        value_grid, composition_defect = spectral.value_grid, spectral._composition_defect
+
+        def recorded_grid(f, m=None):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in _CHECKS:
+                frame = frame.f_back
+            if frame is not None:  # a kernel, chain or sweep grid otherwise
+                name, local, outer = frame.f_code.co_name, frame.f_locals, frame.f_back
+                if name == "cs_norm":
+                    box = local["f"].degree
+                    if outer.f_code.co_name == "solve" and local["f"] is outer.f_locals["res_field"]:
+                        name, box = "residual", min(outer.f_locals["cutoff"], outer.f_locals["f"].degree)
+                elif name == "_composition_defect":  # called through recorded_defect
+                    name = outer.f_back.f_code.co_name
+                    box = max(local[k].degree for k in "abcd")
+                else:
+                    box = local["self" if name == "jacobian_sup" else "f"].degree
+                used = sampling_grid(f.degree) if m is None else m
+                grids.append((name, used, box, f.live_degree < f.degree))
+            return value_grid(f, m)
+
+        def recorded_defect(a, b, c, d, m=None):
+            caller = sys._getframe(1)
+            defects.append((caller.f_code.co_name, caller.f_locals.get("phi"), a, b, m))
+            return composition_defect(a, b, c, d, m)
+
+        monkeypatch.setattr(spectral, "value_grid", recorded_grid)
+        monkeypatch.setattr(spectral, "_composition_defect", recorded_defect)
+        monkeypatch.setattr(driver, "_composition_defect", recorded_defect)
+        res = run_scheme(ExperimentConfig.from_dict(minimal_config(**TWO_STEP_2D)))
+        assert res.status is RunStatus.CONVERGED and res.n_steps == 2
+
+        names = {"cs_norm", "residual", "jacobian_sup", "displacement_hull",
+                 "invert_near_identity", "conjugacy_verification"}
+        assert {g[0] for g in grids} == names
+        # every kind of check samples a field whose box reaches past its live shell
+        assert {g[0] for g in grids if g[3]} == names
+        for name, used, box, _ in grids:
+            if name == "displacement_hull":
+                assert used == max(sampling_grid(box), 2 * box + 1)
+            elif name == "invert_near_identity":  # r1/r2
+                assert used >= sampling_grid(max(box, 4))
+            else:
+                assert used == sampling_grid(box), name
+        for caller, phi, a, b, m in defects:
+            if caller == "invert_near_identity":
+                assert phi in (a, b) and m >= _grid(max(phi.degree, 4), (phi,))
+            else:
+                assert caller == "conjugacy_verification" and m is None
+                assert a is res.composed
+        # the composition is checked at its nominal band, the sum of the correctors' boxes
+        assert res.composed.degree == sum(phi.degree for phi in res.chain)
+        assert res.composed.live_degree < res.composed.degree

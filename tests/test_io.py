@@ -84,6 +84,22 @@ class TestMapDocs:
         for a, b in zip(g.displacement, f.displacement):
             assert np.array_equal(a.coeffs, b.coeffs)
 
+    def test_box_past_the_live_shell_round_trips(self, tmp_path):
+        # the box keeps the nominal band 48; only the live shell (radius 5) is written
+        u = tuple(seeded_field(2, 5, 0.01, seed=s) for s in (110, 111))
+        f = TorusMapLift(np.array([GOLDEN, 0.2]), tuple(PeriodicField(2, 48, c._embed(48)) for c in u))
+        assert (f.degree, f.live_degree) == (48, 5)
+        path = tmp_path / "map.json"
+        save_map(f, path)
+        g = load_map(path)
+        assert (g.degree, g.live_degree) == (48, 5)
+        for a, b in zip(g.displacement, f.displacement):
+            assert np.array_equal(a.coeffs, b.coeffs)
+        written = json.loads(path.read_text())["coeffs"]
+        for comp, c in zip(written, u):
+            assert len(comp) == np.count_nonzero(c.coeffs)
+            assert max(abs(k1) + abs(k2) for (k1, k2), _, _ in comp) == 5
+
     def test_component_count_checked(self):
         f = TorusMapLift(np.array([0.1]), (seeded_field(1, 2, 0.1, seed=104),))
         doc = map_to_doc(f)

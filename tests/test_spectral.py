@@ -449,6 +449,18 @@ def _tail_reads(monkeypatch) -> list:
     return seen
 
 
+def _oracle_chain(maps, target: int) -> TorusMapLift:
+    """maps[0] then each later map by `eval_oracle` on the oversample-4 grid, projected at `target`."""
+    dim, m = maps[0].dim, sampling_grid(target)
+    x = np.stack(np.meshgrid(*[np.arange(m) / m] * dim, indexing="ij")).reshape(dim, -1)
+    y = x
+    for p in maps:
+        y = y + p.rho[:, None] + np.array([eval_oracle(u, y) for u in p.displacement])
+    rho = sum(p.rho for p in maps)
+    vals = y - x - rho[:, None]
+    return TorusMapLift(rho, tuple(field_from_grid(v.reshape((m,) * dim), target) for v in vals))
+
+
 class TestChainGrid:
     """The map chain starts at oversample 2 and doubles while its tail is not negligible."""
 
@@ -462,13 +474,8 @@ class TestChainGrid:
         start, m = _round4(2 * (target + 1)), _grid(target, (f, g))
         assert start < m
         assert seen[0][0] == start and seen[0][1] > spectral._CHAIN_TAIL
-        # g(f(x)) - x sampled pointwise by the naive oracle on the oversample-4 grid
-        ax = np.arange(m) / m
-        pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
-        rho = f.rho + g.rho
-        vals = np.array([_oracle_map(g, _oracle_map(f, x)) - x for x in pts]) - rho
-        fields = tuple(field_from_grid(vals[:, i].reshape(m, m), target) for i in (0, 1))
-        want = TorusMapLift(rho, fields)
+        want = _oracle_chain((f, g), target)
+        assert m == sampling_grid(target)
         assert np.max(np.abs(h.rho - want.rho)) <= 1e-15
         for a, b in zip(h.displacement, want.displacement):
             assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15
@@ -477,16 +484,67 @@ class TestChainGrid:
         # like the criterion-4 change of variables: degree 2, C0 size 0.01
         h = TorusMapLift(np.zeros(2), (seeded_field(2, 2, 0.01, 44), seeded_field(2, 2, 0.01, 45)))
         rotation = TorusMapLift.rotation(PAIR_2D)
+        psi = invert_near_identity(h)
         seen = _tail_reads(monkeypatch)
         small = conjugate(h, rotation, target_degree=24)
-        # the inverse of h arrives at its measured band, at most 24, so the chain starts at 52 points
-        assert [m for m, _ in seen] == [52, 52] and 52 < _grid(24, (h,))
+        # the walk starts on the grid that samples the maps' summed live degrees twice over
+        start = _round4(2 * (min(24, psi.live_degree + h.live_degree) + 1))
+        assert [m for m, _ in seen] == [start, start] and start < _grid(24, (h,))
         assert all(top <= spectral._CHAIN_TAIL for _, top in seen)
         monkeypatch.setattr(spectral, "_CHAIN_TAIL", -1.0)  # always widen: the oversample-4 grid
         wide = conjugate(h, rotation, target_degree=24)
         assert np.array_equal(small.rho, wide.rho)
         for a, b in zip(small.displacement, wide.displacement):
             assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15
+
+
+def _chain_cases() -> dict:
+    """name: (maps of the chain, target, whether the live band falls short of the target)."""
+    slow = [seeded_field(2, 3, 0.02, seed, decay=0.05) for seed in (40, 41, 42, 43)]
+    # like the criterion-4 change of variables: degree 2, C0 size 0.01
+    h = TorusMapLift(np.zeros(2), (seeded_field(2, 2, 0.01, 44), seeded_field(2, 2, 0.01, 45)))
+    return {
+        "slow": ((TorusMapLift(np.array([0.1, 0.2]), tuple(slow[:2])),
+                  TorusMapLift(np.array([0.3, 0.4]), tuple(slow[2:]))), 6, False),
+        "fast": ((invert_near_identity(h), TorusMapLift.rotation(PAIR_2D), h), 24, True),
+        "1d-wide": ((TorusMapLift(np.array([0.1]), (sin_field(0.05),)),
+                     TorusMapLift(np.array([0.3]), (cos_field(0.04),))), 24, True),
+    }
+
+
+class TestLiveShell:
+    """A map keeps its box at the nominal band; the kernels read only its live shell."""
+
+    @pytest.mark.parametrize("case", ["slow", "fast", "1d-wide"])
+    def test_chain_matches_oracle(self, case):
+        maps, target, trimmed = _chain_cases()[case]
+        got = spectral._chain(maps, target)
+        want = _oracle_chain(maps, target)
+        assert np.max(np.abs(got.rho - want.rho)) <= 1e-15
+        if case == "1d-wide":  # a composition is not band-limited at the sum of its degrees
+            assert got.live_degree > sum(p.degree for p in maps)
+        for a, b in zip(got.displacement, want.displacement):
+            assert a.degree == target and (a.live_degree < target) == trimmed
+            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15
+            past = spectral._l1_radii(a.dim, target) > a.live_degree
+            assert np.all(a.coeffs[past] == 0)
+            assert np.max(np.abs(b.coeffs[past]), initial=0.0) <= spectral._CHAIN_TAIL
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_kernels_read_only_the_live_shell(self, dim):
+        small = seeded_field(dim, 5, 1.0, seed=70)
+        big = PeriodicField(dim, 40, small._embed(40))
+        assert (big.degree, big.live_degree, small.live_degree) == (40, 5, 5)
+        m, shift = 16, np.array([0.3, -0.1][:dim])
+        for v in (_displacement(dim, m, 0.01, 71), _displacement(dim, m, 0.0, None)):
+            (a,) = _eval_displaced((big,), shift, v, m)
+            (b,) = _eval_displaced((small,), shift, v, m)
+            assert np.array_equal(a, b)
+        for m in (11, 16, sampling_grid(40)):
+            assert np.array_equal(value_grid(big, m), value_grid(small, m))
+        assert np.array_equal(value_grid(big), value_grid(small, sampling_grid(40)))
+        with pytest.raises(ValueError, match="too coarse"):
+            value_grid(big, 10)
 
 
 def _oracle_inverse(f: TorusMapLift, y: np.ndarray) -> np.ndarray:
