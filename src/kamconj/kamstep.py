@@ -16,13 +16,14 @@ import numpy as np
 from .cohomology import solve
 from .diophantine import DiophantineVector
 from .errors import InsufficientData, NonFinite, SmallnessViolated
-from .rotation import displacement_hull, hull_contains
+from .rotation import convex_hull, hull_contains
 from .spectral import (
     TorusMapLift,
     conjugate,
     cs_norm,
     deviation_norm,
     rebase,
+    sampling_grid,
 )
 
 __all__ = [
@@ -103,11 +104,27 @@ def posteriori_check(
     roundoff at the scale of the deviation itself.
     """
     f_next = rebase(f_next, vec.alpha)
+    return _posteriori(f_next, _check_values(f_next), vec, c_post, tol_abs)
+
+
+def _check_values(f: TorusMapLift) -> tuple:
+    """Each displacement component on the sampling grid of the map's box degree."""
+    return f.displacement_values(sampling_grid(f.degree))
+
+
+def _sup(grids) -> float:
+    """Largest absolute value on any of the grids."""
+    # np.max, not max(): a nan sup stays nan
+    return float(np.max([np.max(np.abs(g)) for g in grids]))
+
+
+def _posteriori(f_next, values, vec, c_post, tol_abs) -> PosterioriReport:
+    """`posteriori_check` of a rebased map from its `_check_values`."""
     drift = f_next.rho - vec.alpha
     drift_norm = float(np.linalg.norm(drift))
-    eps0 = deviation_norm(f_next, f_next.rho, 0)
+    eps0 = _sup(values)
     bound = c_post * eps0
-    hull = displacement_hull(TorusMapLift(drift, f_next.displacement))
+    hull = convex_hull(np.stack([a + v.ravel() for v, a in zip(values, drift)], axis=1))
     hull_tol = tol_abs + 1e-13 + 1e-9 * eps0
     return PosterioriReport(
         drift=drift,
@@ -155,8 +172,11 @@ def step(
         target = max(int(cutoff), f.degree)
     f_next = rebase(conjugate(phi, f, target), vec.alpha)
 
-    post = posteriori_check(f_next, vec, config.c_post, config.drift_tol_abs)
-    eps0_after = deviation_norm(f_next, vec.alpha, 0)
+    # one value grid per component gives both deviations and the hull; value_grid
+    # adds a mean on the grid, so eps0_after is deviation_norm(f_next, alpha) bit for bit
+    values = _check_values(f_next)
+    post = _posteriori(f_next, values, vec, config.c_post, config.drift_tol_abs)
+    eps0_after = _sup(v + a for v, a in zip(values, post.drift))
     eps_s_after = tuple(
         (float(s), post.eps0 if s == 0 else deviation_norm(f_next, f_next.rho, s, _norm_method(s)))
         for s in config.s_report

@@ -53,7 +53,7 @@ def _l1_radii(dim: int, degree: int) -> np.ndarray:
 
 
 # entries of the points-by-modes matrix that a blocked evaluation holds at once
-_BLOCK_ENTRIES = 2 ** 20
+_BLOCK_ENTRIES = 2 ** 18
 
 
 # sup-norm tolerance of both composition residuals of a near-identity inverse,
@@ -248,7 +248,11 @@ def sampling_grid(degree: int, oversample: int = 4, minimum: int = 16) -> int:
 def value_grid(f: PeriodicField, m: int | None = None) -> np.ndarray:
     """Values of f on the uniform grid (j/m)_j, exact for m >= 2*live_degree+1.
 
-    The default grid samples the box degree.
+    The default grid samples the box degree.  Only the half spectrum k1 >= 0
+    is transformed: in 2D its rows go through a complex inverse FFT along the
+    second axis, then a real inverse FFT along the first axis supplies the
+    mirror half and zero-pads the spectrum to the grid.  The mean is added
+    on the grid, so value_grid(f + c) is value_grid(f) + c bit for bit.
     """
     if m is None:
         m = sampling_grid(f.degree)
@@ -257,14 +261,18 @@ def value_grid(f: PeriodicField, m: int | None = None) -> np.ndarray:
     deg = f.degree if m > 2 * f.degree else f.live_degree
     if m < 2 * deg + 1:
         raise ValueError("grid too coarse for the field's bandwidth")
-    big = np.zeros((m,) * f.dim, dtype=np.complex128)
-    ax = frequency_axis(deg) % m
+    half = f._embed(deg)[deg:]
     if f.dim == 1:
-        big[ax] = f._embed(deg)
+        half = half.copy()
+        half[0] = 0.0
     else:
-        big[np.ix_(ax, ax)] = f._embed(deg)
-    vals = np.fft.ifftn(big) * (m ** f.dim)
-    return np.ascontiguousarray(vals.real)
+        rows = np.zeros((deg + 1, m), dtype=np.complex128)
+        rows[:, frequency_axis(deg) % m] = half
+        rows[0, 0] = 0.0
+        half = np.fft.ifft(rows, axis=1, norm="forward")
+    vals = np.fft.irfft(half, n=m, axis=0, norm="forward")
+    vals += f.mean()
+    return vals
 
 
 def field_from_grid(values: np.ndarray, degree: int) -> PeriodicField:
@@ -552,18 +560,20 @@ def deviation_norm(f: TorusMapLift, alpha, s: float = 0, method: str = "grid") -
     return float(np.max(norms))
 
 
-def _horner(rows, z: np.ndarray, out: np.ndarray) -> None:
-    """out = Re(rows[0] + 2 sum_{j >= 1} rows[j] z^j), by Horner in z, in place.
+def _horner(re, im, z: np.ndarray, out: np.ndarray) -> None:
+    """out = Re(a_0 + 2 sum_{j >= 1} a_j z^j), a_j = re[j] + i im[j], by Horner in z, in place.
 
-    Each rows[j] is a scalar or an array broadcast to out's shape.
+    Each re[j] and im[j] is a scalar or an array broadcast to out's shape.
     """
     acc = np.zeros(out.shape, dtype=np.complex128)
-    for j in range(len(rows) - 1, 0, -1):
-        acc += rows[j]
+    real, imag = acc.real, acc.imag
+    for j in range(len(re) - 1, 0, -1):
+        real += re[j]
+        imag += im[j]
         acc *= z
-    # the real part of acc + conj(acc) + rows[0], bit for bit
-    np.add(acc.real, acc.real, out=out)
-    np.add(out, rows[0].real, out=out)
+    # the real part of acc + conj(acc) + a_0, bit for bit
+    np.add(real, real, out=out)
+    np.add(out, re[0], out=out)
 
 
 def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
@@ -572,10 +582,12 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     One exact spectral sum at the displaced points serves all the fields (the
     components of one map), so its accuracy does not depend on the size of v.
     Hermitian symmetry halves the frequency range of the outer axis, summed
-    by Horner in its unit phase, which the fields share.  In 2D the inner
-    axis's phases (a Vandermonde block of points) are formed once per block
-    of points and contracted against every field's half box in one matrix
-    product, so the cost is dense BLAS rather than a loop over individual
+    by Horner in its unit phase, which the fields share.  In 2D each row of
+    that half box is folded over +-k2 onto the real basis cos 2 pi k2 x2
+    (k2 = 0 .. deg) and sin 2 pi k2 x2 (k2 = 1 .. deg).  The basis is formed
+    once per block of points from the powers of the inner axis's unit phase,
+    and one real matrix product contracts it against the Re and Im rows of
+    every field, so the cost is dense BLAS rather than a loop over individual
     modes; the block buffers are reused from block to block.  A zero
     displacement on a grid that resolves the fields is one inverse FFT per
     shifted field.  Only the live shells are read, so a field gives the same
@@ -591,7 +603,8 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     if fields[0].dim == 1:
         z = np.exp(2j * np.pi * (ax + shift[0] + v[0]))
         for u, row in zip(fields, out):  # scalar coefficients, k = 0 .. live degree
-            _horner(u._embed(u.live_degree)[u.live_degree:].tolist(), z, row)
+            c = u._embed(u.live_degree)[u.live_degree:]
+            _horner(c.real.tolist(), c.imag.tolist(), z, row)
         return tuple(out)
     width = 2 * deg + 1
     x1 = (ax[:, None] + shift[0] + v[0]).ravel()
@@ -599,22 +612,38 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     n = x1.size
     if (deg + 1) * width * n > 2e11:
         warnings.warn("displaced evaluation over a very large spectrum/grid", RuntimeWarning)
-    # row (k1, field) of every field's box, for k1 = 0 .. deg
-    half = np.stack([u._embed(deg)[deg:] for u in fields], axis=1).reshape(-1, width)
+    # row k1 = 0 .. deg of each box, folded over +-k2 against the real basis
+    # [cos 2 pi k2 x2, k2 = 0 .. deg; sin 2 pi k2 x2, k2 = 1 .. deg]
+    half = np.stack([u._embed(deg)[deg:] for u in fields], axis=1)
+    plus, minus = half[..., deg + 1:], half[..., deg - 1::-1]
+    fold = np.concatenate([half[..., deg:deg + 1], plus + minus, 1j * (plus - minus)], axis=-1)
+    # real rows in (k1, Re/Im, field) order
+    fold = np.concatenate([fold.real, fold.imag], axis=1).reshape(-1, width)
     block = max(1, _BLOCK_ENTRIES // width)
-    p2_buf = np.empty(width * min(block, n), dtype=np.complex128)
-    rows_buf = np.empty(len(half) * min(block, n), dtype=np.complex128)
+    cap = min(block, n)
+    # one allocation for the three block buffers: glibc's malloc hands a freed
+    # heap top back to the OS once it passes twice the largest chunk it has
+    # unmapped, which three separate buffers exceed, so every call faulted them
+    # in anew; one chunk raises that limit past itself and stays mapped
+    scratch = np.empty((2 * deg + width + len(fold)) * cap)
+    powers_buf = scratch[:2 * deg * cap].view(np.complex128)
+    basis_buf = scratch[2 * deg * cap:(2 * deg + width) * cap]
+    rows_buf = scratch[(2 * deg + width) * cap:]
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         size = hi - lo
-        zb2 = np.exp(2j * np.pi * x2[lo:hi])
-        p2 = p2_buf[:width * size].reshape(width, size)
-        p2[0] = np.exp(-2j * np.pi * deg * x2[lo:hi])
-        for i in range(1, width):
-            np.multiply(p2[i - 1], zb2, out=p2[i])
-        # rows[k1, f] = sum_k2 c_f[k1, k2] z2^k2
-        rows = np.matmul(half, p2, out=rows_buf[:len(half) * size].reshape(len(half), size))
-        _horner(rows.reshape(deg + 1, nf, size), np.exp(2j * np.pi * x1[lo:hi]), out[:, lo:hi])
+        powers = powers_buf[:deg * size].reshape(deg, size)
+        np.exp(2j * np.pi * x2[lo:hi], out=powers[:1])
+        for i in range(1, deg):
+            np.multiply(powers[i - 1], powers[0], out=powers[i])
+        basis = basis_buf[:width * size].reshape(width, size)
+        basis[0] = 1.0
+        basis[1:deg + 1] = powers.real
+        basis[deg + 1:] = powers.imag
+        # rows[k1, :, f] = Re and Im of sum_k2 c_f[k1, k2] z2^k2
+        rows = np.matmul(fold, basis, out=rows_buf[:len(fold) * size].reshape(len(fold), size))
+        rows = rows.reshape(deg + 1, 2, nf, size)
+        _horner(rows[:, 0], rows[:, 1], np.exp(2j * np.pi * x1[lo:hi]), out[:, lo:hi])
     return tuple(out.reshape(nf, m, m))
 
 

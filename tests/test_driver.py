@@ -48,7 +48,7 @@ TWO_STEP_2D = {
 }
 
 # functions that sample a field on a grid to check a result
-_CHECKS = {"cs_norm", "jacobian_sup", "displacement_hull", "_composition_defect"}
+_CHECKS = {"cs_norm", "jacobian_sup", "_check_values", "_composition_defect"}
 
 
 def minimal_config(**overrides) -> dict:
@@ -525,15 +525,14 @@ class TestRunScheme:
         res = run_scheme(ExperimentConfig.from_dict(minimal_config(**TWO_STEP_2D)))
         assert res.status is RunStatus.CONVERGED and res.n_steps == 2
 
-        names = {"cs_norm", "residual", "jacobian_sup", "displacement_hull",
+        # _check_values: the stepped map's grids, shared by its deviations and its hull
+        names = {"cs_norm", "residual", "jacobian_sup", "_check_values",
                  "invert_near_identity", "conjugacy_verification"}
         assert {g[0] for g in grids} == names
         # every kind of check samples a field whose box reaches past its live shell
         assert {g[0] for g in grids if g[3]} == names
         for name, used, box, _ in grids:
-            if name == "displacement_hull":
-                assert used == max(sampling_grid(box), 2 * box + 1)
-            elif name == "invert_near_identity":  # r1/r2
+            if name == "invert_near_identity":  # r1/r2
                 assert used >= sampling_grid(max(box, 4))
             else:
                 assert used == sampling_grid(box), name

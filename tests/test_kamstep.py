@@ -21,6 +21,7 @@ from kamconj import (
     rebase,
     step,
 )
+from kamconj import kamstep, spectral
 from kamconj.spectral import _composition_defect
 
 from conftest import GOLDEN, seeded_field
@@ -99,6 +100,32 @@ class TestStep:
         assert [s for s, _ in diag.eps_s_after] == [0.0, 1.0]
         assert diag.eps_s_before[0][1] == diag.eps0_before
         assert diag.eps_s_after[0][1] == diag.eps0_after_drifted
+        assert diag.eps0_after_drifted == deviation_norm(f_next, f_next.rho, 0)
+        assert diag.eps0_after == deviation_norm(f_next, pair_vector.alpha, 0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_post_checks_share_one_value_grid(self, dim, golden_vector, pair_vector, monkeypatch):
+        """After the pushforward, each component of the stepped map is transformed once."""
+        vec = golden_vector if dim == 1 else pair_vector
+        f = perturbed_rotation(vec.alpha, 1e-3, seed=73, degree=2)
+        calls, pushed = [], []
+        value_grid, push = spectral.value_grid, kamstep.conjugate
+
+        def recorded_grid(u, m=None):
+            if pushed:
+                calls.append(u)
+            return value_grid(u, m)
+
+        def recorded_push(*args, **kwargs):
+            out = push(*args, **kwargs)
+            pushed.append(out)
+            return out
+
+        monkeypatch.setattr(spectral, "value_grid", recorded_grid)
+        monkeypatch.setattr(kamstep, "conjugate", recorded_push)
+        f_next, _, diag = step(f, vec, 8, StepConfig(smallness_c=1e-12))
+        assert [id(u) for u in calls] == [id(u) for u in f_next.displacement]
+        assert diag.eps0_after == deviation_norm(f_next, vec.alpha, 0)
         assert diag.eps0_after_drifted == deviation_norm(f_next, f_next.rho, 0)
 
     def test_rho_rebased_into_window(self, golden_vector):

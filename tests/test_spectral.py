@@ -157,6 +157,45 @@ class TestEvaluation:
         for i, j in [(0, 0), (3, 11), (15, 2)]:
             assert grid[i, j] == pytest.approx(eval_oracle(f, [i / m, j / m]), abs=1e-12)
 
+    # (field degree, box degree, grid points); the field has a mean, the box is zero past the field
+    WHOLE_GRIDS = {
+        "small-degree-odd-grid": (2, 2, 257),
+        "small-degree-large-grid": (2, 2, 1028),
+        "grid-of-2-live-plus-1": (6, 6, 13),
+        "box-past-live-coarse": (6, 20, 13),
+        "box-past-live-fine": (6, 20, 30),
+    }
+
+    @pytest.mark.parametrize("case", list(WHOLE_GRIDS))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_value_grid_matches_oracle_on_whole_grids(self, dim, case):
+        degree, box, m = self.WHOLE_GRIDS[case]
+        small = seeded_field(dim, degree, 1.0, seed=90 + degree) + 0.3
+        f = PeriodicField(dim, box, small._embed(box))
+        grid = value_grid(f, m)
+        assert grid.shape == (m,) * dim
+        idx = np.arange(0, m, 7 if dim == 2 and m > 300 else 1)  # every 7th row and column of 1028^2
+        x = np.meshgrid(*(idx / m,) * dim, indexing="ij")
+        assert np.max(np.abs(grid[np.ix_(*(idx,) * dim)] - eval_oracle(f, x))) < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_value_grid_adds_a_constant_exactly(self, dim):
+        f = seeded_field(dim, 5, 1.0, seed=96)
+        for c in (0.3, -1e-7, 12.5):
+            assert np.array_equal(value_grid(f + c, 24), value_grid(f, 24) + c)
+
+    def test_value_grid_peak_memory(self):
+        # the largest check grid of criterion 4's run; 50.7 MB is the peak of a
+        # complex inverse FFT over the whole grid
+        f = seeded_field(2, 24, 1.0, seed=97)
+        tracemalloc.start()
+        try:
+            value_grid(f, 1028)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+
     def test_value_grid_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="coarse"):
             value_grid(sin_field(1.0, k=4), 8)
@@ -759,9 +798,32 @@ class TestDisplacedEvaluation:
             (alone,) = _eval_displaced((f,), shift, v, m)
             assert np.max(np.abs(vals - alone)) < 1e-15
 
+    # 2D half-ball modes of radius 3: k1 = 0 with k2 > 0, and k1 > 0 with k2 of either sign
+    HALF_BALL = [(k1, k2) for k1 in range(4) for k2 in range(-3, 4)
+                 if 0 < abs(k1) + abs(k2) <= 3 and (k1 > 0 or k2 > 0)]
+
+    @pytest.mark.parametrize("blocks", [False, True], ids=["one-block", "short-last-block"])
+    @pytest.mark.parametrize("k", HALF_BALL, ids=str)
+    def test_real_basis_folds_each_mode(self, k, blocks, monkeypatch):
+        """One mode and its mirror: 2|c| cos(2 pi k.x + arg c) at every displaced point."""
+        c = 0.1 * np.exp(1j * (0.7 + 0.9 * (4 * k[0] + k[1])))
+        f = PeriodicField.from_entries(2, 3, [(k, c)])
+        m = 16
+        if blocks:  # 77 // (2 * |k|_1 + 1) = 25, 15 or 11 points a block; none divides 256
+            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 77)
+        shift = np.array([0.15, -0.35])
+        v = _displacement(2, m, 0.02, 98)
+        (out,) = _eval_displaced((f,), shift, v, m)
+        ax = np.arange(m) / m
+        x1 = ax[:, None] + shift[0] + v[0]
+        x2 = ax[None, :] + shift[1] + v[1]
+        phase = np.mod(k[0] * x1 + k[1] * x2, 1.0)
+        want = 2.0 * abs(c) * np.cos(2.0 * np.pi * phase + np.angle(c))
+        assert np.max(np.abs(out - want)) < 1e-15
+
     def test_two_fields_peak_memory(self):
-        # the largest ref-2d grid at degree 48; 41.8 MB is the peak of one field
-        # evaluated alone with a fresh Vandermonde block for every block of points
+        # the largest ref-2d grid at degree 48; 35.8 MB is the peak of a complex
+        # Vandermonde block contracted in blocks of 2^20 entries
         fields = tuple(seeded_field(2, 48, 0.01, seed=64 + i) for i in range(2))
         m = 196
         v = _displacement(2, m, 1e-4, 66)
@@ -771,7 +833,7 @@ class TestDisplacedEvaluation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 41.8e6
+        assert peak < 16e6
 
 
 # positive frequencies only; the negative half is the forced conjugate mirror
