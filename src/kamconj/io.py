@@ -1,12 +1,18 @@
 """File formats: JSON documents for fields, maps and conjugacy chains, CSV traces.
 
 Floats are serialized through repr() so round-trips are lossless.  Every JSON
-document carries schema_version and a kind tag.
+document carries schema_version and a kind tag.  Fields are real, so
+c(-k) = conj(c(k)): a coefficient list holds k = 0 (when nonzero) and the
+half spectrum after it in C order (k1 > 0, or k1 = 0 and k2 > 0; in 1D
+k > 0), and loading fills each mirror that is not listed with its
+conjugate.  Lists that name both halves, as earlier versions wrote them,
+load to the same coefficients.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -39,12 +45,29 @@ TRACE_HEADER = "n,N,eps0,eps_s0,drift,drift_bound,env_eps0,env_eps_s0,phi_norm0,
 
 
 def _coeffs_to_doc(u: PeriodicField) -> list:
-    return [[list(k), c.real, c.imag] for k, c in u.entries()]
+    # k = 0 and the half spectrum after it in C order; the loader fills each mirror
+    flat = u.coeffs.ravel()
+    idx = flat.size // 2 + np.flatnonzero(flat[flat.size // 2:])
+    ks = (np.stack(np.unravel_index(idx, u.coeffs.shape), axis=1) - u.degree).tolist()
+    c = flat[idx]
+    return [[k, re, im] for k, re, im in zip(ks, c.real.tolist(), c.imag.tolist())]
+
+
+def _numbers(column) -> np.ndarray:
+    a = np.array(column)
+    if a.dtype.kind not in "biuf":
+        raise ValueError("coefficient values must be numbers")
+    return a
 
 
 def _coeffs_from_doc(dim: int, degree: int, coeffs) -> PeriodicField:
-    entries = [(tuple(int(x) for x in k), complex(re, im)) for k, re, im in coeffs]
-    return PeriodicField.from_entries(dim, degree, entries)
+    if coeffs and set(map(len, coeffs)) != {3}:
+        raise ValueError("each coefficient entry must be [k, re, im]")
+    ks, re, im = zip(*coeffs) if coeffs else ((), (), ())
+    values = np.empty(len(ks), dtype=np.complex128)
+    values.real = _numbers(re)
+    values.imag = _numbers(im)
+    return PeriodicField.from_spectrum(dim, degree, ks, values)
 
 
 def field_to_doc(f: PeriodicField) -> dict:
@@ -66,12 +89,21 @@ def _expect(doc: dict, kind: str) -> None:
         raise ConfigError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
 
 
+@contextmanager
+def _invalid(name: str):
+    """Report what a malformed document raises as a ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"invalid {name} document: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {name} document: {exc}") from None
+
+
 def field_from_doc(doc: dict) -> PeriodicField:
     _expect(doc, "field")
-    try:
+    with _invalid("field"):
         return _coeffs_from_doc(int(doc["dim"]), int(doc["degree"]), doc["coeffs"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid field document: {exc}") from None
 
 
 def map_to_doc(f: TorusMapLift) -> dict:
@@ -88,16 +120,14 @@ def map_to_doc(f: TorusMapLift) -> dict:
 
 def map_from_doc(doc: dict) -> TorusMapLift:
     _expect(doc, "torus_map")
-    dim = int(doc["dim"])
-    degree = int(doc["degree"])
-    comps = doc["coeffs"]
-    if len(comps) != dim:
-        raise ConfigError("component count does not match dim")
-    try:
+    with _invalid("map"):
+        dim = int(doc["dim"])
+        degree = int(doc["degree"])
+        comps = doc["coeffs"]
+        if len(comps) != dim:
+            raise ConfigError("component count does not match dim")
         fields = tuple(_coeffs_from_doc(dim, degree, comp) for comp in comps)
         return TorusMapLift(np.array([float(x) for x in doc["rho"]]), fields)
-    except ValueError as exc:
-        raise ConfigError(f"invalid map document: {exc}") from None
 
 
 def chain_to_doc(chain, alpha, composed: TorusMapLift | None = None) -> dict:
@@ -116,9 +146,10 @@ def chain_to_doc(chain, alpha, composed: TorusMapLift | None = None) -> dict:
 def chain_from_doc(doc: dict) -> tuple:
     """Returns (list of corrector maps, alpha, composed or None)."""
     _expect(doc, "conjugacy_chain")
-    chain = [map_from_doc(d) for d in doc["steps"]]
-    composed = map_from_doc(doc["composed"]) if "composed" in doc else None
-    return chain, np.array([float(x) for x in doc["alpha"]]), composed
+    with _invalid("chain"):
+        chain = [map_from_doc(d) for d in doc["steps"]]
+        composed = map_from_doc(doc["composed"]) if "composed" in doc else None
+        return chain, np.array([float(x) for x in doc["alpha"]]), composed
 
 
 def save_json(doc: dict, path) -> None:

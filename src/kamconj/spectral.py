@@ -74,6 +74,22 @@ def _round4(m: int) -> int:
     return ((int(m) + 3) // 4) * 4
 
 
+def _frequency_array(dim: int, ks) -> np.ndarray:
+    """Frequencies as an (n, dim) integer array; in 1D a frequency may be a scalar."""
+    try:
+        try:
+            k = np.array(ks, dtype=np.int64)
+        except ValueError:  # ragged: in 1D, scalars mixed with 1-tuples
+            k = np.array([np.ravel(x) for x in ks], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"frequencies must be integer tuples matching dimension {dim}") from None
+    if k.ndim == 1:  # scalar frequencies, or none at all
+        k = k.reshape(-1, 1 if k.size else dim)
+    if k.ndim != 2 or k.shape[1] != dim:
+        raise ValueError(f"frequency {tuple(k[0].ravel().tolist())} does not match dimension {dim}")
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodicField:
     """Real trigonometric polynomial with spectrum in the l1 ball of radius `degree`."""
@@ -117,27 +133,41 @@ class PeriodicField:
 
     @classmethod
     def from_entries(cls, dim: int, degree: int, entries) -> "PeriodicField":
-        """Build a field from (k, value) pairs.
+        """Build a field from (k, value) pairs; see `from_spectrum`."""
+        pairs = list(entries)
+        ks, values = zip(*pairs) if pairs else ((), ())
+        return cls.from_spectrum(dim, degree, ks, values)
 
-        The mirror coefficient at -k is filled with the conjugate unless it is
-        given explicitly; inconsistent explicit pairs are rejected by the
+    @classmethod
+    def from_spectrum(cls, dim: int, degree: int, ks, values) -> "PeriodicField":
+        """Build a field from frequencies `ks` and their complex `values`.
+
+        In 1D a frequency may be a scalar.  For a repeated k the last value
+        wins.  The mirror coefficient at -k is filled with the conjugate unless
+        -k is given too; inconsistent explicit pairs are rejected by the
         constructor's symmetry check.
         """
-        box = np.zeros((2 * degree + 1,) * dim, dtype=np.complex128)
-        given = {}
-        for k, val in entries:
-            k = (int(k),) if np.isscalar(k) else tuple(int(x) for x in k)
-            if len(k) != dim:
-                raise ValueError(f"frequency {k} does not match dimension {dim}")
-            if sum(abs(x) for x in k) > degree:
-                raise ValueError(f"frequency {k} outside the l1 ball of radius {degree}")
-            box[tuple(x + degree for x in k)] = complex(val)
-            given[k] = complex(val)
-        for k, val in given.items():
-            mk = tuple(-x for x in k)
-            if mk not in given:
-                box[tuple(x + degree for x in mk)] = np.conj(val)
-        return cls(dim, degree, box)
+        k = _frequency_array(dim, ks)
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape != (len(k),):
+            raise ValueError("need one value per frequency")
+        # clipped first, so that no huge frequency can wrap its l1 radius
+        outside = np.flatnonzero(np.abs(np.clip(k, -degree - 1, degree + 1)).sum(axis=1) > degree)
+        if outside.size:
+            k0 = tuple(k[outside[0]].tolist())
+            raise ValueError(f"frequency {k0} outside the l1 ball of radius {degree}")
+        n = 2 * degree + 1
+        flat = np.ravel_multi_index(tuple((k + degree).T), (n,) * dim)
+        last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]  # each k's last entry
+        flat, values = flat[last], values[last]
+        box = np.zeros(n ** dim, dtype=np.complex128)
+        box[flat] = values
+        given = np.zeros(n ** dim, dtype=bool)
+        given[flat] = True
+        mirror = box.size - 1 - flat  # -k in C order
+        fill = ~given[mirror]
+        box[mirror[fill]] = np.conj(values[fill])
+        return cls(dim, degree, box.reshape((n,) * dim))
 
     def coefficient(self, k) -> complex:
         k = (int(k),) if np.isscalar(k) else tuple(int(x) for x in k)

@@ -98,6 +98,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_malformed_map_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "norho.json"
+        path.write_text(json.dumps(
+            {"schema_version": 1, "kind": "torus_map", "dim": 1, "degree": 1,
+             "coeffs": [[[[1], 0.0, -0.005]]]}
+        ))
+        cfg = write_config(tmp_path / "cfg.json", initial_map={"file": str(path)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "error: invalid map document: missing key 'rho'" in capsys.readouterr().err
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -16,10 +16,12 @@ from kamconj.io import (
     field_to_doc,
     hull_to_csv,
     load_chain,
+    load_json,
     load_map,
     map_from_doc,
     map_to_doc,
     save_chain,
+    save_json,
     save_map,
     trace_to_csv,
 )
@@ -49,7 +51,43 @@ class TestFieldDocs:
         doc = field_to_doc(f)
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["kind"] == "field"
-        assert doc["coeffs"] == [[[-1], 0.0, -0.5], [[1], 0.0, 0.5]]
+        assert doc["coeffs"] == [[[1], 0.0, 0.5]]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_doc_holds_the_mean_and_the_half_spectrum(self, dim):
+        f = seeded_field(dim, 4, 1.0, seed=119) + 0.25
+        half = [[list(k), c.real, c.imag] for k, c in f.entries() if k >= (0,) * dim]
+        assert half[0] == [[0] * dim, 0.25, 0.0]
+        assert field_to_doc(f)["coeffs"] == half
+        assert field_to_doc(f - 0.25)["coeffs"] == half[1:]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_save_load_save_is_byte_identical(self, tmp_path, dim):
+        # a mean, signed zeros, an (even) subnormal and the awkward floats
+        values = [0.75, complex(AWKWARD[0], -0.0), complex(-0.0, AWKWARD[1]),
+                  complex(AWKWARD[2], AWKWARD[3]), complex(8 * AWKWARD[4], -AWKWARD[0])]
+        ks = [(0,), (1,), (2,), (3,), (4,)] if dim == 1 else [(0, 0), (0, 1), (1, -2), (1, 1), (2, 2)]
+        f = PeriodicField.from_entries(dim, 4, zip(ks, values))
+        assert [f.coefficient(k) for k in ks] == values
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_json(field_to_doc(f), first)
+        g = field_from_doc(load_json(first))
+        save_json(field_to_doc(g), second)
+        assert g.coeffs.tobytes() == f.coeffs.tobytes()
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "coeffs, match",
+        [
+            ([[[1, 0], 1.0, 2.0], [[-1, 0], 5.0, 0.0]], "Hermitian"),
+            ([[[2, 1], 1.0, 0.0]], "ball"),
+            ([[[1, 0, 0], 1.0, 0.0]], "dimension"),
+        ],
+    )
+    def test_bad_spectrum_rejected(self, coeffs, match):
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "field", "dim": 2, "degree": 2, "coeffs": coeffs}
+        with pytest.raises(ConfigError, match=match):
+            field_from_doc(doc)
 
     def test_schema_version_enforced(self):
         doc = field_to_doc(PeriodicField.zeros(1, 1))
@@ -97,7 +135,8 @@ class TestMapDocs:
             assert np.array_equal(a.coeffs, b.coeffs)
         written = json.loads(path.read_text())["coeffs"]
         for comp, c in zip(written, u):
-            assert len(comp) == np.count_nonzero(c.coeffs)
+            flat = c.coeffs.ravel()
+            assert len(comp) == np.count_nonzero(flat[flat.size // 2:])
             assert max(abs(k1) + abs(k2) for (k1, k2), _, _ in comp) == 5
 
     def test_component_count_checked(self):
@@ -193,6 +232,95 @@ class TestChainDocs:
         assert "composed" not in doc
         chain, alpha, composed = chain_from_doc(doc)
         assert chain == [] and composed is None
+
+
+def full_spectrum(u: PeriodicField) -> list:
+    """A coefficient list as earlier versions wrote it: every nonzero entry, both halves."""
+    return [[list(k), c.real, c.imag] for k, c in u.entries()]
+
+
+def seeded_map(dim: int, seed: int) -> TorusMapLift:
+    u = tuple(seeded_field(dim, 3, 0.01, seed=seed + i) for i in range(dim))
+    return TorusMapLift(np.array([GOLDEN, AWKWARD[1]][:dim]), u)
+
+
+class TestFullSpectrumDocs:
+    @pytest.mark.parametrize("indent", [None, 1])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_loads_bit_identical(self, tmp_path, dim, indent):
+        def reread(doc):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc, indent=indent) + "\n")
+            return load_json(path)
+
+        def full_map_doc(f):
+            doc = map_to_doc(f)
+            doc["coeffs"] = [full_spectrum(u) for u in f.displacement]
+            return doc
+
+        def same(a, b):
+            return a.rho.tobytes() == b.rho.tobytes() and all(
+                x.coeffs.tobytes() == y.coeffs.tobytes() for x, y in zip(a.displacement, b.displacement)
+            )
+
+        field = seeded_field(dim, 3, 1.0, seed=125) + 0.5
+        doc = field_to_doc(field)
+        doc["coeffs"] = full_spectrum(field)
+        assert len(doc["coeffs"]) == np.count_nonzero(field.coeffs)
+        assert field_from_doc(reread(doc)).coeffs.tobytes() == field.coeffs.tobytes()
+
+        f = seeded_map(dim, 126)
+        assert same(map_from_doc(reread(full_map_doc(f))), f)
+
+        steps = [seeded_map(dim, 130), seeded_map(dim, 132)]
+        doc = chain_to_doc([], [GOLDEN, AWKWARD[0]][:dim])
+        doc["steps"] = [full_map_doc(phi) for phi in steps]
+        doc["composed"] = full_map_doc(f)
+        chain, _, composed = chain_from_doc(reread(doc))
+        assert all(same(a, b) for a, b in zip(chain, steps)) and same(composed, f)
+
+
+# one malformed edit of a 2D map document per case, and the message it must give
+SPOILED = {
+    "missing rho": (lambda d: d.pop("rho"), "missing key 'rho'"),
+    "scalar k in 2D": (lambda d: d["coeffs"][0].append([1, 0.1, 0.0]), "dimension"),
+    "string value": (lambda d: d["coeffs"][0][0].__setitem__(1, "x"), "numbers"),
+    "scalar rho": (lambda d: d.__setitem__("rho", 0.5), "not iterable"),
+}
+
+
+class TestMalformedDocs:
+    @pytest.mark.parametrize("case", sorted(SPOILED))
+    def test_map_and_chain(self, case):
+        spoil, match = SPOILED[case]
+        doc = map_to_doc(seeded_map(2, 140))
+        spoil(doc)
+        with pytest.raises(ConfigError, match=f"invalid map document: .*{match}"):
+            map_from_doc(doc)
+        chain = chain_to_doc([], [GOLDEN, 0.3])
+        chain["steps"] = [doc]
+        with pytest.raises(ConfigError, match="invalid map document"):
+            chain_from_doc(chain)
+
+    @pytest.mark.parametrize("case", ["scalar k in 2D", "string value"])
+    def test_field(self, case):
+        spoil, match = SPOILED[case]
+        doc = field_to_doc(seeded_field(2, 3, 1.0, seed=142))
+        spoil({"coeffs": [doc["coeffs"]]})
+        with pytest.raises(ConfigError, match=f"invalid field document: .*{match}"):
+            field_from_doc(doc)
+        del doc["coeffs"]
+        with pytest.raises(ConfigError, match="invalid field document: missing key 'coeffs'"):
+            field_from_doc(doc)
+
+    def test_chain_keys(self):
+        doc = chain_to_doc([seeded_map(1, 143)], [GOLDEN])
+        doc["alpha"] = GOLDEN
+        with pytest.raises(ConfigError, match="invalid chain document"):
+            chain_from_doc(doc)
+        del doc["steps"]
+        with pytest.raises(ConfigError, match="invalid chain document: missing key 'steps'"):
+            chain_from_doc(doc)
 
 
 class TestTraceCsv:

@@ -94,6 +94,41 @@ class TestConstruction:
         with pytest.raises(ValueError, match="ball"):
             PeriodicField.from_entries(2, 2, [((2, 1), 1.0)])
 
+    @pytest.mark.parametrize(
+        "dim, entries",
+        [
+            (1, [(1, 0.5 + 1j), (3, -0.25j), (1, 2.0 - 1j), (0, 0.75)]),  # scalar keys, a duplicate
+            (1, [((2,), 0.3 + 0.1j), ((-2,), 0.3 - 0.1j), ((-1,), complex(-0.0, 0.5))]),
+            (1, [(2, 0.5j), ((1,), 0.25), (-2, -0.5j)]),  # scalar and tuple keys mixed
+            (2, [((1, -1), 1j), ((0, 2), 0.5), ((-1, 1), -2j), ((1, -1), 2j), ((2, 1), 0.25)]),
+            (2, []),
+        ],
+    )
+    def test_from_entries_matches_entry_loop(self, dim, entries):
+        def from_entries_oracle(dim, degree, entries):
+            box = np.zeros((2 * degree + 1,) * dim, dtype=complex)
+            given = {}
+            for k, val in entries:
+                k = (int(k),) if np.isscalar(k) else tuple(int(x) for x in k)
+                box[tuple(x + degree for x in k)] = complex(val)
+                given[k] = complex(val)
+            for k, val in given.items():
+                mk = tuple(-x for x in k)
+                if mk not in given:
+                    box[tuple(x + degree for x in mk)] = np.conj(val)
+            return PeriodicField(dim, degree, box)
+
+        got = PeriodicField.from_entries(dim, 3, iter(entries))
+        assert got.coeffs.tobytes() == from_entries_oracle(dim, 3, entries).coeffs.tobytes()
+
+    def test_from_entries_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match=r"frequency \(1,\) does not match dimension 2"):
+            PeriodicField.from_entries(2, 2, [(1, 1.0)])
+        with pytest.raises(ValueError, match="dimension 1"):
+            PeriodicField.from_entries(1, 2, [((1, 0), 1.0)])
+        with pytest.raises(ValueError, match="ball"):
+            PeriodicField.from_entries(2, 2, [((2 ** 62, 2 ** 62), 1.0)])
+
     def test_entries_lexicographic(self):
         f = PeriodicField.from_entries(1, 2, [((2,), 1.0j), ((1,), 0.5)])
         ks = [k for k, _ in f.entries()]
