@@ -12,6 +12,7 @@ load to the same coefficients.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -61,6 +62,9 @@ def _numbers(column) -> np.ndarray:
 
 
 def _coeffs_from_doc(dim: int, degree: int, coeffs) -> PeriodicField:
+    # before from_spectrum allocates the box: 2**24 coefficients are 256 MB of complex128
+    if degree < 0 or dim * math.log2(2 * degree + 1) > 24:
+        raise ValueError(f"degree {degree} is negative or gives a box of more than 2**24 coefficients")
     if coeffs and set(map(len, coeffs)) != {3}:
         raise ValueError("each coefficient entry must be [k, re, im]")
     ks, re, im = zip(*coeffs) if coeffs else ((), (), ())

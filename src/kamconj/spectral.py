@@ -8,8 +8,8 @@ Dimensions 1 and 2 are supported.
 The box degree N is the nominal band, the one a schedule or caller asked
 for, and the check grids (norms, hulls, Jacobians, verification) follow it.
 The live degree is the largest l1 shell holding a nonzero coefficient; the
-evaluation kernels and the grids of the map chain and the inversion sweeps
-follow that, since the box past it is exactly zero.
+evaluation kernels and the grids of the map chain (the inverse's sweeps
+included) follow that, since the box past it is exactly zero.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def _l1_radii(dim: int, degree: int) -> np.ndarray:
 _BLOCK_ENTRIES = 2 ** 18
 
 
-# sup-norm tolerance of both composition residuals of a near-identity inverse,
-# and the fixed-point sweeps allowed per grid
+# sup-norm tolerance of an inverse's pointwise defect and of the public
+# inverse's two composition residuals, and the fixed-point sweeps allowed per grid
 _INVERT_TOL = 1e-12
 _INVERT_SWEEPS = 100
 
@@ -265,14 +265,13 @@ class PeriodicField:
         return PeriodicField(self.dim, self.degree, self.coeffs * w)
 
 
-def sampling_grid(degree: int, oversample: int = 4, minimum: int = 16) -> int:
-    """Points per axis used to sample a field of the given degree.
+def sampling_grid(degree: int) -> int:
+    """Points per axis used to sample a field of the given degree: 4 per mode, at least 16.
 
     A multiple of 4 so that quarter-period points (extrema of the lowest
     modes) land on the grid exactly.
     """
-    m = max(int(minimum), int(oversample) * (int(degree) + 1))
-    return _round4(m)
+    return _round4(max(16, 4 * (int(degree) + 1)))
 
 
 def value_grid(f: PeriodicField, m: int | None = None) -> np.ndarray:
@@ -682,25 +681,69 @@ def _grid(target: int, maps) -> int:
     return _round4(max(sampling_grid(target), *(2 * p.live_degree + 2 for p in maps)))
 
 
-def _chain(maps, target: int) -> TorusMapLift:
-    """maps[0] then each later map, walked pointwise on one grid and projected once at `target`.
+def _inverse_values(phi: TorusMapLift, m: int) -> tuple:
+    """The displacement w of phi's inverse at each point y of the m-point grid.
+
+    Past the Jacobian gate (else NotContractive) the sweeps w <- -u(y - rho + w)
+    contract with rate under 1/2, so w is within its last measured defect of
+    the exact value; that defect must be within `_INVERT_TOL` at every point
+    (else NoConvergence).
+    """
+    if phi.jacobian_sup() >= 0.5:
+        raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
+    shift = -phi.rho
+    w = tuple(np.zeros((m,) * phi.dim) for _ in range(phi.dim))
+    best, stagnant = math.inf, 0
+    for _ in range(_INVERT_SWEEPS):
+        uvals = _eval_displaced(phi.displacement, shift, w, m)
+        defect = max(float(np.max(np.abs(a + b))) for a, b in zip(w, uvals))
+        w = tuple(-a for a in uvals)
+        if defect <= 0.2 * _INVERT_TOL:
+            break
+        if defect >= 0.9 * best:
+            stagnant += 1
+            if stagnant >= 5:
+                break
+        else:
+            stagnant = 0
+        best = min(best, defect)
+    if defect > _INVERT_TOL:
+        raise NoConvergence(f"inverse defect {defect:.3e} above tolerance {_INVERT_TOL:.1e} on grid {m}")
+    return w
+
+
+def _walk(maps, m: int, invert: bool = False) -> tuple:
+    """(displacement values, translation) on the m-point grid of maps[0] (or its inverse), then the rest."""
+    if invert:
+        v, rho = _inverse_values(maps[0], m), -maps[0].rho
+    else:
+        v, rho = maps[0].displacement_values(m), maps[0].rho
+    for p in maps[1:]:
+        if p.live_degree:
+            v = tuple(a + b for a, b in zip(v, _eval_displaced(p.displacement, rho, v, m)))
+        rho = rho + p.rho
+    return v, rho
+
+
+def _chain(maps, target: int, invert: bool = False) -> TorusMapLift:
+    """The `_walk` of maps on one grid, projected once at `target`.
 
     Each component keeps the band L = min(its live degree, target), its
     largest l1 shell above `_CHAIN_TAIL` on the walk's grid, in the box of
     `target`.  Only modes at |k| >= m - L alias into the kept band, so the
     walk starts on the smallest grid that resolves every map and samples
-    min(target, sum of the live degrees) twice over.  The grid is accepted
-    when it samples each L twice over and no coefficient beyond it is above
-    `_CHAIN_TAIL`; until then it is doubled, up to `_grid`.
+    min(target, sum of the live degrees) twice over, an inverted first map
+    (not band-limited) counted at `target`.  It is accepted when it samples
+    each L twice over and no coefficient beyond L is above `_CHAIN_TAIL`, and
+    is doubled until then, up to `_grid`.
     """
     ceiling = _grid(target, maps)
     live = [p.live_degree for p in maps]
+    if invert:
+        live[0] = target
     m = _round4(max(2 * (min(target, sum(live)) + 1), *(2 * d + 2 for d in live)))
     while True:
-        v, rho = maps[0].displacement_values(m), maps[0].rho
-        for p in maps[1:]:
-            v = tuple(a + b for a, b in zip(v, _eval_displaced(p.displacement, rho, v, m)))
-            rho = rho + p.rho
+        v, rho = _walk(maps, m, invert)
         spec = [np.fft.fftn(a) / a.size for a in v]
         bands = [min(_live_degree(c), target) for c in spec]
         if m >= ceiling or all(
@@ -729,99 +772,50 @@ def compose(g: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) 
     return _chain((f, g), target)
 
 
-def _composed_terms(a: TorusMapLift, b: TorusMapLift, m: int) -> list:
-    """Per component, the summands of a(b(x)) - x over the m-point grid.
-
-    Displacements of rotations are zero and are not sampled.
-    """
-    v = b.displacement_values(m) if b.degree else (np.zeros((m,) * b.dim),) * b.dim
-    av = _eval_displaced(a.displacement, b.rho, v, m) if a.degree else None
-    return [
-        [b.rho[i], v[i], a.rho[i]] + ([av[i]] if u.degree else [])
-        for i, u in enumerate(a.displacement)
-    ]
-
-
 def _composition_defect(a, b, c, d, m: int | None = None) -> float:
     """Sup over a grid of |a(b(x)) - c(d(x))|, max over components.
 
     The grid defaults to the sampling grid of the largest degree among the
-    four maps.  The left side is summed first and the right side's terms are
-    then subtracted one at a time, so zero terms (the identity, the
-    translation of a zero-mean corrector) change no bits of the defect.
+    four maps.  Each side is one `_walk`; their displacements and their
+    translations are differenced apart, so no small defect is rounded
+    against a translation of size 1.
     """
     if m is None:
         m = sampling_grid(max(a.degree, b.degree, c.degree, d.degree, 1))
-    worst = 0.0
-    for left, right in zip(_composed_terms(a, b, m), _composed_terms(c, d, m)):
-        defect = sum(left)
-        for term in right:
-            defect = defect - term
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return worst
+    (left, lrho), (right, rrho) = _walk((b, a), m), _walk((d, c), m)
+    return max(float(np.max(np.abs((x - y) + (p - q)))) for x, y, p, q in zip(left, right, lrho, rrho))
 
 
 def invert_near_identity(phi: TorusMapLift) -> TorusMapLift:
     """Invert a lift that is a small perturbation of a translation.
 
-    Runs the fixed-point iteration w <- -u(y - rho + w) on a grid sized by
-    phi's live degree and projects w at its largest live shell
-    (`_live_degree`), within the band the grid samples four times over.  Both
-    composition residuals decide, at `_INVERT_TOL`, on a grid no coarser than
-    the one phi's box degree sets; while one fails the grid doubles, up to a
-    last grid, and the sweeps restart from the projected fields.  Raises
-    NotContractive on a displacement too steep to contract, NoConvergence
-    when residuals fail.
+    The inverted `_chain` of phi alone at four times phi's live degree (at
+    least 64), each component cut to its live shell.  Both composition
+    residuals, the second once the first passes, must be within `_INVERT_TOL`
+    on a grid no coarser than the box degrees set (else NoConvergence, as for
+    sweeps that stop short; NotContractive for a displacement too steep).
     """
-    d = phi.dim
-    if phi.jacobian_sup() >= 0.5:
-        raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
-    m = _grid(max(phi.live_degree, 4), (phi,))
-    last = _grid(max(4 * max(phi.live_degree, 4), 64), (phi,))
-    check = _grid(max(phi.degree, 4), (phi,))
-    shift = -phi.rho
-    ident = TorusMapLift.identity(d)
-    w = tuple(np.zeros((m,) * d) for _ in range(d))
-    while True:
-        best, stagnant = math.inf, 0
-        for _ in range(_INVERT_SWEEPS):
-            uvals = _eval_displaced(phi.displacement, shift, w, m)
-            defect = max(float(np.max(np.abs(w[i] + uvals[i]))) for i in range(d))
-            w = tuple(-uvals[i] for i in range(d))
-            if defect <= 0.2 * _INVERT_TOL:
-                break
-            if defect >= 0.9 * best:
-                stagnant += 1
-                if stagnant >= 5:
-                    break
-            else:
-                stagnant = 0
-            best = min(best, defect)
-        spec = (np.fft.fftn(a) / a.size for a in w)  # one spectrum alive at a time
-        fields = tuple(_project(c, min(_live_degree(c), (m - 4) // 4)) for c in spec)
-        psi = TorusMapLift(shift, fields)
-        residual = _composition_defect(phi, psi, ident, ident, max(m, check))
-        if residual <= _INVERT_TOL:  # the second residual decides only when the first passes
-            residual = max(residual, _composition_defect(psi, phi, ident, ident, max(m, check)))
-            if residual <= _INVERT_TOL:
-                return psi
-        if m >= last:
-            raise NoConvergence(
-                f"inverse residual {residual:.3e} above tolerance {_INVERT_TOL:.1e} at degree {psi.degree}"
-            )
-        m = min(2 * m, last)
-        # psi.displacement has lost its means to rho; the fields keep them
-        w = tuple(value_grid(u, m) for u in fields)
+    psi = _chain((phi,), max(4 * max(phi.live_degree, 4), 64), invert=True)
+    psi = TorusMapLift(psi.rho, tuple(truncate(u, u.live_degree) for u in psi.displacement))
+    m = _grid(max(phi.degree, psi.degree, 4), (phi, psi))
+    ident = TorusMapLift.identity(phi.dim)
+    residual = _composition_defect(phi, psi, ident, ident, m)
+    if residual <= _INVERT_TOL:
+        residual = max(residual, _composition_defect(psi, phi, ident, ident, m))
+        if residual <= _INVERT_TOL:
+            return psi
+    raise NoConvergence(f"inverse residual {residual:.3e} above tolerance {_INVERT_TOL:.1e}")
 
 
 def conjugate(phi: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:
     """Push f forward by phi: the inverse of phi, then f, then phi on top.
 
-    The three maps are chained pointwise on a single oversampled grid and the
-    result is projected once at `target_degree` (default: the larger of the
-    two degrees), so no intermediate truncation error is introduced.
+    One `_chain` walk on one oversampled grid solves the inverse at its own
+    points (`_inverse_values`) and builds no inverse field.  The result is
+    projected once at `target_degree` (default: the larger of the two
+    degrees), so no intermediate truncation error is introduced.
     """
     if phi.dim != f.dim:
         raise ValueError("dimension mismatch")
     target = max(f.degree, phi.degree) if target_degree is None else int(target_degree)
-    return _chain((invert_near_identity(phi), f, phi), target)
+    return _chain((phi, f, phi), target, invert=True)

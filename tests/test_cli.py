@@ -108,6 +108,18 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "error: invalid map document: missing key 'rho'" in capsys.readouterr().err
 
+    def test_oversized_map_box_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"schema_version": 1, "kind": "torus_map", "dim": 2, "degree": 1000000,
+             "rho": [0.4, 0.7], "coeffs": [[[[0, 1], 0.0, -0.005]], [[[1, 0], 0.0, -0.005]]]}
+        ))
+        cfg = write_config(
+            tmp_path / "cfg.json", alpha=["sqrt2-1", "sqrt3-1"], initial_map={"file": str(path)}
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "error: invalid map document: degree 1000000" in capsys.readouterr().err
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

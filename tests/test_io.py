@@ -313,6 +313,23 @@ class TestMalformedDocs:
         with pytest.raises(ConfigError, match="invalid field document: missing key 'coeffs'"):
             field_from_doc(doc)
 
+    # the first degree past the 2**24-coefficient box in each dimension, and negative ones
+    @pytest.mark.parametrize("dim, degree", [(1, 2 ** 23), (2, 2048), (2, 10 ** 6), (1, -1), (2, -3)])
+    def test_box_is_checked_before_it_is_allocated(self, dim, degree):
+        doc = map_to_doc(seeded_map(dim, 144))
+        doc["degree"] = degree
+        match = f"degree {degree} is negative or gives a box of more than 2\\*\\*24"
+        with pytest.raises(ConfigError, match=f"invalid map document: {match}"):
+            map_from_doc(doc)
+        chain = chain_to_doc([], [GOLDEN, 0.3][:dim])
+        chain["steps"] = [doc]
+        with pytest.raises(ConfigError, match=f"invalid map document: {match}"):
+            chain_from_doc(chain)
+        field = field_to_doc(seeded_field(dim, 3, 1.0, seed=146))
+        field["degree"] = degree
+        with pytest.raises(ConfigError, match=f"invalid field document: {match}"):
+            field_from_doc(field)
+
     def test_chain_keys(self):
         doc = chain_to_doc([seeded_map(1, 143)], [GOLDEN])
         doc["alpha"] = GOLDEN

@@ -73,7 +73,12 @@ class TestStep:
         f_next, phi, _ = step(f, golden_vector, 12, StepConfig(smallness_c=1e-8))
         assert _composition_defect(f_next, phi, phi, f) < 1e-9
 
-    def test_conjugacy_residual_small_2d(self, pair_vector):
+    def test_conjugacy_residual_small_2d(self, pair_vector, monkeypatch):
+        def refuse(phi):
+            raise AssertionError("the pushforward solves its inverse pointwise")
+
+        # the step builds no inverse field
+        monkeypatch.setattr(spectral, "invert_near_identity", refuse)
         f = perturbed_rotation(pair_vector.alpha, 1e-3, seed=72, degree=2)
         f_next, phi, _ = step(f, pair_vector, 8, StepConfig(smallness_c=1e-12))
         assert _composition_defect(f_next, phi, phi, f) < 1e-9

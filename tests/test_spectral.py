@@ -660,34 +660,39 @@ class TestInvert:
             invert_near_identity(phi)
 
     def test_no_convergence_when_degree_capped(self, monkeypatch):
-        # one sweep per round: the last grid, and so the degree cap, is reached unconverged
+        # one sweep: the sweeps stop with their defect above the tolerance
         monkeypatch.setattr(spectral, "_INVERT_SWEEPS", 1)
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.07),))
         with pytest.raises(NoConvergence):
             invert_near_identity(phi)
 
     def test_failing_first_residual_skips_the_second(self, monkeypatch):
-        calls = []
+        calls, spoil = [], []
 
         def counted(*maps):
             calls.append(maps)
-            return _composition_defect(*maps)
+            return _composition_defect(*maps) + sum(spoil)
 
         monkeypatch.setattr(spectral, "_composition_defect", counted)
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.07),))
         with monkeypatch.context() as capped:
             capped.setattr(spectral, "_INVERT_SWEEPS", 1)
-            with pytest.raises(NoConvergence, match="above tolerance") as info:
+            with pytest.raises(NoConvergence, match="inverse defect .* above tolerance") as info:
                 invert_near_identity(phi)
-        # one failing first residual per round, each grid doubled up to the last
-        assert [c[0] is phi for c in calls] == [True] * len(calls)
-        assert [c[4] for c in calls] == [20, 40, 80, 160, 260]
+        # one sweep: the sweeps' own defect refuses before any residual is taken
+        assert calls == []
         assert float(str(info.value).split()[2]) > spectral._INVERT_TOL
+        psi = invert_near_identity(phi)
+        # the passing first residual is followed by the second, on the same grid
+        assert [(c[0], c[1]) for c in calls] == [(phi, psi), (psi, phi)]
+        assert calls[0][4] == calls[1][4] >= _grid(max(phi.degree, psi.degree, 4), (phi, psi))
         calls.clear()
-        invert_near_identity(phi)
-        # each failing first residual stands alone; the passing one is followed by the second
-        assert [c[0] is phi for c in calls] == [True] * (len(calls) - 1) + [False]
-        assert calls[-1][1] is phi
+        spoil.append(1.0)
+        with pytest.raises(NoConvergence, match="inverse residual .* above tolerance") as info:
+            invert_near_identity(phi)
+        # a failing first residual stands alone
+        assert len(calls) == 1 and calls[0][0] is phi
+        assert float(str(info.value).split()[2]) > spectral._INVERT_TOL
 
     def test_inverse_2d(self):
         u = (seeded_field(2, 2, 0.02, seed=30), seeded_field(2, 2, 0.02, seed=31))
@@ -712,24 +717,18 @@ class TestInvert:
             outer = np.abs(u.coeffs[spectral._l1_radii(u.dim, u.degree) == u.degree])
             assert np.max(outer) > spectral._CHAIN_TAIL
 
-    def test_warm_start_last_round(self, monkeypatch):
-        # a degree-8 2D corrector whose inverse takes rounds on 36, 72 and 144 points
-        u = (seeded_field(2, 8, 0.001, 50, decay=1.0), seeded_field(2, 8, 0.001, 51, decay=1.0))
-        phi = TorusMapLift(np.array([0.1, -0.2]), u)
-        calls = []
-        kernel = spectral._eval_displaced
-
-        def counted(fields, shift, v, m):
-            calls.append((m, fields is phi.displacement))
-            return kernel(fields, shift, v, m)
-
-        monkeypatch.setattr(spectral, "_eval_displaced", counted)
-        invert_near_identity(phi)
-        assert sorted({m for m, _ in calls}) == [36, 72, 144]
-        last = [own for m, own in calls if m == 144]
-        # seeded with the last round's fields, means included: at most two sweeps
-        # and r1 evaluate the corrector, then r2 evaluates the inverse
-        assert last.count(True) <= 3 and last[-1] is False and last.count(False) == 1
+    @pytest.mark.parametrize("case", sorted(_INVERT_CASES))
+    def test_inverse_values_meet_the_tolerance_on_the_grid(self, case):
+        phi = TorusMapLift(*_INVERT_CASES[case])
+        m = 12
+        w = spectral._inverse_values(phi, m)
+        y = np.stack(np.meshgrid(*[np.arange(m) / m] * phi.dim, indexing="ij")).reshape(phi.dim, -1)
+        x = y - phi.rho[:, None] + np.stack([a.ravel() for a in w])
+        # the pointwise certificate: phi(x) = y at every grid point
+        defect = x + phi.rho[:, None] + np.array([eval_oracle(u, x) for u in phi.displacement]) - y
+        assert np.max(np.abs(defect)) <= spectral._INVERT_TOL
+        for j in range(0, y.shape[1], 7):
+            assert np.max(np.abs(x[:, j] - _oracle_inverse(phi, y[:, j]))) <= spectral._INVERT_TOL
 
 
 class TestConjugate:
@@ -746,6 +745,25 @@ class TestConjugate:
         g = conjugate(t, f)
         x = np.linspace(0, 1, 9, endpoint=False)
         assert np.allclose(g(x), f(x - 0.37) + 0.37, atol=1e-12)
+
+    @pytest.mark.parametrize("case, target", [("1d", 48), ("2d", 40)])
+    def test_matches_naive_pushforward_off_grid(self, case, target):
+        phi = TorusMapLift(*_INVERT_CASES[case])
+        d = phi.dim
+        rho = np.array([GOLDEN] if d == 1 else PAIR_2D)
+        f = TorusMapLift(rho, tuple(seeded_field(d, 2, 0.01, seed=80 + i) for i in range(d)))
+        g = conjugate(phi, f, target_degree=target)
+        for y in np.random.default_rng(35).random((5, d)):
+            want = _oracle_map(phi, _oracle_map(f, _oracle_inverse(phi, y)))
+            assert np.max(np.abs(_oracle_map(g, y) - want)) <= 1e-12
+
+    def test_refuses_what_the_inverse_refuses(self, monkeypatch):
+        f = TorusMapLift(np.array([GOLDEN]), (sin_field(0.02),))
+        with pytest.raises(NotContractive):
+            conjugate(TorusMapLift(np.array([0.0]), (sin_field(0.1),)), f)
+        monkeypatch.setattr(spectral, "_INVERT_SWEEPS", 1)
+        with pytest.raises(NoConvergence, match="inverse defect"):
+            conjugate(TorusMapLift(np.array([0.0]), (sin_field(0.07),)), f)
 
     def test_round_trip_recovers_rotation(self):
         h = TorusMapLift(np.array([0.0]), (sin_field(0.01),))
