@@ -89,7 +89,9 @@ def small_divisor(vec: DiophantineVector, k) -> float:
 
 def _worst(alpha: np.ndarray, tau: float, radius: int):
     k = _ball(alpha.size, radius)
-    dots = k @ alpha
+    # one product per axis, summed in order: a BLAS kernel may fuse
+    # k1*a1 + k2*a2, and near a resonance that last bit is ~1e-11 of the distance
+    dots = (k * alpha).sum(axis=1)
     dist = _dist_to_integers(dots)
     ratio = dist * (np.abs(k).sum(axis=1).astype(float) ** tau)
     i = int(np.argmin(ratio))

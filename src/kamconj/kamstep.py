@@ -124,7 +124,7 @@ def _posteriori(f_next, values, vec, c_post, tol_abs) -> PosterioriReport:
     drift_norm = float(np.linalg.norm(drift))
     eps0 = _sup(values)
     bound = c_post * eps0
-    hull = convex_hull(np.stack([a + v.ravel() for v, a in zip(values, drift)], axis=1))
+    points = np.stack([a + v.ravel() for v, a in zip(values, drift)], axis=1)
     hull_tol = tol_abs + 1e-13 + 1e-9 * eps0
     return PosterioriReport(
         drift=drift,
@@ -132,8 +132,24 @@ def _posteriori(f_next, values, vec, c_post, tol_abs) -> PosterioriReport:
         eps0=eps0,
         bound=bound,
         drift_ok=bool(drift_norm <= bound + tol_abs),
-        hull_ok=hull_contains(hull, np.zeros(f_next.dim), hull_tol),
+        hull_ok=_origin_in_hull(points, hull_tol),
     )
+
+
+def _origin_in_hull(points: np.ndarray, tol: float) -> bool:
+    """`hull_contains(convex_hull(points), 0, tol)`, without the hull when the answer is plain.
+
+    In 2D, finite points with one strictly inside each open quadrant put the
+    origin strictly inside the hull of those four: no line through the
+    origin has all four on one side.
+    """
+    if points.shape[1] == 2 and np.all(np.isfinite(points)):
+        x, y = points[:, 0], points[:, 1]
+        right, up = x > 0, y > 0
+        left, down = x < 0, y < 0
+        if all(np.any(a & b) for a, b in ((right, up), (left, up), (left, down), (right, down))):
+            return True
+    return hull_contains(convex_hull(points), np.zeros(points.shape[1]), tol)
 
 
 def step(

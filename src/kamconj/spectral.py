@@ -9,7 +9,9 @@ The box degree N is the nominal band, the one a schedule or caller asked
 for, and the check grids (norms, hulls, Jacobians, verification) follow it.
 The live degree is the largest l1 shell holding a nonzero coefficient; the
 evaluation kernels and the grids of the map chain (the inverse's sweeps
-included) follow that, since the box past it is exactly zero.
+included) follow that, since the box past it is exactly zero.  The chain
+sizes its first grid by how far the maps' spectra reach before they decay
+to its tail (`_reach`).
 """
 
 from __future__ import annotations
@@ -188,6 +190,27 @@ class PeriodicField:
     def live_degree(self) -> int:
         """Largest l1 radius of a nonzero coefficient (0 for a constant field)."""
         return int(np.max(_l1_radii(self.dim, self.degree), where=self.coeffs != 0, initial=0))
+
+    @cached_property
+    def _reach(self) -> float:
+        """The l1 shell by which the spectrum's geometric decay falls to `_CHAIN_TAIL`.
+
+        Read from the live shell L (largest |c| there: top) and the shell
+        L - j, j = min(4, L) (largest |c|: low): L when top is at most the
+        tail, inf when no decay shows (low <= top), else L plus the shells
+        that the ratio (top/low)^(1/j) per shell takes from top to the tail.
+        """
+        deg = self.live_degree
+        c, radii = np.abs(self._embed(deg)), _l1_radii(self.dim, deg)
+        j = min(4, deg)
+        top = float(np.max(c, where=radii == deg, initial=0.0))
+        low = float(np.max(c, where=radii == deg - j, initial=0.0))
+        if top <= _CHAIN_TAIL:
+            return deg
+        if low <= top:
+            return math.inf
+        # top / tail in logs: it passes the float maximum for top above ~1e292
+        return deg + math.ceil((math.log(top) - math.log(_CHAIN_TAIL)) * j / math.log(low / top))
 
     def _embed(self, degree: int) -> np.ndarray:
         """The coefficients in the box [-degree, degree]^d, which must hold the live shell."""
@@ -684,13 +707,11 @@ def _grid(target: int, maps) -> int:
 def _inverse_values(phi: TorusMapLift, m: int) -> tuple:
     """The displacement w of phi's inverse at each point y of the m-point grid.
 
-    Past the Jacobian gate (else NotContractive) the sweeps w <- -u(y - rho + w)
-    contract with rate under 1/2, so w is within its last measured defect of
-    the exact value; that defect must be within `_INVERT_TOL` at every point
-    (else NoConvergence).
+    phi must pass the Jacobian gate of `_chain`; then the sweeps
+    w <- -u(y - rho + w) contract with rate under 1/2, so w is within its last
+    measured defect of the exact value.  That defect must be within
+    `_INVERT_TOL` at every point (else NoConvergence).
     """
-    if phi.jacobian_sup() >= 0.5:
-        raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
     shift = -phi.rho
     w = tuple(np.zeros((m,) * phi.dim) for _ in range(phi.dim))
     best, stagnant = math.inf, 0
@@ -732,16 +753,23 @@ def _chain(maps, target: int, invert: bool = False) -> TorusMapLift:
     largest l1 shell above `_CHAIN_TAIL` on the walk's grid, in the box of
     `target`.  Only modes at |k| >= m - L alias into the kept band, so the
     walk starts on the smallest grid that resolves every map and samples
-    min(target, sum of the live degrees) twice over, an inverted first map
-    (not band-limited) counted at `target`.  It is accepted when it samples
-    each L twice over and no coefficient beyond L is above `_CHAIN_TAIL`, and
-    is doubled until then, up to `_grid`.
+    min(target, R + 1) twice over, R being the largest `_reach` among the
+    maps' components (an inverted first map read from its own), and no more
+    than the sum of the live degrees when nothing is inverted.  It is
+    accepted when it samples each L twice over and no coefficient beyond L
+    is above `_CHAIN_TAIL`, and is doubled until then, up to `_grid`.  An
+    inverting chain refuses a first map whose Jacobian reaches 1/2
+    (NotContractive) once, before it walks.
     """
+    if invert and maps[0].jacobian_sup() >= 0.5:
+        raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
     ceiling = _grid(target, maps)
     live = [p.live_degree for p in maps]
-    if invert:
-        live[0] = target
-    m = _round4(max(2 * (min(target, sum(live)) + 1), *(2 * d + 2 for d in live)))
+    reach = max(u._reach for p in maps for u in p.displacement)
+    band = min(target, reach + 1)
+    if not invert:  # a chain without inverse is band-limited at its summed live degrees
+        band = min(band, sum(live))
+    m = _round4(max(2 * (band + 1), *(2 * d + 2 for d in live)))
     while True:
         v, rho = _walk(maps, m, invert)
         spec = [np.fft.fftn(a) / a.size for a in v]

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kamconj import (
     InsufficientData,
@@ -17,6 +19,8 @@ from kamconj import (
     conjugate,
     deviation_norm,
     error_model_constants,
+    convex_hull,
+    hull_contains,
     posteriori_check,
     rebase,
     step,
@@ -189,6 +193,65 @@ class TestPosteriori:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="finite"):
             posteriori_check(f, golden_vector)
         assert issubclass(NonFinite, KamError)
+
+
+def _full_hull_verdict(points, tol) -> bool:
+    return hull_contains(convex_hull(points), np.zeros(points.shape[1]), tol)
+
+
+_HULL_TOLS = st.sampled_from([1e-13, 1e-11, 1e-9, 1e-6])
+_COORD = st.one_of(st.integers(-2, 2).map(float), st.floats(-1.0, 1.0))
+
+
+class TestQuadrantAccept:
+    """The step's hull test accepts a point in each open quadrant without building the hull."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40), _HULL_TOLS)
+    def test_matches_full_hull(self, points, tol):
+        pts = np.array(points, dtype=float)
+        assert kamstep._origin_in_hull(pts, tol) == _full_hull_verdict(pts, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 2.0 * math.pi),
+        st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+        st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=30),
+        _HULL_TOLS,
+    )
+    def test_matches_full_hull_near_an_edge(self, angle, offset, points, tol):
+        # a hull edge on the line at signed distance offset * tol from the origin,
+        # every point on the far side of it, turned by the angle
+        local = np.array([[-0.5, 0.0], [0.5, 0.0]] + points) + [0.0, offset * tol]
+        turn = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        pts = local @ turn.T
+        assert kamstep._origin_in_hull(pts, tol) == _full_hull_verdict(pts, tol)
+
+    def test_each_quadrant_is_needed(self):
+        corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        assert kamstep._origin_in_hull(corners, 1e-13)
+        for i in range(4):
+            # the rest, plus the missing corner moved onto an axis: the hull decides
+            for moved in (corners[i] * [1.0, 0.0], corners[i] * [0.0, 1.0], -corners[i]):
+                pts = np.vstack([np.delete(corners, i, axis=0), moved])
+                assert kamstep._origin_in_hull(pts, 1e-13) == _full_hull_verdict(pts, 1e-13)
+        assert not kamstep._origin_in_hull(corners + [2.5, 0.0], 1e-13)
+        # three quadrants filled, the origin below the edge from (-1, -0.1) to (3, 1)
+        assert not kamstep._origin_in_hull(np.array([[3.0, 1.0], [-1.0, 1.0], [-1.0, -0.1]]), 1e-13)
+
+    def test_non_finite_points_still_raise(self):
+        corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [np.nan, 0.5]])
+        with pytest.raises(NonFinite):
+            kamstep._origin_in_hull(corners, 1e-13)
+
+    def test_2d_step_builds_no_hull(self, pair_vector, monkeypatch):
+        def refuse(points):
+            raise AssertionError("hull built")
+
+        monkeypatch.setattr(kamstep, "convex_hull", refuse)
+        f = perturbed_rotation(pair_vector.alpha, 1e-3, seed=72, degree=2)
+        _, _, diag = step(f, pair_vector, 8, StepConfig(smallness_c=1e-12))
+        assert diag.hull_ok
 
 
 class TestErrorModel:

@@ -22,6 +22,7 @@ from kamconj import (
     eval_at_points,
     field_from_grid,
     invert_near_identity,
+    make_test_map,
     rebase,
     sampling_grid,
     truncate,
@@ -558,11 +559,12 @@ class TestChainGrid:
         # like the criterion-4 change of variables: degree 2, C0 size 0.01
         h = TorusMapLift(np.zeros(2), (seeded_field(2, 2, 0.01, 44), seeded_field(2, 2, 0.01, 45)))
         rotation = TorusMapLift.rotation(PAIR_2D)
-        psi = invert_near_identity(h)
         seen = _tail_reads(monkeypatch)
         small = conjugate(h, rotation, target_degree=24)
-        # the walk starts on the grid that samples the maps' summed live degrees twice over
-        start = _round4(2 * (min(24, psi.live_degree + h.live_degree) + 1))
+        # a degree-2 component shows no decay (its shell 0 is empty): the walk
+        # starts on the grid that samples the target twice over
+        assert all(u._reach == math.inf for u in h.displacement)
+        start = _round4(2 * (24 + 1))
         assert [m for m, _ in seen] == [start, start] and start < _grid(24, (h,))
         assert all(top <= spectral._CHAIN_TAIL for _, top in seen)
         monkeypatch.setattr(spectral, "_CHAIN_TAIL", -1.0)  # always widen: the oversample-4 grid
@@ -570,6 +572,93 @@ class TestChainGrid:
         assert np.array_equal(small.rho, wide.rho)
         for a, b in zip(small.displacement, wide.displacement):
             assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15
+
+
+def _geometric(dim: int, degree: int, ratio: float) -> PeriodicField:
+    """The field with c_k = ratio^|k|_1 for 0 < |k|_1 <= degree."""
+    if dim == 1:
+        return PeriodicField.from_entries(1, degree, [((k,), ratio ** k) for k in range(1, degree + 1)])
+    half = [(k1, k2) for k1 in range(degree + 1) for k2 in range(-degree, degree + 1)
+            if 0 < k1 + abs(k2) <= degree and (k1 > 0 or k2 > 0)]
+    return PeriodicField.from_entries(2, degree, [(k, ratio ** (k[0] + abs(k[1]))) for k in half])
+
+
+class TestChainStart:
+    """The chain starts on the grid that samples its maps' spectral reach twice over."""
+
+    def test_reach_of_a_geometric_spectrum(self, monkeypatch):
+        # the shells fall by 0.3 each, and 0.3^31 is the first power at or below the tail
+        assert 0.3 ** 31 <= spectral._CHAIN_TAIL < 0.3 ** 30
+        assert _geometric(1, 10, 0.3)._reach == _geometric(2, 6, 0.3)._reach == 31
+        # below degree 4 the rate is read against shell 0, here a mean of 1
+        with_mean = PeriodicField.from_entries(1, 3, [((k,), 0.3 ** k) for k in range(4)])
+        assert with_mean._reach == 31
+        # scaled by 1e-3 the decay reaches the tail 6 shells sooner
+        phi = TorusMapLift(np.zeros(1), (_geometric(1, 10, 0.3) * 1e-3,))
+        assert phi.displacement[0]._reach == 25
+        seen = _tail_reads(monkeypatch)
+        conjugate(phi, TorusMapLift.rotation([GOLDEN]), target_degree=48)
+        assert seen[0][0] == _round4(2 * (25 + 1 + 1))
+        # a live shell already at or below the tail is the reach
+        tiny = PeriodicField.from_entries(1, 6, [((1,), 0.01), ((6,), 0.5 * spectral._CHAIN_TAIL)])
+        assert tiny._reach == 6
+        assert PeriodicField.zeros(2, 5)._reach == 0
+
+    def test_no_visible_decay_reaches_the_target(self, monkeypatch):
+        flat = PeriodicField.from_entries(1, 8, [((k,), 5e-4) for k in range(1, 9)])
+        rising = _geometric(1, 8, 1.1) * 1e-4
+        short = sin_field(0.01, k=3)  # shell 0, the mean, is empty
+        assert flat._reach == rising._reach == short._reach == math.inf
+        for u in (flat, rising, short):
+            seen = _tail_reads(monkeypatch)
+            conjugate(TorusMapLift(np.zeros(1), (u,)), TorusMapLift.rotation([GOLDEN]), target_degree=40)
+            assert seen[0][0] == _round4(2 * (40 + 1))
+            monkeypatch.undo()
+
+    def test_decayed_chain_is_accepted_on_its_first_grid(self, monkeypatch):
+        # like criterion 4's step-2 pushforward: a degree-12 corrector and map of
+        # C0 size 1e-3 whose shells fall by e^-1.5, pushed forward at target 48
+        fields = [seeded_field(2, 12, 1e-3, seed, decay=1.5) for seed in (90, 91, 92, 93)]
+        phi = TorusMapLift(np.zeros(2), tuple(fields[:2]))
+        f = TorusMapLift(np.array(PAIR_2D), tuple(fields[2:]))
+        target = 48
+        reach = max(u._reach for u in fields)
+        start = _round4(2 * (reach + 1 + 1))
+        assert start < _round4(2 * (target + 1))  # the target's start, which the reach undercuts
+        seen = _tail_reads(monkeypatch)
+        small = conjugate(phi, f, target_degree=target)
+        assert [m for m, _ in seen] == [start, start]
+        assert all(top <= spectral._CHAIN_TAIL for _, top in seen)
+        # the same chain on the `_grid` ceiling (every reach is cached by now, so
+        # the negative tail never enters a logarithm)
+        monkeypatch.setattr(spectral, "_CHAIN_TAIL", -1.0)
+        wide = conjugate(phi, f, target_degree=target)
+        assert np.max(np.abs(small.rho - wide.rho)) <= 1e-15
+        for a, b in zip(small.displacement, wide.displacement):
+            assert a.live_degree < target
+            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-15
+
+    def test_truncated_change_of_variables_starts_at_the_target(self, monkeypatch):
+        # the 1D set-up of `make_test_map`: a degree-3 change of variables
+        # pushes the rotation forward at target 16
+        seen = _tail_reads(monkeypatch)
+        make_test_map("conjugate", {"amplitude": 0.01}, [GOLDEN], seed=3)
+        assert seen[0][0] == _round4(2 * (16 + 1))
+
+    def test_jacobian_gate_runs_once_per_chain(self, monkeypatch):
+        gates, walks = [], []
+        jacobian_sup, walk = TorusMapLift.jacobian_sup, spectral._walk
+        monkeypatch.setattr(TorusMapLift, "jacobian_sup", lambda p: gates.append(p) or jacobian_sup(p))
+        monkeypatch.setattr(spectral, "_walk", lambda maps, m, invert=False: walks.append(m) or walk(maps, m, invert))
+        phi = TorusMapLift(np.array([0.0]), (sin_field(0.04) + cos_field(0.005, k=3),))
+        conjugate(phi, TorusMapLift.rotation([GOLDEN]), target_degree=16)
+        assert len(walks) > 1 and gates == [phi]  # the walk doubled; the gate ran once
+        gates.clear()
+        walks.clear()
+        steep = TorusMapLift(np.array([0.0]), (sin_field(0.1),))
+        with pytest.raises(NotContractive, match="displacement Jacobian reaches 1/2; refusing to invert"):
+            conjugate(steep, TorusMapLift.rotation([GOLDEN]))
+        assert gates == [steep] and walks == []
 
 
 def _chain_cases() -> dict:
