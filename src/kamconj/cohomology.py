@@ -75,7 +75,7 @@ def solve(f: PeriodicField, vec: DiophantineVector, cutoff: int) -> CohomologySo
     # part is taken here: the roundoff of the product is not Hermitian, and for
     # huge coefficients it can be as large as the residual itself
     res = phi.coeffs * div + rhs.coeffs
-    res_field = PeriodicField(rhs.dim, rhs.degree, 0.5 * res + 0.5 * np.conj(np.flip(res)))
+    res_field = PeriodicField._exact(rhs.dim, rhs.degree, 0.5 * res + 0.5 * np.conj(np.flip(res)))
     residual = cs_norm(res_field, 0, "grid")
     scale = max(cs_norm(f, 0, "grid"), 1e-300)
     if not (math.isfinite(residual) and math.isfinite(scale)):

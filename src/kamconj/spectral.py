@@ -3,7 +3,11 @@
 Coefficients live on the index box [-N, N]^d, but only the l1 ball
 |k|_1 <= N carries data; constructors zero the corners.  Fields are
 real-valued, so coefficient arrays are kept exactly Hermitian-symmetric.
-Dimensions 1 and 2 are supported.
+Dimensions 1 and 2 are supported.  A field is validated where its data is
+not yet known to be valid (the public constructor, the spectrum builders and
+the loaders on them, a projected FFT, the cohomological solver's division);
+exact operations on valid fields (negation, real scaling, addition, shift,
+derivative, truncation) only check that their result is finite.
 
 The box degree N is the nominal band, the one a schedule or caller asked
 for, and the check grids (norms, hulls, Jacobians, verification) follow it.
@@ -76,6 +80,13 @@ def _round4(m: int) -> int:
     return ((int(m) + 3) // 4) * 4
 
 
+def _real_scalar(scalar) -> float:
+    """A scalar as a float; one with an imaginary part would make a field complex."""
+    if abs(complex(scalar).imag) > 0:
+        raise ValueError("only real scalars keep the field real")
+    return float(np.real(scalar))
+
+
 def _frequency_array(dim: int, ks) -> np.ndarray:
     """Frequencies as an (n, dim) integer array; in 1D a frequency may be a scalar."""
     try:
@@ -124,9 +135,24 @@ class PeriodicField:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
+    def _exact(cls, dim: int, degree: int, coeffs: np.ndarray) -> "PeriodicField":
+        """The field over an array that an exact operation on valid fields has just built.
+
+        Takes ownership of `coeffs`, which is already an exactly Hermitian
+        complex box of the right shape, zero past the l1 ball.  Only
+        finiteness is checked, since an exact operation may still overflow.
+        """
+        if not np.all(np.isfinite(coeffs)):
+            raise NonFinite("coefficients must be finite")
+        coeffs.flags.writeable = False
+        f = object.__new__(cls)
+        f.__dict__.update(dim=dim, degree=degree, coeffs=coeffs)
+        return f
+
+    @classmethod
     def zeros(cls, dim: int, degree: int = 0) -> "PeriodicField":
         n = 2 * degree + 1
-        return cls(dim, degree, np.zeros((n,) * dim, dtype=np.complex128))
+        return cls._exact(dim, degree, np.zeros((n,) * dim, dtype=np.complex128))
 
     @classmethod
     def constant(cls, dim: int, value: float) -> "PeriodicField":
@@ -229,19 +255,19 @@ class PeriodicField:
     def __add__(self, other):
         if np.isscalar(other):
             c = self.coeffs.copy()
-            c[(self.degree,) * self.dim] += complex(other).real
-            return PeriodicField(self.dim, self.degree, c)
+            c[(self.degree,) * self.dim] += _real_scalar(other)
+            return PeriodicField._exact(self.dim, self.degree, c)
         if not isinstance(other, PeriodicField):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         deg = max(self.degree, other.degree)
-        return PeriodicField(self.dim, deg, self._embed(deg) + other._embed(deg))
+        return PeriodicField._exact(self.dim, deg, self._embed(deg) + other._embed(deg))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PeriodicField(self.dim, self.degree, -self.coeffs)
+        return PeriodicField._exact(self.dim, self.degree, -self.coeffs)
 
     def __sub__(self, other):
         if np.isscalar(other):
@@ -253,9 +279,7 @@ class PeriodicField:
     def __mul__(self, factor):
         if not np.isscalar(factor):
             return NotImplemented
-        if abs(complex(factor).imag) > 0:
-            raise ValueError("only real scalar factors keep the field real")
-        return PeriodicField(self.dim, self.degree, self.coeffs * float(np.real(factor)))
+        return PeriodicField._exact(self.dim, self.degree, self.coeffs * _real_scalar(factor))
 
     __rmul__ = __mul__
 
@@ -269,7 +293,7 @@ class PeriodicField:
             phase = np.exp(2j * np.pi * ax * delta[0])
         else:
             phase = np.exp(2j * np.pi * (ax[:, None] * delta[0] + ax[None, :] * delta[1]))
-        return PeriodicField(self.dim, self.degree, self.coeffs * phase)
+        return PeriodicField._exact(self.dim, self.degree, self.coeffs * phase)
 
     def derivative(self, order=1) -> "PeriodicField":
         """Partial derivative of the given multi-order (an int is accepted in 1D)."""
@@ -285,7 +309,7 @@ class PeriodicField:
             w = (2j * np.pi * ax) ** order[0]
         else:
             w = ((2j * np.pi * ax[:, None]) ** order[0]) * ((2j * np.pi * ax[None, :]) ** order[1])
-        return PeriodicField(self.dim, self.degree, self.coeffs * w)
+        return PeriodicField._exact(self.dim, self.degree, self.coeffs * w)
 
 
 def sampling_grid(degree: int) -> int:
@@ -349,11 +373,10 @@ def _project(spec: np.ndarray, degree: int, box: int | None = None) -> PeriodicF
     Its box is [-box, box]^d (default: the ball's own), zero past the ball.
     """
     ax = frequency_axis(degree) % spec.shape[0]
-    c = spec[ax] if spec.ndim == 1 else spec[np.ix_(ax, ax)]
+    f = PeriodicField(spec.ndim, degree, spec[ax] if spec.ndim == 1 else spec[np.ix_(ax, ax)])
     if box is not None and box > degree:
-        c = PeriodicField(spec.ndim, degree, c)._embed(box)
-        degree = box
-    return PeriodicField(spec.ndim, degree, c)
+        return PeriodicField._exact(spec.ndim, box, f._embed(box))
+    return f
 
 
 def _beyond(spec: np.ndarray, degree: int) -> float:
@@ -452,20 +475,19 @@ def truncate(f: PeriodicField, cutoff: int, mode: str = "inhomogeneous") -> Peri
     cutoff = int(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    radii = _l1_radii(f.dim, f.degree)
     if mode == "tail":
         c = f.coeffs.copy()
-        c[radii <= cutoff] = 0.0
-        return PeriodicField(f.dim, f.degree, c)
+        c[_l1_radii(f.dim, f.degree) <= cutoff] = 0.0
+        return PeriodicField._exact(f.dim, f.degree, c)
     if mode not in ("inhomogeneous", "homogeneous"):
         raise ValueError(f"unknown truncation mode {mode!r}")
-    c = f.coeffs.copy()
-    c[radii > cutoff] = 0.0
-    if mode == "homogeneous":
-        c[(f.degree,) * f.dim] = 0.0
     deg = min(f.degree, cutoff)
     lo, hi = f.degree - deg, f.degree + deg + 1
-    return PeriodicField(f.dim, deg, c[(slice(lo, hi),) * f.dim])
+    c = f.coeffs[(slice(lo, hi),) * f.dim].copy()
+    c[_l1_radii(f.dim, deg) > cutoff] = 0.0
+    if mode == "homogeneous":
+        c[(deg,) * f.dim] = 0.0
+    return PeriodicField._exact(f.dim, deg, c)
 
 
 def _multi_orders(dim: int, s: int) -> list:
@@ -506,7 +528,7 @@ def cs_norm(f: PeriodicField, s: float = 0, method: str = "grid") -> float:
     for o in _multi_orders(f.dim, int(s)):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                df = f.derivative(o)
+                df = f.derivative(o) if any(o) else f
         except NonFinite:  # a coefficient of the derivative, and so its sup, passes the float maximum
             return math.inf
         sups.append(np.max(np.abs(value_grid(df, m))))

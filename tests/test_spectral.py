@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kamconj import (
     AliasingRisk,
     NoConvergence,
+    NonFinite,
     NotContractive,
     PeriodicField,
     TorusMapLift,
@@ -176,6 +177,13 @@ class TestArithmetic:
     def test_complex_scalar_rejected(self):
         with pytest.raises(ValueError, match="real"):
             sin_field(1.0) * (1.0 + 1.0j)
+
+    @pytest.mark.parametrize("op", [lambda f: f + 2j, lambda f: 0.5j + f, lambda f: f - (1.0 + 1.0j)])
+    def test_complex_scalar_addition_rejected(self, op):
+        f = sin_field(1.0)
+        with pytest.raises(ValueError, match="real"):
+            op(f)
+        assert (f + (2.0 + 0.0j)).mean() == 2.0
 
 
 class TestEvaluation:
@@ -1050,3 +1058,79 @@ def test_fourier_norm_matches_direct_formula(f, s):
         direct = float(np.sum(np.maximum(1.0, 2.0 * np.pi * radii) ** s * np.abs(f.coeffs[nz])))
     if math.isfinite(direct):
         assert cs_norm(f, s, "fourier") == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def _field_in_box(dim: int, degree: int, live: int, mean: float, pairs) -> PeriodicField:
+    """A field in the box of `degree` whose entries lie on the l1 shells up to `live`."""
+    entries = {(0,) * dim: mean}
+    for k, v in pairs:
+        if 0 < sum(abs(x) for x in k) <= live:
+            entries[max(k, tuple(-x for x in k))] = v
+    return PeriodicField.from_entries(dim, degree, entries.items())
+
+
+# no subnormal part, and none from the products below: halving one is not exact
+_part = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+_away_from_zero = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-9)
+
+
+def _boxed_fields(dim: int):
+    return st.integers(0, 12).flatmap(
+        lambda deg: st.builds(
+            _field_in_box,
+            st.just(dim),
+            st.just(deg),
+            st.integers(0, deg),
+            _part,
+            st.lists(
+                st.tuples(st.lists(st.integers(-deg, deg), min_size=dim, max_size=dim).map(tuple),
+                          st.builds(complex, _part, _part)),
+                max_size=16,
+            ),
+        )
+    )
+
+
+def _assert_as_validated(g: PeriodicField) -> None:
+    """g's coefficients are read-only and those the public constructor makes of the same box.
+
+    Bit for bit up to the sign of a zero, which the constructor's
+    symmetrization may flip; adding +0 makes every zero positive.
+    """
+    assert not g.coeffs.flags.writeable
+    want = PeriodicField(g.dim, g.degree, g.coeffs)
+    assert (g.coeffs + 0j).tobytes() == (want.coeffs + 0j).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(_boxed_fields(d), _boxed_fields(d))),
+    st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-6),
+    st.lists(_away_from_zero, min_size=2, max_size=2),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(0, 13),
+)
+def test_exact_operations_build_validated_fields(fg, scalar, delta, order, cutoff):
+    f, g = fg
+    order = order[:1] if f.dim == 1 else order
+    cutoff %= f.degree + 2
+    for h in (-f, f * scalar, scalar * f, f + scalar, f - scalar, f + g, f - g,
+              f.shift(delta[:f.dim]), f.derivative(order), PeriodicField.zeros(f.dim, f.degree)):
+        _assert_as_validated(h)
+    for mode in ("inhomogeneous", "homogeneous", "tail"):
+        _assert_as_validated(truncate(f, cutoff, mode))
+    m = sampling_grid(f.degree)
+    spec = np.fft.fftn(value_grid(f, m)) / m ** f.dim
+    _assert_as_validated(spectral._project(spec, f.degree, f.degree + 3))
+
+
+def test_exact_operations_raise_on_overflow():
+    f = PeriodicField.from_entries(1, 2, [(2, 1e308)])
+    g = PeriodicField.from_entries(2, 2, [((1, 1), 1e308)])
+    with np.errstate(over="ignore"):
+        for overflow in (lambda: f.derivative(1), lambda: g.derivative((1, 0)), lambda: 2.0 * f,
+                         lambda: g * -4.0, lambda: f + f, lambda: g - (-g), lambda: (f + 1e308) + 1e308):
+            with pytest.raises(NonFinite):
+                overflow()
+    # in 1D: test_grid_norm_past_the_float_maximum
+    assert cs_norm(PeriodicField.from_entries(2, 2, [((1, 1), 4e307)]), 1) == math.inf
