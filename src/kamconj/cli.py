@@ -213,6 +213,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_rotation(args) -> int:
+    if min(args.samples, args.iters) < 1:
+        raise ConfigError(f"--samples and --iters must be at least 1, got {args.samples} and {args.iters}")
     f = kio.load_map(args.map_path)
     data = rotation_set_estimate(
         f, n_samples=args.samples, n_iter=args.iters, grid_resolution=args.resolution

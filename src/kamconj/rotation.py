@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite
-from .spectral import TorusMapLift, _mode_sum, _modes, sampling_grid
+from .spectral import TorusMapLift, _mode_scratch, _mode_sum, _modes, sampling_grid
 
 __all__ = [
     "Hull",
@@ -29,8 +29,6 @@ class Hull:
 
     def diameter(self) -> float:
         v = self.vertices
-        if len(v) == 1:
-            return 0.0
         if self.dim == 1:
             return float(v.max() - v.min())
         d = v[:, None, :] - v[None, :, :]
@@ -49,8 +47,7 @@ def convex_hull(points) -> Hull:
     dim = pts.shape[1]
     if dim == 1:
         lo, hi = float(pts.min()), float(pts.max())
-        verts = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
-        return Hull(1, verts)
+        return Hull(1, np.array([[lo]] if lo == hi else [[lo], [hi]]))
     if dim != 2:
         raise ValueError("only dimensions 1 and 2 are supported")
     return Hull(2, _monotone_chain(_drop_interior(pts)))
@@ -87,18 +84,20 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
 
 def _monotone_chain(points: np.ndarray) -> np.ndarray:
     """CCW hull vertices of the distinct points (Andrew's monotone chain)."""
-    uniq = np.unique(points, axis=0)
+    uniq = np.unique(points, axis=0)  # rows in lexicographic order
     if len(uniq) <= 2:
         return uniq
-    order = np.lexsort((uniq[:, 1], uniq[:, 0]))
-    p = uniq[order]
+    p = uniq.tolist()  # Python floats round as float64 scalars do, at a fraction of the cost
 
     def half(seq):
         out = []
-        for q in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], q) <= 0:
+        for qx, qy in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) > 0:
+                    break
                 out.pop()
-            out.append(q)
+            out.append((qx, qy))
         return out
 
     lower = half(p)
@@ -107,10 +106,6 @@ def _monotone_chain(points: np.ndarray) -> np.ndarray:
     if len(verts) < 3:  # all collinear: keep the extreme pair
         verts = np.array([lower[0], lower[-1]])
     return verts
-
-
-def _cross(o, a, b) -> float:
-    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
 
 
 def hull_contains(hull: Hull, point, tol: float = 0.0) -> bool:
@@ -125,10 +120,8 @@ def hull_contains(hull: Hull, point, tol: float = 0.0) -> bool:
     v = hull.vertices
     if hull.dim == 1:
         return bool(v.min() - tol <= p[0] <= v.max() + tol)
-    if len(v) == 1:
-        return bool(np.linalg.norm(p - v[0]) <= tol)
-    if len(v) == 2:
-        return _segment_distance(v[0], v[1], p) <= tol
+    if len(v) <= 2:
+        return bool(_segment_distance(v[0], v[-1], p) <= tol)
     e = np.roll(v, -1, axis=0) - v
     cross = e[:, 0] * (p[1] - v[:, 1]) - e[:, 1] * (p[0] - v[:, 0])
     # |b - a| from the same dot product as np.linalg.norm(b - a), which BLAS
@@ -146,37 +139,39 @@ def _segment_distance(a, b, p) -> float:
 
 def displacement_hull(f: TorusMapLift, resolution: int | None = None) -> Hull:
     """Hull of the one-step displacement f(x) - x sampled on a uniform grid."""
-    m = sampling_grid(f.degree) if resolution is None else int(resolution)
-    m = max(m, 2 * f.degree + 1)
-    vals = f.displacement_values(m)
-    pts = np.stack([f.rho[i] + vals[i].ravel() for i in range(f.dim)], axis=1)
+    m = max(sampling_grid(f.degree) if resolution is None else int(resolution), 2 * f.degree + 1)
+    pts = np.stack([r + v.ravel() for r, v in zip(f.rho, f.displacement_values(m))], axis=1)
     return convex_hull(pts)
+
+
+_WRAP_EVERY = 16  # iterates between two reductions of the orbits by their integer parts
 
 
 def _birkhoff_batch(f: TorusMapLift, starts: np.ndarray, n_iter: int) -> np.ndarray:
     """Displacement averages for a batch of orbits advanced in lockstep.
 
-    Summing displacements telescopes exactly to (lift^n(x0) - x0) / n while the
-    orbits themselves are kept reduced mod 1, so accuracy does not degrade with
-    the number of iterates.
+    The average is read off the lift, (lift^n(x0) - x0) / n: an iterate only
+    adds its displacement to x, and every `_WRAP_EVERY` iterates floor(x) moves
+    from x into a count of wraps, so phases are evaluated at |x| <= 1 +
+    _WRAP_EVERY * max|displacement| and no running sum of n displacements rounds.
     """
-    x = np.asarray(starts, dtype=float).reshape(-1, f.dim) % 1.0
+    if n_iter < 1:
+        raise ValueError("need at least one iterate")
+    x0 = np.asarray(starts, dtype=float).reshape(-1, f.dim) % 1.0
     modes = _modes(f.displacement, f.rho)
-    trig = np.ones((len(x), modes[1].shape[1]))
-    disp = np.empty_like(x)
-    total = np.zeros_like(x)
-    for _ in range(n_iter):
-        _mode_sum(modes, x, trig, disp)
-        total += disp
-        x += disp
-        x %= 1.0
-    return total / n_iter
+    scratch = _mode_scratch(modes, len(x0))
+    x, disp, wraps = x0.copy(), np.empty_like(x0), np.zeros_like(x0)
+    for done in range(0, n_iter, _WRAP_EVERY):
+        for _ in range(min(_WRAP_EVERY, n_iter - done)):
+            _mode_sum(modes, x, scratch, disp)
+            x += disp
+        wraps += np.floor(x)
+        x %= 1.0  # x - floor(x), bit for bit
+    return ((x - x0) + wraps) / n_iter
 
 
 def birkhoff_rotation(f: TorusMapLift, x0, n_iter: int) -> np.ndarray:
     """Average one-step displacement along the orbit of a single point."""
-    if n_iter < 1:
-        raise ValueError("need at least one iterate")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (f.dim,):
         raise ValueError("x0 must be a single point matching the map dimension")
@@ -202,8 +197,8 @@ def rotation_set_estimate(
     `n_samples` in 2D).  The rotation hull encloses the sampled averages; the
     displacement hull encloses it for any map and any horizon.
     """
-    if n_iter < 1:
-        raise ValueError("need at least one iterate")
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     if f.dim == 1:
         starts = (np.arange(n_samples) / n_samples)[:, None]
     else:

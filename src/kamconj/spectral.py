@@ -80,6 +80,10 @@ def _round4(m: int) -> int:
     return ((int(m) + 3) // 4) * 4
 
 
+def _is_number(x) -> bool:
+    return np.isscalar(x) and not isinstance(x, (str, bytes))  # np.isscalar("1") is true
+
+
 def _real_scalar(scalar) -> float:
     """A scalar as a float; one with an imaginary part would make a field complex."""
     if abs(complex(scalar).imag) > 0:
@@ -253,7 +257,7 @@ class PeriodicField:
         return box
 
     def __add__(self, other):
-        if np.isscalar(other):
+        if _is_number(other):
             c = self.coeffs.copy()
             c[(self.degree,) * self.dim] += _real_scalar(other)
             return PeriodicField._exact(self.dim, self.degree, c)
@@ -270,14 +274,10 @@ class PeriodicField:
         return PeriodicField._exact(self.dim, self.degree, -self.coeffs)
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            return self + (-other)
-        if not isinstance(other, PeriodicField):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if _is_number(other) or isinstance(other, PeriodicField) else NotImplemented
 
     def __mul__(self, factor):
-        if not np.isscalar(factor):
+        if not _is_number(factor):
             return NotImplemented
         return PeriodicField._exact(self.dim, self.degree, self.coeffs * _real_scalar(factor))
 
@@ -402,8 +402,8 @@ def _modes(fields, means) -> tuple:
 
     Keeps each frequency k whose first nonzero component is positive, where
     some field has a coefficient, as 2*pi*k of shape (dim, n).  The weights
-    have one row per field: 2 Re c_k, then -2 Im c_k, then the field's entry
-    of `means` in place of its own mean.
+    have one row per field, interleaved as exp(i theta) viewed as floats:
+    2 Re c_k, -2 Im c_k for each k, then the field's entry of `means`, 0.
     """
     deg = max(u.degree for u in fields)
     box = np.stack([u._embed(deg) for u in fields])
@@ -412,39 +412,42 @@ def _modes(fields, means) -> tuple:
     # in C order the entries after the centre are exactly the half spectrum
     idx = centre + 1 + np.flatnonzero(np.any(flat[:, centre + 1:] != 0, axis=0))
     k = np.array(np.unravel_index(idx, box.shape[1:])) - deg
-    c = flat[:, idx]
-    w = np.concatenate([2.0 * c.real, -2.0 * c.imag, np.asarray(means, dtype=float)[:, None]], axis=1)
+    c, w = flat[:, idx], np.zeros((len(fields), 2 * len(idx) + 2))
+    w[:, 0:-2:2], w[:, 1:-2:2], w[:, -2] = 2.0 * c.real, -2.0 * c.imag, means
     return 2.0 * np.pi * k, w
 
 
-def _mode_sum(modes: tuple, x: np.ndarray, trig: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _mode_scratch(modes: tuple, p: int) -> tuple:
+    """`_mode_sum`'s buffers at p points: two zeroed complex (p, n+1) arrays and views."""
+    phase, unit = np.zeros((2, p, modes[0].shape[1] + 1), dtype=np.complex128)
+    return phase.imag[:, :-1], phase, unit, unit.view(np.float64)
+
+
+def _mode_sum(modes: tuple, x: np.ndarray, scratch: tuple, out: np.ndarray) -> np.ndarray:
     """Values at points x of shape (p, dim) of the fields whose `_modes` are given, into out.
 
-    One phase theta = 2*pi k.x serves every field: the value is
-    [cos theta, sin theta, 1] . w.  `trig` is scratch of shape (p, 2n+1) whose
-    last column holds ones; out has shape (p, fields).  Both contractions run
-    point by point, without BLAS, so a point's value does not depend on the
-    other points in the batch.
+    One phase theta = 2*pi k.x serves every field; one complex exponential of
+    i theta (from `_mode_scratch`, real part 0) has a last column exp(0) = 1
+    that carries the mean, and the value is its float view [cos, sin, ..., 1, 0]
+    dotted with the weights.  Both contractions run point by point, without
+    BLAS, so a point's value does not depend on the other points in the batch.
     """
     k, w = modes
-    n = k.shape[1]
-    theta = trig[:, n:2 * n]
+    theta, phase, unit, unit_floats = scratch
     np.einsum("pd,dm->pm", x, k, out=theta)
-    np.cos(theta, out=trig[:, :n])
-    np.sin(theta, out=theta)
-    return np.einsum("pm,jm->pj", trig, w, out=out)
+    np.exp(phase, out=unit)
+    return np.einsum("pm,jm->pj", unit_floats, w, out=out)
 
 
 def _values(fields, means, x: np.ndarray) -> np.ndarray:
     """`_mode_sum` at points x of shape (p, dim), in blocks; shape (p, len(fields))."""
     modes = _modes(fields, means)
-    width = modes[1].shape[1]
     out = np.empty((len(x), len(fields)))
-    block = _BLOCK_ENTRIES // width + 1
-    trig = np.ones((min(block, len(x)), width))
+    block = _BLOCK_ENTRIES // modes[1].shape[1] + 1
+    scratch = _mode_scratch(modes, min(block, len(x)))
     for lo in range(0, len(x), block):
         xb = x[lo:lo + block]
-        _mode_sum(modes, xb, trig[:len(xb)], out[lo:lo + block])
+        _mode_sum(modes, xb, tuple(a[:len(xb)] for a in scratch), out[lo:lo + block])
     return out
 
 

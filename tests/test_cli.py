@@ -266,6 +266,15 @@ class TestRotationCommand:
         assert hull_csv.read_text().startswith("x1\n")
 
 
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-2"], ["--iters", "0"]])
+    def test_bad_counts_are_usage_errors(self, tmp_path, capsys, flags):
+        src = tmp_path / "map.json"
+        main(["make-map", "--kind", "conjugate", "--alpha", "sqrt2-1,sqrt3-1", "--seed", "0", "--out", str(src)])
+        capsys.readouterr()
+        assert main(["rotation", "--map", str(src), *flags]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestMakeMap:
     def test_conjugate_kind(self, tmp_path, capsys):
         out = tmp_path / "f.json"

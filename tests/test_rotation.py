@@ -18,7 +18,8 @@ from kamconj import (
     hull_contains,
     rotation_set_estimate,
 )
-from kamconj.rotation import Hull, _birkhoff_batch, _drop_interior, _monotone_chain
+from kamconj import rotation
+from kamconj.rotation import _WRAP_EVERY, Hull, _birkhoff_batch, _drop_interior, _monotone_chain
 
 from conftest import GOLDEN, PAIR_2D, eval_oracle, hull_contains_oracle, seeded_field
 
@@ -301,6 +302,16 @@ class TestDisplacementHull:
             assert hull_contains(hull, alpha + 0.999 * np.array(corner), tol=tol)
 
 
+def _oracle_average(f: TorusMapLift, x0: np.ndarray, n_iter: int) -> np.ndarray:
+    """Sequential orbit reduced mod 1 at every iterate, with a running sum of displacements."""
+    x, total = x0 % 1.0, np.zeros(f.dim)
+    for _ in range(n_iter):
+        disp = f.rho + np.array([eval_oracle(c, x) for c in f.displacement])
+        total += disp
+        x = (x + disp) % 1.0
+    return total / n_iter
+
+
 class TestBirkhoff:
     def test_rotation_average_is_exact(self):
         f = TorusMapLift.rotation([GOLDEN])
@@ -366,12 +377,67 @@ class TestBirkhoff:
         f = TorusMapLift(np.array([GOLDEN] if dim == 1 else PAIR_2D), u)
         starts = np.array([[0.1, 0.5], [0.9, 0.2], [0.33, 0.71]])[:, :dim]
         for x0, avg in zip(starts, _birkhoff_batch(f, starts, 30)):
-            x, total = x0.copy(), np.zeros(dim)
-            for _ in range(30):
-                disp = f.rho + np.array([eval_oracle(c, x) for c in u])
-                total += disp
-                x = (x + disp) % 1.0
-            assert np.max(np.abs(avg - total / 30)) < 1e-14
+            assert np.max(np.abs(avg - _oracle_average(f, x0, 30))) < 1e-14
+
+
+def _recorded_displacements(monkeypatch) -> list:
+    """Copies of every displacement array `_birkhoff_batch` computes, in order."""
+    seen = []
+    mode_sum = rotation._mode_sum
+
+    def record(modes, x, scratch, out):
+        result = mode_sum(modes, x, scratch, out)
+        seen.append(out.copy())
+        return result
+
+    monkeypatch.setattr(rotation, "_mode_sum", record)
+    return seen
+
+
+class TestLiftAverage:
+    """The average is read off the lift, with the orbits reduced every `_WRAP_EVERY` iterates."""
+
+    @pytest.mark.parametrize("n_iter", [1, _WRAP_EVERY - 1, _WRAP_EVERY, _WRAP_EVERY + 1, 2 * _WRAP_EVERY + 1])
+    @pytest.mark.parametrize("rho", [(GOLDEN,), (-GOLDEN,), PAIR_2D, (-0.7, 0.2)])
+    def test_matches_sequential_oracle(self, rho, n_iter):
+        dim = len(rho)
+        u = tuple(seeded_field(dim, 3, 0.02, seed=150 + i) for i in range(dim))
+        f = TorusMapLift(np.array(rho), u)
+        starts = np.array([[0.1, 0.5], [0.93, 0.02], [0.33, 0.71]])[:, :dim]
+        for x0, avg in zip(starts, _birkhoff_batch(f, starts, n_iter)):
+            assert np.max(np.abs(avg - _oracle_average(f, x0, n_iter))) < 1e-14
+
+    @pytest.mark.parametrize("rho", [PAIR_2D, (-0.7, 0.2)])
+    def test_average_equals_sum_of_realized_displacements(self, rho, monkeypatch):
+        # a running sum grows to n |rho| and rounds there; the lift rounds once
+        u = (seeded_field(2, 2, 0.01, seed=160), seeded_field(2, 2, 0.01, seed=161))
+        f = TorusMapLift(np.array(rho), u)
+        starts = np.random.default_rng(162).random((16, 2))
+        n = 10_000
+        seen = _recorded_displacements(monkeypatch)
+        avg = _birkhoff_batch(f, starts, n)
+        assert len(seen) == n
+        disp = np.stack(seen)
+        for i in range(len(starts)):
+            for j in range(2):
+                assert abs(avg[i, j] - math.fsum(disp[:, i, j]) / n) < 1e-15
+
+    @pytest.mark.parametrize("rho", [(GOLDEN,), (-2.3,), PAIR_2D, (-0.7, 0.2)])
+    def test_rigid_rotation_displacement_is_rho(self, rho, monkeypatch):
+        # the exp(0) = 1 column carries the mean bit for bit
+        f = TorusMapLift(np.array(rho), tuple(PeriodicField.zeros(len(rho), 3) for _ in rho))
+        starts = np.random.default_rng(163).random((5, len(rho)))
+        seen = _recorded_displacements(monkeypatch)
+        _birkhoff_batch(f, starts, 3 * _WRAP_EVERY + 2)
+        assert all(np.array_equal(d, np.broadcast_to(f.rho, d.shape)) for d in seen)
+
+    @pytest.mark.parametrize("n_iter", [1, _WRAP_EVERY, _WRAP_EVERY + 1, 10_000])
+    def test_rigid_rotation_average_is_exactly_rho(self, n_iter):
+        # dyadic rho and starts: every orbit point is exact, and so is the average
+        rho = np.array([0.375, -0.625])
+        starts = np.stack(np.meshgrid(np.arange(8) / 8, np.arange(4) / 4), axis=-1).reshape(-1, 2)
+        avg = _birkhoff_batch(TorusMapLift.rotation(rho), starts, n_iter)
+        assert np.array_equal(avg, np.broadcast_to(rho, avg.shape))
 
 
 class TestModeLockedMap:
@@ -430,3 +496,9 @@ class TestRotationSetEstimate:
     def test_n_iter_validation(self):
         with pytest.raises(ValueError, match="iterate"):
             rotation_set_estimate(TorusMapLift.rotation([0.1]), n_iter=0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n_samples", [0, -2])
+    def test_n_samples_validation(self, dim, n_samples):
+        with pytest.raises(ValueError, match="sample"):
+            rotation_set_estimate(TorusMapLift.rotation([0.1, 0.2][:dim]), n_samples=n_samples)

@@ -186,6 +186,17 @@ class TestArithmetic:
         assert (f + (2.0 + 0.0j)).mean() == 2.0
 
 
+    @pytest.mark.parametrize("text", ["1", b"1", np.str_("2")], ids=["str", "bytes", "np.str_"])
+    @pytest.mark.parametrize(
+        "op",
+        [lambda f, t: f + t, lambda f, t: t + f, lambda f, t: f - t, lambda f, t: f * t, lambda f, t: t * f],
+        ids=["add", "radd", "sub", "mul", "rmul"],
+    )
+    def test_text_is_not_a_number(self, op, text):
+        with pytest.raises(TypeError):
+            op(sin_field(1.0), text)
+
+
 class TestEvaluation:
     def test_value_grid_matches_oracle_1d(self):
         f = seeded_field(1, 5, 1.0, seed=7)
