@@ -27,15 +27,8 @@ def scan(resolution: int):
         for lam in lambdas:
             for nu in nus:
                 ok, _ = validate(sigma, lam, nu)
-                row = {
-                    "sigma": sigma,
-                    "lambda": lam,
-                    "nu": nu,
-                    "ok": int(ok),
-                    "mu_lo": "",
-                    "mu_hi": "",
-                    "omega0_max": "",
-                }
+                row = {"sigma": sigma, "lambda": lam, "nu": nu, "ok": int(ok),
+                       "mu_lo": "", "mu_hi": "", "omega0_max": ""}
                 if ok:
                     try:
                         lo, hi = mu_window(sigma, lam, nu)
@@ -54,6 +47,8 @@ def main(argv=None) -> int:
     parser.add_argument("--resolution", type=int, default=30)
     parser.add_argument("--csv", type=str, default=None)
     args = parser.parse_args(argv)
+    if args.resolution < 1:
+        parser.error("--resolution must be at least 1")
 
     rows = scan(args.resolution)
     feasible = [r for r in rows if r["ok"]]

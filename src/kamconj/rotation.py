@@ -40,6 +40,8 @@ def convex_hull(points) -> Hull:
 
     In 2D the points strictly inside an extreme-point polygon are dropped
     first; they are never hull vertices, so the vertices are the chain's own.
+    A pass over every fourth direction keeps that polygon's vertices, which
+    are extreme points, and thins the points the full pass then reads.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
@@ -50,7 +52,7 @@ def convex_hull(points) -> Hull:
         return Hull(1, np.array([[lo]] if lo == hi else [[lo], [hi]]))
     if dim != 2:
         raise ValueError("only dimensions 1 and 2 are supported")
-    return Hull(2, _monotone_chain(_drop_interior(pts)))
+    return Hull(2, _monotone_chain(_drop_interior(_drop_interior(pts, _FILTER_DIRECTIONS[::4]))))
 
 
 # Akl & Toussaint, Inf. Process. Lett. 7 (1978): the points extreme in these
@@ -60,8 +62,8 @@ _FILTER_DIRECTIONS = [
 ]
 
 
-def _drop_interior(pts: np.ndarray) -> np.ndarray:
-    """The 2D points that are not strictly inside the extreme-point polygon.
+def _drop_interior(pts: np.ndarray, directions: list = _FILTER_DIRECTIONS) -> np.ndarray:
+    """The 2D points not strictly inside the polygon of the points extreme in `directions`.
 
     A point is dropped only when it lies left of every polygon edge by more
     than a relative margin, so one within rounding of an edge is kept.
@@ -70,7 +72,7 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
         return pts
     x, y = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
     extent = max(float(np.ptp(x)), float(np.ptp(y)))
-    poly = pts[[int(np.argmax(c * x + s * y)) for c, s in _FILTER_DIRECTIONS]]
+    poly = pts[[int(np.argmax(c * x + s * y)) for c, s in directions]]
     poly = poly[np.any(poly != np.roll(poly, 1, axis=0), axis=1)]
     if len(poly) < 3:
         return pts
@@ -83,8 +85,16 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
 
 
 def _monotone_chain(points: np.ndarray) -> np.ndarray:
-    """CCW hull vertices of the distinct points (Andrew's monotone chain)."""
-    uniq = np.unique(points, axis=0)  # rows in lexicographic order
+    """CCW hull vertices of the distinct points (Andrew's monotone chain).
+
+    Rows are sorted and deduped as by `np.unique(points, axis=0)`, which
+    imports `numpy.ma`, bit for bit except that of two rows differing only in
+    the sign of a zero it may keep the other one.
+    """
+    rows = points[np.lexsort((points[:, 1], points[:, 0]))]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    uniq = rows[keep]
     if len(uniq) <= 2:
         return uniq
     p = uniq.tolist()  # Python floats round as float64 scalars do, at a fraction of the cost

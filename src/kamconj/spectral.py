@@ -429,14 +429,15 @@ def _mode_sum(modes: tuple, x: np.ndarray, scratch: tuple, out: np.ndarray) -> n
     One phase theta = 2*pi k.x serves every field; one complex exponential of
     i theta (from `_mode_scratch`, real part 0) has a last column exp(0) = 1
     that carries the mean, and the value is its float view [cos, sin, ..., 1, 0]
-    dotted with the weights.  Both contractions run point by point, without
-    BLAS, so a point's value does not depend on the other points in the batch.
+    dotted with the weights, one matrix-vector product per point (numpy's
+    `vecmat`/`matvec`), so a point's bits do not depend on its batch.  It
+    beats `einsum` to about 40-64 points; at 1,024 it is about 19% slower.
     """
     k, w = modes
     theta, phase, unit, unit_floats = scratch
-    np.einsum("pd,dm->pm", x, k, out=theta)
+    np.vecmat(x, k, out=theta)
     np.exp(phase, out=unit)
-    return np.einsum("pm,jm->pj", unit_floats, w, out=out)
+    return np.matvec(w, unit_floats, out=out)
 
 
 def _values(fields, means, x: np.ndarray) -> np.ndarray:

@@ -6,10 +6,13 @@ something with no shared code.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kamconj
 from kamconj import DiophantineVector, PeriodicField, cs_norm, verified
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -76,6 +79,19 @@ def dc_oracle(alpha, tau: float, radius: int):
             worst = ratio
             worst_k = k
     return worst, worst_k
+
+
+def suite_env() -> dict:
+    """The environment with PYTHONPATH led by the kamconj this suite imported, never a stale install."""
+    env = dict(os.environ)
+    src = str(Path(kamconj.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def bits(a: np.ndarray) -> tuple:
+    """An array's shape, dtype and bytes, so equal means bit for bit equal."""
+    return a.shape, a.dtype, a.tobytes()
 
 
 def hull_contains_oracle(vertices, point, tol: float) -> bool:

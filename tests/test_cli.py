@@ -2,7 +2,7 @@
 
 import json
 import math
-import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,11 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import kamconj
 from kamconj.cli import _parse_alpha, main
 from kamconj.io import load_map
 
-from conftest import GOLDEN
+from conftest import GOLDEN, suite_env
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 DC_CHECK_ARGS = ["dc-check", "--alpha", "golden", "--tau", "1", "--K", "64"]
@@ -353,16 +352,25 @@ def test_console_script_installed():
         f"import sys; from {ep.module} import {ep.attr}; "
         f"sys.argv[0] = {ep.name!r}; sys.exit({ep.attr}())"
     )
-    # Run the copy of kamconj this suite imported, never a stale install.
-    env = dict(os.environ)
-    src = str(Path(kamconj.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for args in (["-c", wrapper], ["-m", "kamconj"]):
         proc = subprocess.run(
-            [sys.executable, *args, *DC_CHECK_ARGS], capture_output=True, text=True, env=env
+            [sys.executable, *args, *DC_CHECK_ARGS], capture_output=True, text=True, env=suite_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert "worst-case gamma" in proc.stdout
+
+
+def test_numpy_floor_has_the_matrix_vector_gufuncs():
+    # the pointwise evaluator contracts through np.vecmat and np.matvec, new in numpy 2.2
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with PYPROJECT.open("rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    (floor,) = [m.group(1) for m in (re.fullmatch(r"numpy\s*>=\s*([\d.]+)", d) for d in deps) if m]
+    assert tuple(int(part) for part in floor.split(".")) >= (2, 2)
+    assert callable(np.vecmat) and callable(np.matvec)
 
 
 @pytest.mark.skipif(shutil.which("kamconj") is None, reason="kamconj not installed on PATH")

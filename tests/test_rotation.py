@@ -1,6 +1,8 @@
 """Rotation-number estimates and displacement hulls."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +21,16 @@ from kamconj import (
     rotation_set_estimate,
 )
 from kamconj import rotation
-from kamconj.rotation import _WRAP_EVERY, Hull, _birkhoff_batch, _drop_interior, _monotone_chain
+from kamconj.rotation import (
+    _FILTER_DIRECTIONS,
+    _WRAP_EVERY,
+    Hull,
+    _birkhoff_batch,
+    _drop_interior,
+    _monotone_chain,
+)
 
-from conftest import GOLDEN, PAIR_2D, eval_oracle, hull_contains_oracle, seeded_field
+from conftest import GOLDEN, PAIR_2D, bits, eval_oracle, hull_contains_oracle, seeded_field, suite_env
 
 
 def sin_field(eps: float) -> PeriodicField:
@@ -167,17 +176,13 @@ def _prefilter_clouds():
 _PREFILTER = _prefilter_clouds()
 
 
-def _bits(a: np.ndarray) -> tuple:
-    return a.shape, a.dtype, a.tobytes()
-
-
 class TestHullPrefilter:
     """The extreme-point filter drops only points the monotone chain drops anyway."""
 
     @pytest.mark.parametrize("name", sorted(_PREFILTER))
     def test_vertices_equal_unfiltered_chain(self, name):
         pts = _PREFILTER[name]
-        assert _bits(convex_hull(pts).vertices) == _bits(_monotone_chain(pts))
+        assert bits(convex_hull(pts).vertices) == bits(_monotone_chain(pts))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -191,7 +196,7 @@ class TestHullPrefilter:
     )
     def test_vertices_equal_unfiltered_chain_hypothesis(self, points):
         pts = np.array(points, dtype=float).reshape(-1, 2)
-        assert _bits(convex_hull(pts).vertices) == _bits(_monotone_chain(pts))
+        assert bits(convex_hull(pts).vertices) == bits(_monotone_chain(pts))
 
     def test_filter_drops_most_of_a_displacement_cloud(self):
         pts = _PREFILTER["rotation-2d-0"]
@@ -201,6 +206,63 @@ class TestHullPrefilter:
         pts = _PREFILTER["cocircular"]
         assert len(_drop_interior(pts)) == len(pts)
         assert len(convex_hull(pts).vertices) == len(pts)
+
+    @pytest.mark.parametrize("name", sorted(_PREFILTER))
+    def test_first_pass_keeps_every_vertex(self, name):
+        pts = _PREFILTER[name]
+        kept = {tuple(p) for p in _drop_interior(pts, _FILTER_DIRECTIONS[::4]).tolist()}
+        assert all(tuple(v) in kept for v in _monotone_chain(pts).tolist())
+
+
+def _unique_chain_oracle(points: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain, written out, on rows deduplicated and ordered by `np.unique`."""
+    uniq = np.unique(points, axis=0)
+    if len(uniq) <= 2:
+        return uniq
+
+    def half(seq):
+        out = []
+        for q in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (q[1] - o[1]) - (a[1] - o[1]) * (q[0] - o[0]) > 0:
+                    break
+                out.pop()
+            out.append(q)
+        return out
+
+    p = [(float(x), float(y)) for x, y in uniq]
+    lower, upper = half(p), half(p[::-1])
+    verts = lower[:-1] + upper[:-1]
+    return np.array(verts if len(verts) >= 3 else [lower[0], lower[-1]])
+
+
+class TestChainDedup:
+    """`_monotone_chain` orders and dedupes rows as `np.unique` does, without `numpy.ma`."""
+
+    @pytest.mark.parametrize("name", sorted(_PREFILTER))
+    def test_matches_unique_oracle(self, name):
+        pts = _PREFILTER[name]
+        assert bits(_monotone_chain(pts)) == bits(_unique_chain_oracle(pts))
+
+    def test_matches_unique_oracle_on_rotation_2d_inputs(self):
+        for index in range(40):
+            cloud = rotation_2d_cloud(index, 256)
+            vertices = convex_hull(cloud).vertices
+            assert bits(vertices) == bits(_unique_chain_oracle(_drop_interior(cloud))), index
+
+    def test_rotation_set_estimate_does_not_import_numpy_ma(self):
+        script = (
+            "import sys, numpy as np\n"
+            "from kamconj import PeriodicField, TorusMapLift, rotation_set_estimate\n"
+            "u = tuple(PeriodicField.from_entries(2, 2, [((1, 0), 0.003), ((0, 1), -0.002j)])"
+            " for _ in range(2))\n"
+            "rotation_set_estimate(TorusMapLift(np.array([0.41, 0.73]), u), n_samples=9, n_iter=50)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=suite_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def _contains_cases(v: np.ndarray, tol: float, rng) -> list:

@@ -32,7 +32,7 @@ from kamconj import (
 from kamconj import spectral
 from kamconj.spectral import _composition_defect, _eval_displaced, _grid, _round4
 
-from conftest import GOLDEN, PAIR_2D, entries_oracle, eval_oracle, seeded_field
+from conftest import GOLDEN, PAIR_2D, bits, entries_oracle, eval_oracle, seeded_field
 
 
 def sin_field(eps: float, k: int = 1) -> PeriodicField:
@@ -308,6 +308,62 @@ class TestEvaluation:
             seeded_field(2, 2, 1.0, seed=1).derivative(1)
         with pytest.raises(ValueError, match="order"):
             sin_field(1.0).derivative((-1,))
+
+
+def _batch_fields(dim: int) -> tuple:
+    return tuple(seeded_field(dim, 4, 0.02, seed=40 + 2 * dim + i) + 0.1 * (i + 1) for i in range(dim))
+
+
+class TestPointwiseEvaluator:
+    """`_mode_sum` and what it backs give a point the same bits in any batch."""
+
+    POINTS = 1000
+
+    def _points(self, dim: int) -> np.ndarray:
+        return np.random.default_rng(41 + dim).random((self.POINTS, dim)) * 3.0 - 1.0
+
+    @pytest.mark.parametrize("batch", [2, 16, 1000])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_mode_sum_bits_do_not_depend_on_the_batch(self, dim, batch):
+        fields = _batch_fields(dim)
+        modes = spectral._modes(fields, [u.mean() for u in fields])
+        x = self._points(dim)
+
+        def run(pts):
+            out = np.empty((len(pts), len(fields)))
+            return spectral._mode_sum(modes, pts, spectral._mode_scratch(modes, len(pts)), out)
+
+        single = np.concatenate([run(x[i:i + 1]) for i in range(len(x))])
+        batched = np.concatenate([run(x[lo:lo + batch]) for lo in range(0, len(x), batch)])
+        assert bits(batched) == bits(single)
+
+    @pytest.mark.parametrize("blocks", [False, True])
+    @pytest.mark.parametrize("batch", [2, 16, 1000])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_eval_and_call_bits_do_not_depend_on_the_batch(self, dim, batch, blocks, monkeypatch):
+        f = TorusMapLift(np.array([0.3, -1.2][:dim]), _batch_fields(dim))
+        u = f.displacement[0] + 0.4
+        x = self._points(dim)
+        pts = x if dim == 2 else x[:, 0]
+        single_u = np.array([eval_at_points(u, p) for p in pts])
+        single_f = np.stack([f(p) for p in pts])
+        if blocks:  # a few points per `_values` block
+            width = spectral._modes(f.displacement, f.rho)[1].shape[1]
+            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 5 * width)
+        batches = [pts[lo:lo + batch] for lo in range(0, len(pts), batch)]
+        assert bits(np.concatenate([eval_at_points(u, b) for b in batches])) == bits(single_u)
+        assert bits(np.concatenate([f(b) for b in batches])) == bits(single_f)
+
+    @pytest.mark.parametrize("rho", [(GOLDEN,), (-2.3,), PAIR_2D, (-0.7, 0.2)])
+    def test_rigid_rotation_gives_rho_exactly(self, rho):
+        f = TorusMapLift.rotation(rho)
+        modes = spectral._modes(f.displacement, f.rho)
+        assert modes[0].shape == (len(rho), 0)
+        x = np.random.default_rng(43).random((50, len(rho)))
+        out = spectral._mode_sum(modes, x, spectral._mode_scratch(modes, len(x)), np.empty_like(x))
+        assert np.array_equal(out, np.broadcast_to(f.rho, x.shape))
+        pts = x if len(rho) == 2 else x[:, 0]
+        assert np.array_equal(f(pts), (x + f.rho).reshape(pts.shape))
 
 
 class TestTruncation:
