@@ -33,11 +33,9 @@ from .errors import (
     SmallnessViolated,
 )
 from .kamstep import (
-    PosterioriReport,
     StepConfig,
     StepDiagnostics,
     error_model_constants,
-    posteriori_check,
     step,
 )
 from .rotation import (
@@ -71,7 +69,6 @@ from .spectral import (
     deviation_norm,
     eval_at_points,
     field_from_grid,
-    invert_near_identity,
     rebase,
     sampling_grid,
     truncate,

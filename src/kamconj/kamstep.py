@@ -29,9 +29,7 @@ from .spectral import (
 __all__ = [
     "StepConfig",
     "StepDiagnostics",
-    "PosterioriReport",
     "step",
-    "posteriori_check",
     "error_model_constants",
 ]
 
@@ -81,30 +79,9 @@ class PosterioriReport:
     drift_ok: bool
     hull_ok: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.drift_ok and self.hull_ok
-
 
 def _norm_method(s) -> str:
     return "grid" if float(s).is_integer() else "fourier"
-
-
-def posteriori_check(
-    f_next: TorusMapLift,
-    vec: DiophantineVector,
-    c_post: float = 2.0,
-    tol_abs: float = 0.0,
-) -> PosterioriReport:
-    """Validate the translation drift of a stepped map.
-
-    Two checks: the drift must not exceed c_post times the deviation from the
-    drifted rotation, and the target defect f(x) - x - alpha must change sign
-    (zero inside the hull of its sampled values).  The hull margin absorbs
-    roundoff at the scale of the deviation itself.
-    """
-    f_next = rebase(f_next, vec.alpha)
-    return _posteriori(f_next, _check_values(f_next), vec, c_post, tol_abs)
 
 
 def _check_values(f: TorusMapLift) -> tuple:
@@ -119,7 +96,13 @@ def _sup(grids) -> float:
 
 
 def _posteriori(f_next, values, vec, c_post, tol_abs) -> PosterioriReport:
-    """`posteriori_check` of a rebased map from its `_check_values`."""
+    """Validate the translation drift of a rebased map from its `_check_values`.
+
+    Two checks: the drift must not exceed c_post times the deviation from the
+    drifted rotation, and the target defect f(x) - x - alpha must change sign
+    (zero inside the hull of its sampled values).  The hull margin absorbs
+    roundoff at the scale of the deviation itself.
+    """
     drift = f_next.rho - vec.alpha
     drift_norm = float(np.linalg.norm(drift))
     eps0 = _sup(values)

@@ -42,7 +42,6 @@ __all__ = [
     "deviation_norm",
     "rebase",
     "compose",
-    "invert_near_identity",
     "conjugate",
 ]
 
@@ -62,8 +61,8 @@ def _l1_radii(dim: int, degree: int) -> np.ndarray:
 _BLOCK_ENTRIES = 2 ** 18
 
 
-# sup-norm tolerance of an inverse's pointwise defect and of the public
-# inverse's two composition residuals, and the fixed-point sweeps allowed per grid
+# sup-norm tolerance of an inverse's pointwise defect, and the fixed-point
+# sweeps allowed per grid
 _INVERT_TOL = 1e-12
 _INVERT_SWEEPS = 100
 
@@ -324,17 +323,18 @@ def sampling_grid(degree: int) -> int:
 def value_grid(f: PeriodicField, m: int | None = None) -> np.ndarray:
     """Values of f on the uniform grid (j/m)_j, exact for m >= 2*live_degree+1.
 
-    The default grid samples the box degree.  Only the half spectrum k1 >= 0
-    is transformed: in 2D its rows go through a complex inverse FFT along the
-    second axis, then a real inverse FFT along the first axis supplies the
-    mirror half and zero-pads the spectrum to the grid.  The mean is added
-    on the grid, so value_grid(f + c) is value_grid(f) + c bit for bit.
+    The default grid samples the box degree.  Only the live shells of the
+    half spectrum k1 >= 0 are transformed, so a field gives the same bits in
+    any box that holds them: in 2D their rows go through a complex inverse
+    FFT along the second axis, then a real inverse FFT along the first axis
+    supplies the mirror half and zero-pads the spectrum to the grid.  The
+    mean is added on the grid, so value_grid(f + c) is value_grid(f) + c
+    bit for bit.
     """
     if m is None:
         m = sampling_grid(f.degree)
     m = int(m)
-    # the box past the live shell is zero: a grid that resolves the box reads all of it
-    deg = f.degree if m > 2 * f.degree else f.live_degree
+    deg = f.live_degree
     if m < 2 * deg + 1:
         raise ValueError("grid too coarse for the field's bandwidth")
     half = f._embed(deg)[deg:]
@@ -826,39 +826,17 @@ def compose(g: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) 
     return _chain((f, g), target)
 
 
-def _composition_defect(a, b, c, d, m: int | None = None) -> float:
+def _composition_defect(a, b, c, d) -> float:
     """Sup over a grid of |a(b(x)) - c(d(x))|, max over components.
 
-    The grid defaults to the sampling grid of the largest degree among the
-    four maps.  Each side is one `_walk`; their displacements and their
-    translations are differenced apart, so no small defect is rounded
-    against a translation of size 1.
+    The grid is the sampling grid of the largest degree among the four maps.
+    Each side is one `_walk`; their displacements and their translations are
+    differenced apart, so no small defect is rounded against a translation
+    of size 1.
     """
-    if m is None:
-        m = sampling_grid(max(a.degree, b.degree, c.degree, d.degree, 1))
+    m = sampling_grid(max(a.degree, b.degree, c.degree, d.degree, 1))
     (left, lrho), (right, rrho) = _walk((b, a), m), _walk((d, c), m)
     return max(float(np.max(np.abs((x - y) + (p - q)))) for x, y, p, q in zip(left, right, lrho, rrho))
-
-
-def invert_near_identity(phi: TorusMapLift) -> TorusMapLift:
-    """Invert a lift that is a small perturbation of a translation.
-
-    The inverted `_chain` of phi alone at four times phi's live degree (at
-    least 64), each component cut to its live shell.  Both composition
-    residuals, the second once the first passes, must be within `_INVERT_TOL`
-    on a grid no coarser than the box degrees set (else NoConvergence, as for
-    sweeps that stop short; NotContractive for a displacement too steep).
-    """
-    psi = _chain((phi,), max(4 * max(phi.live_degree, 4), 64), invert=True)
-    psi = TorusMapLift(psi.rho, tuple(truncate(u, u.live_degree) for u in psi.displacement))
-    m = _grid(max(phi.degree, psi.degree, 4), (phi, psi))
-    ident = TorusMapLift.identity(phi.dim)
-    residual = _composition_defect(phi, psi, ident, ident, m)
-    if residual <= _INVERT_TOL:
-        residual = max(residual, _composition_defect(psi, phi, ident, ident, m))
-        if residual <= _INVERT_TOL:
-            return psi
-    raise NoConvergence(f"inverse residual {residual:.3e} above tolerance {_INVERT_TOL:.1e}")
 
 
 def conjugate(phi: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:

@@ -514,9 +514,9 @@ class TestRunScheme:
                 grids.append((name, used, box, f.live_degree < f.degree))
             return value_grid(f, m)
 
-        def recorded_defect(a, b, c, d, m=None):
-            defects.append((sys._getframe(1).f_code.co_name, a, m))
-            return composition_defect(a, b, c, d, m)
+        def recorded_defect(a, b, c, d):
+            defects.append((sys._getframe(1).f_code.co_name, a))
+            return composition_defect(a, b, c, d)
 
         monkeypatch.setattr(spectral, "value_grid", recorded_grid)
         monkeypatch.setattr(spectral, "_composition_defect", recorded_defect)
@@ -532,7 +532,7 @@ class TestRunScheme:
         for name, used, box, _ in grids:
             assert used == sampling_grid(box), name
         # a run builds no inverse field: the final verification is its one composition check
-        assert defects == [("conjugacy_verification", res.composed, None)]
+        assert defects == [("conjugacy_verification", res.composed)]
         # the composition is checked at its nominal band, the sum of the correctors' boxes
         assert res.composed.degree == sum(phi.degree for phi in res.chain)
         assert res.composed.live_degree < res.composed.degree

@@ -21,7 +21,6 @@ from kamconj import (
     error_model_constants,
     convex_hull,
     hull_contains,
-    posteriori_check,
     rebase,
     step,
 )
@@ -71,20 +70,25 @@ class TestStep:
         assert diag.posteriori_ok and diag.hull_ok
 
     # sup |f_next(phi(x)) - phi(f(x))|, zero for an exact pushforward; a run
-    # checks it only through the inverse's residuals and the final verification
+    # checks it only through the inverse's pointwise defect and the final verification
     def test_conjugacy_residual_small(self, golden_vector):
         f = perturbed_rotation([GOLDEN], 1e-3, seed=73)
         f_next, phi, _ = step(f, golden_vector, 12, StepConfig(smallness_c=1e-8))
         assert _composition_defect(f_next, phi, phi, f) < 1e-9
 
     def test_conjugacy_residual_small_2d(self, pair_vector, monkeypatch):
-        def refuse(phi):
-            raise AssertionError("the pushforward solves its inverse pointwise")
+        inverting, chain = [], spectral._chain
 
-        # the step builds no inverse field
-        monkeypatch.setattr(spectral, "invert_near_identity", refuse)
+        def recorded(maps, target, invert=False):
+            if invert:
+                inverting.append(maps)
+            return chain(maps, target, invert)
+
+        monkeypatch.setattr(spectral, "_chain", recorded)
         f = perturbed_rotation(pair_vector.alpha, 1e-3, seed=72, degree=2)
         f_next, phi, _ = step(f, pair_vector, 8, StepConfig(smallness_c=1e-12))
+        # the step builds no inverse field: its one inverting chain is the pushforward
+        assert [tuple(map(id, maps)) for maps in inverting] == [(id(phi), id(f), id(phi))]
         assert _composition_defect(f_next, phi, phi, f) < 1e-9
 
     def test_diagnostics_fields(self, golden_vector):
@@ -150,18 +154,23 @@ class TestStep:
         assert f_next.degree == 20
 
 
+def _posteriori_report(f, vec, c_post=2.0, tol_abs=0.0):
+    """The step's drift and hull checks on a map: rebase, sample, `_posteriori`."""
+    f = rebase(f, vec.alpha)
+    return kamstep._posteriori(f, kamstep._check_values(f), vec, c_post, tol_abs)
+
+
 class TestPosteriori:
     def test_exact_conjugate_passes(self, golden_vector):
         h = TorusMapLift(np.zeros(1), (seeded_field(1, 3, 0.01, seed=77),))
         f = conjugate(h, TorusMapLift.rotation([GOLDEN]), target_degree=12)
-        report = posteriori_check(f, golden_vector)
-        assert report.ok
+        report = _posteriori_report(f, golden_vector)
+        assert report.drift_ok and report.hull_ok
         assert report.drift_norm <= report.bound
 
     def test_drifted_rotation_fails(self, golden_vector):
         f = TorusMapLift.rotation([GOLDEN + 0.01])
-        report = posteriori_check(f, golden_vector)
-        assert not report.ok
+        report = _posteriori_report(f, golden_vector)
         assert not report.drift_ok
         assert report.drift_norm == pytest.approx(0.01, abs=1e-12)
 
@@ -171,18 +180,18 @@ class TestPosteriori:
             np.array([GOLDEN + 1e-4]),
             (PeriodicField.from_entries(1, 1, [((1,), -0.5e-6j)]),),
         )
-        report = posteriori_check(f, golden_vector)
+        report = _posteriori_report(f, golden_vector)
         assert not report.hull_ok
 
     def test_tol_abs_loosens_drift_check(self, golden_vector):
         f = TorusMapLift.rotation([GOLDEN + 1e-8])
-        assert not posteriori_check(f, golden_vector).drift_ok
-        assert posteriori_check(f, golden_vector, tol_abs=1e-7).drift_ok
+        assert not _posteriori_report(f, golden_vector).drift_ok
+        assert _posteriori_report(f, golden_vector, tol_abs=1e-7).drift_ok
 
     def test_report_drift_vector(self, pair_vector):
         delta = np.array([2e-3, -1e-3])
         f = TorusMapLift.rotation(pair_vector.alpha + delta)
-        report = posteriori_check(f, pair_vector)
+        report = _posteriori_report(f, pair_vector)
         assert np.allclose(report.drift, delta, atol=1e-12)
         assert report.drift_norm == pytest.approx(float(np.linalg.norm(delta)), rel=1e-9)
 
@@ -191,8 +200,17 @@ class TestPosteriori:
         u = PeriodicField.from_entries(1, 8, [((k,), 4e307) for k in range(1, 9)])
         f = TorusMapLift(np.array([GOLDEN]), (u,))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="finite"):
-            posteriori_check(f, golden_vector)
+            _posteriori_report(f, golden_vector)
         assert issubclass(NonFinite, KamError)
+
+    def test_no_public_second_path(self):
+        # a step runs these checks on values it has sampled, and a pushforward
+        # solves its inverse pointwise, so neither is exported on its own
+        import kamconj
+
+        for name in ("posteriori_check", "PosterioriReport", "invert_near_identity"):
+            assert not hasattr(kamconj, name)
+            assert name not in kamstep.__all__ + spectral.__all__
 
 
 def _full_hull_verdict(points, tol) -> bool:

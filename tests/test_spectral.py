@@ -22,7 +22,6 @@ from kamconj import (
     deviation_norm,
     eval_at_points,
     field_from_grid,
-    invert_near_identity,
     make_test_map,
     rebase,
     sampling_grid,
@@ -472,7 +471,6 @@ class TestCompositionDefect:
                 defect = _oracle_map(a, _oracle_map(b, x)) - _oracle_map(c, _oracle_map(d, x))
                 worst = max(worst, float(np.max(np.abs(defect))))
         assert _composition_defect(a, b, c, d) == pytest.approx(worst, abs=1e-13)
-        assert _composition_defect(a, b, c, d, m) == _composition_defect(a, b, c, d)
 
 
 class TestTorusMapLift:
@@ -736,6 +734,12 @@ class TestChainStart:
         assert gates == [steep] and walks == []
 
 
+def _inverse(phi: TorusMapLift) -> TorusMapLift:
+    """phi's inverse as a map: the inverted `_chain` of phi alone, each component cut to its live shell."""
+    psi = spectral._chain((phi,), max(4 * max(phi.live_degree, 4), 64), invert=True)
+    return TorusMapLift(psi.rho, tuple(truncate(u, u.live_degree) for u in psi.displacement))
+
+
 def _chain_cases() -> dict:
     """name: (maps of the chain, target, whether the live band falls short of the target)."""
     slow = [seeded_field(2, 3, 0.02, seed, decay=0.05) for seed in (40, 41, 42, 43)]
@@ -744,7 +748,7 @@ def _chain_cases() -> dict:
     return {
         "slow": ((TorusMapLift(np.array([0.1, 0.2]), tuple(slow[:2])),
                   TorusMapLift(np.array([0.3, 0.4]), tuple(slow[2:]))), 6, False),
-        "fast": ((invert_near_identity(h), TorusMapLift.rotation(PAIR_2D), h), 24, True),
+        "fast": ((_inverse(h), TorusMapLift.rotation(PAIR_2D), h), 24, True),
         "1d-wide": ((TorusMapLift(np.array([0.1]), (sin_field(0.05),)),
                      TorusMapLift(np.array([0.3]), (cos_field(0.04),))), 24, True),
     }
@@ -783,6 +787,13 @@ class TestLiveShell:
         assert np.array_equal(value_grid(big), value_grid(small, sampling_grid(40)))
         with pytest.raises(ValueError, match="too coarse"):
             value_grid(big, 10)
+        # a live-24 field in its own box and in boxes that a grid does and does
+        # not resolve, up to criterion 4's final check grid, sign of zero included
+        live = seeded_field(dim, 24, 1.0, seed=72)
+        for m in (196, 1028):
+            want = bits(value_grid(live, m))
+            for box in (48, 256):
+                assert bits(value_grid(PeriodicField(dim, box, live._embed(box)), m)) == want
 
 
 def _oracle_inverse(f: TorusMapLift, y: np.ndarray) -> np.ndarray:
@@ -806,14 +817,14 @@ _INVERT_CASES = {
 class TestInvert:
     def test_inverse_of_sine_perturbation(self):
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.05),))
-        psi = invert_near_identity(phi)
+        psi = _inverse(phi)
         x = np.linspace(0, 1, 13, endpoint=False)
         assert np.max(np.abs(phi(psi(x)) - x)) < 1e-11
         assert np.max(np.abs(psi(phi(x)) - x)) < 1e-11
 
     def test_inverse_undoes_translation(self):
         phi = TorusMapLift(np.array([0.3]), (sin_field(0.05),))
-        psi = invert_near_identity(phi)
+        psi = _inverse(phi)
         assert psi.rho[0] == pytest.approx(-0.3)
         assert psi(phi(0.21)) == pytest.approx(0.21, abs=1e-11)
 
@@ -821,47 +832,20 @@ class TestInvert:
         # jacobian sup 2*pi*0.1 is just above the 1/2 contraction gate
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.1),))
         with pytest.raises(NotContractive):
-            invert_near_identity(phi)
+            _inverse(phi)
 
     def test_no_convergence_when_degree_capped(self, monkeypatch):
         # one sweep: the sweeps stop with their defect above the tolerance
         monkeypatch.setattr(spectral, "_INVERT_SWEEPS", 1)
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.07),))
-        with pytest.raises(NoConvergence):
-            invert_near_identity(phi)
-
-    def test_failing_first_residual_skips_the_second(self, monkeypatch):
-        calls, spoil = [], []
-
-        def counted(*maps):
-            calls.append(maps)
-            return _composition_defect(*maps) + sum(spoil)
-
-        monkeypatch.setattr(spectral, "_composition_defect", counted)
-        phi = TorusMapLift(np.array([0.0]), (sin_field(0.07),))
-        with monkeypatch.context() as capped:
-            capped.setattr(spectral, "_INVERT_SWEEPS", 1)
-            with pytest.raises(NoConvergence, match="inverse defect .* above tolerance") as info:
-                invert_near_identity(phi)
-        # one sweep: the sweeps' own defect refuses before any residual is taken
-        assert calls == []
-        assert float(str(info.value).split()[2]) > spectral._INVERT_TOL
-        psi = invert_near_identity(phi)
-        # the passing first residual is followed by the second, on the same grid
-        assert [(c[0], c[1]) for c in calls] == [(phi, psi), (psi, phi)]
-        assert calls[0][4] == calls[1][4] >= _grid(max(phi.degree, psi.degree, 4), (phi, psi))
-        calls.clear()
-        spoil.append(1.0)
-        with pytest.raises(NoConvergence, match="inverse residual .* above tolerance") as info:
-            invert_near_identity(phi)
-        # a failing first residual stands alone
-        assert len(calls) == 1 and calls[0][0] is phi
+        with pytest.raises(NoConvergence, match="inverse defect .* above tolerance") as info:
+            _inverse(phi)
         assert float(str(info.value).split()[2]) > spectral._INVERT_TOL
 
     def test_inverse_2d(self):
         u = (seeded_field(2, 2, 0.02, seed=30), seeded_field(2, 2, 0.02, seed=31))
         phi = TorusMapLift(np.array([0.1, -0.2]), u)
-        psi = invert_near_identity(phi)
+        psi = _inverse(phi)
         pts = np.array([[0.1, 0.9], [0.44, 0.27], [0.71, 0.05]])
         assert np.max(np.abs(phi(psi(pts)) - pts)) < 1e-11
 
@@ -869,14 +853,18 @@ class TestInvert:
     def test_matches_naive_inverse_off_grid(self, case):
         rho, u = _INVERT_CASES[case]
         phi = TorusMapLift(rho, u)
-        psi = invert_near_identity(phi)
+        psi = _inverse(phi)
         rng = np.random.default_rng(34)
         for y in rng.random((5, phi.dim)):
             assert np.max(np.abs(_oracle_map(psi, y) - _oracle_inverse(phi, y))) <= 1e-12
+        # both composition residuals, on the sampling grid of the larger box
+        ident = TorusMapLift.identity(phi.dim)
+        assert _composition_defect(phi, psi, ident, ident) <= spectral._INVERT_TOL
+        assert _composition_defect(psi, phi, ident, ident) <= spectral._INVERT_TOL
 
     @pytest.mark.parametrize("case", sorted(_INVERT_CASES))
     def test_no_dead_shells(self, case):
-        psi = invert_near_identity(TorusMapLift(*_INVERT_CASES[case]))
+        psi = _inverse(TorusMapLift(*_INVERT_CASES[case]))
         for u in psi.displacement:
             outer = np.abs(u.coeffs[spectral._l1_radii(u.dim, u.degree) == u.degree])
             assert np.max(outer) > spectral._CHAIN_TAIL
@@ -932,7 +920,7 @@ class TestConjugate:
     def test_round_trip_recovers_rotation(self):
         h = TorusMapLift(np.array([0.0]), (sin_field(0.01),))
         f = conjugate(h, TorusMapLift.rotation([GOLDEN]), target_degree=12)
-        psi = invert_near_identity(h)
+        psi = _inverse(h)
         back = conjugate(psi, f, target_degree=24)
         assert back.rho[0] == pytest.approx(GOLDEN, abs=1e-10)
         assert deviation_norm(back, [GOLDEN]) < 1e-9
