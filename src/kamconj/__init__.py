@@ -21,7 +21,6 @@ from .errors import (
     DivisorTooSmall,
     EmptyWindow,
     InfeasibleParams,
-    InsufficientData,
     KamError,
     NoConvergence,
     NonFinite,
@@ -32,12 +31,7 @@ from .errors import (
     ScheduleOverflow,
     SmallnessViolated,
 )
-from .kamstep import (
-    StepConfig,
-    StepDiagnostics,
-    error_model_constants,
-    step,
-)
+from .kamstep import StepConfig, StepDiagnostics, step
 from .rotation import (
     Hull,
     RotationData,

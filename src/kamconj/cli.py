@@ -25,6 +25,7 @@ from .driver import (
 from .errors import ConfigError, KamError, ResidualTooLarge
 from .rotation import rotation_set_estimate
 from .scheduler import (
+    DEFAULTS,
     check_inductive_inequalities,
     derive_constants,
     mu_window,
@@ -67,13 +68,13 @@ def _build_parser() -> _Parser:
     run.add_argument("--quiet", action="store_true")
 
     par = sub.add_parser("params", help="inspect scheduler parameters")
-    par.add_argument("--sigma", type=float, default=0.5)
-    par.add_argument("--lambda", dest="lambda_", type=float, default=3.0)
+    par.add_argument("--sigma", type=float, default=DEFAULTS["sigma"])
+    par.add_argument("--lambda", dest="lambda_", type=float, default=DEFAULTS["lambda_"])
     par.add_argument("--mu", type=float, default=None)
-    par.add_argument("--nu", type=float, default=2.0)
+    par.add_argument("--nu", type=float, default=DEFAULTS["nu"])
     par.add_argument("--tau", type=float, default=2.0)
     par.add_argument("--dim", type=int, default=2)
-    par.add_argument("--start-cutoff", "--N1", dest="start_cutoff", type=int, default=8)
+    par.add_argument("--start-cutoff", "--N1", dest="start_cutoff", type=int, default=DEFAULTS["start_cutoff"])
     par.add_argument("--replay", type=int, default=0, help="replay the envelope recursion this many steps")
     par.add_argument("--schedule", type=int, default=0, help="print this many schedule cutoffs")
 
@@ -268,10 +269,8 @@ def main(argv=None) -> int:
     except ResidualTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, KamError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON and out-of-range arguments
+    except (KamError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ from .errors import (
     SmallnessViolated,
 )
 from .kamstep import StepConfig, step
-from .scheduler import SchedulerParams, _snapped_cutoffs, derive_constants, envelopes
+from .scheduler import DEFAULTS, SchedulerParams, _snapped_cutoffs, derive_constants, envelopes
 from .spectral import (
     PeriodicField,
     TorusMapLift,
@@ -130,87 +130,104 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        allowed = {
-            "alpha", "tau", "gamma", "dc_radius", "scheduler", "initial_map",
-            "tolerances", "seed", "smallness_c", "c_post", "drift_tol_abs",
-            "max_degree", "output",
-        }
-        _reject_unknown(raw, allowed, "config")
-        for key in ("alpha", "initial_map", "seed"):
-            if key not in raw:
-                raise ConfigError(f"missing required key {key!r}")
-        alpha = _resolve_alpha(raw["alpha"])
-        dim = alpha.size
-        tau = float(raw.get("tau", 1.0 if dim == 1 else 2.0))
+        # conversions that fail (float("x"), int(None)) end as ConfigError
+        with kio._invalid("config"):
+            allowed = {
+                "alpha", "tau", "gamma", "dc_radius", "scheduler", "initial_map",
+                "tolerances", "seed", "smallness_c", "c_post", "drift_tol_abs",
+                "max_degree", "output",
+            }
+            _reject_unknown(raw, allowed, "config")
+            for key in ("alpha", "initial_map", "seed"):
+                if key not in raw:
+                    raise ConfigError(f"missing required key {key!r}")
+            alpha = _resolve_alpha(raw["alpha"])
+            dim = alpha.size
+            tau = float(raw.get("tau", 1.0 if dim == 1 else 2.0))
 
-        gamma_raw = raw.get("gamma", "auto")
-        if gamma_raw == "auto":
-            gamma = None
-        else:
-            gamma = float(gamma_raw)
-            if gamma <= 0:
-                raise ConfigError("gamma must be positive")
+            gamma_raw = raw.get("gamma", "auto")
+            if gamma_raw == "auto":
+                gamma = None
+            else:
+                gamma = float(gamma_raw)
+                if gamma <= 0:
+                    raise ConfigError("gamma must be positive")
 
-        sched = raw.get("scheduler", "default")
-        if sched == "default":
-            sched = {}
-        if not isinstance(sched, dict):
-            raise ConfigError("scheduler must be 'default' or an object")
-        _reject_unknown(sched, {"sigma", "lambda", "mu", "nu", "start_cutoff"}, "scheduler")
-        sigma = float(sched.get("sigma", 0.5))
-        lambda_ = float(sched.get("lambda", 3.0))
-        nu = float(sched.get("nu", 2.0))
-        mu = float(sched.get("mu", 7.5))
-        start_cutoff = int(sched.get("start_cutoff", 8))
+            sched = raw.get("scheduler", "default")
+            if sched == "default":
+                sched = {}
+            if not isinstance(sched, dict):
+                raise ConfigError("scheduler must be 'default' or an object")
+            _reject_unknown(sched, {"sigma", "lambda", "mu", "nu", "start_cutoff"}, "scheduler")
+            sigma = float(sched.get("sigma", DEFAULTS["sigma"]))
+            lambda_ = float(sched.get("lambda", DEFAULTS["lambda_"]))
+            nu = float(sched.get("nu", DEFAULTS["nu"]))
+            mu = float(sched.get("mu", DEFAULTS["mu"]))
+            start_cutoff = int(sched.get("start_cutoff", DEFAULTS["start_cutoff"]))
 
-        imap = raw["initial_map"]
-        if not isinstance(imap, dict):
-            raise ConfigError("initial_map must be an object")
-        if "file" in imap:
-            _reject_unknown(imap, {"file"}, "initial_map")
-        else:
-            _reject_unknown(imap, {"kind", "params"}, "initial_map")
-            if "kind" not in imap:
-                raise ConfigError("initial_map needs 'file' or 'kind'")
+            imap = raw["initial_map"]
+            if not isinstance(imap, dict):
+                raise ConfigError("initial_map must be an object")
+            if "file" in imap:
+                _reject_unknown(imap, {"file"}, "initial_map")
+            else:
+                _reject_unknown(imap, {"kind", "params"}, "initial_map")
+                if "kind" not in imap:
+                    raise ConfigError("initial_map needs 'file' or 'kind'")
+                if not isinstance(imap.get("params", {}), dict):
+                    raise ConfigError("initial_map params must be an object")
 
-        tol = raw.get("tolerances", {})
-        if not isinstance(tol, dict):
-            raise ConfigError("tolerances must be an object")
-        _reject_unknown(tol, {"eps_stop", "max_iters", "residual_tol"}, "tolerances")
-        eps_stop = float(tol.get("eps_stop", 1e-9))
-        max_iters = int(tol.get("max_iters", 12))
-        residual_tol = tol.get("residual_tol")
-        residual_tol = None if residual_tol is None else float(residual_tol)
+            tol = raw.get("tolerances", {})
+            if not isinstance(tol, dict):
+                raise ConfigError("tolerances must be an object")
+            _reject_unknown(tol, {"eps_stop", "max_iters", "residual_tol"}, "tolerances")
+            eps_stop = float(tol.get("eps_stop", 1e-9))
+            max_iters = int(tol.get("max_iters", 12))
+            residual_tol = tol.get("residual_tol")
+            residual_tol = None if residual_tol is None else float(residual_tol)
 
-        output = raw.get("output", {})
-        if not isinstance(output, dict):
-            raise ConfigError("output must be an object")
-        _reject_unknown(output, {"trace", "chain", "final_map"}, "output")
+            output = raw.get("output", {})
+            if not isinstance(output, dict):
+                raise ConfigError("output must be an object")
+            _reject_unknown(output, {"trace", "chain", "final_map"}, "output")
 
-        return cls(
-            alpha=alpha,
-            tau=tau,
-            gamma=gamma,
-            dc_radius=None if raw.get("dc_radius") is None else int(raw["dc_radius"]),
-            sigma=sigma,
-            lambda_=lambda_,
-            mu=mu,
-            nu=nu,
-            start_cutoff=start_cutoff,
-            initial_map=imap,
-            eps_stop=eps_stop,
-            max_iters=max_iters,
-            residual_tol=residual_tol,
-            seed=int(raw["seed"]),
-            smallness_c=float(raw.get("smallness_c", 1.0)),
-            c_post=float(raw.get("c_post", 2.0)),
-            drift_tol_abs=float(raw.get("drift_tol_abs", 0.0)),
-            max_degree=int(raw.get("max_degree", _DEFAULT_MAX_DEGREE[dim])),
-            output=output,
-        )
+            dc_radius = None if raw.get("dc_radius") is None else int(raw["dc_radius"])
+            max_degree = int(raw.get("max_degree", _DEFAULT_MAX_DEGREE[dim]))
+            for name, value, low in (
+                ("max_iters", max_iters, 0), ("start_cutoff", start_cutoff, 2),
+                ("max_degree", max_degree, 1), ("dc_radius", dc_radius, 1),
+            ):
+                if value is not None and value < low:
+                    raise ConfigError(f"{name} must be at least {low}, got {value}")
+            if not tau > 0:
+                raise ConfigError("tau must be positive")
+
+            return cls(
+                alpha=alpha,
+                tau=tau,
+                gamma=gamma,
+                dc_radius=dc_radius,
+                sigma=sigma,
+                lambda_=lambda_,
+                mu=mu,
+                nu=nu,
+                start_cutoff=start_cutoff,
+                initial_map=imap,
+                eps_stop=eps_stop,
+                max_iters=max_iters,
+                residual_tol=residual_tol,
+                seed=int(raw["seed"]),
+                smallness_c=float(raw.get("smallness_c", 1.0)),
+                c_post=float(raw.get("c_post", 2.0)),
+                drift_tol_abs=float(raw.get("drift_tol_abs", 0.0)),
+                max_degree=max_degree,
+                output=output,
+            )
 
 
 def _random_field(dim: int, degree: int, amplitude: float, decay: float, rng) -> PeriodicField:
+    if degree < 0:
+        raise ConfigError(f"degree must be at least 0, got {degree}")
     entries = []
     for k in _ball(dim, degree) if degree > 0 else ():  # degree 0: no modes to draw
         scale = amplitude * math.exp(-decay * int(np.abs(k).sum()))

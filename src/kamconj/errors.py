@@ -57,10 +57,6 @@ class ScheduleOverflow(KamError):
     """Requested cutoff sequence exceeds the configured cap."""
 
 
-class InsufficientData(KamError):
-    """Not enough iteration history to fit the requested diagnostic."""
-
-
 class OutOfRegime(KamError):
     """Generated or supplied map is outside the perturbative regime."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cohomology import solve
 from .diophantine import DiophantineVector
-from .errors import InsufficientData, NonFinite, SmallnessViolated
+from .errors import NonFinite, SmallnessViolated
 from .rotation import convex_hull, hull_contains
 from .spectral import (
     TorusMapLift,
@@ -30,7 +30,6 @@ __all__ = [
     "StepConfig",
     "StepDiagnostics",
     "step",
-    "error_model_constants",
 ]
 
 
@@ -41,15 +40,12 @@ class StepConfig:
     smallness_c scales the precondition C * gamma * N^(2*tau+d+2) * eps0 < 1;
     c_post scales the accepted drift against the post-step deviation;
     target_degree fixes the band of the pulled-back map (default: keep at
-    least the cutoff and the incoming degree); s_report lists extra norm
-    orders to record (integer orders sample derivatives, fractional ones use
-    the weighted coefficient sum).
+    least the cutoff and the incoming degree).
     """
 
     smallness_c: float = 1.0
     c_post: float = 2.0
     target_degree: int | None = None
-    s_report: tuple = (0.0,)
     drift_tol_abs: float = 0.0
 
 
@@ -59,9 +55,6 @@ class StepDiagnostics:
     smallness_margin: float
     eps0_before: float
     eps0_after: float
-    eps0_after_drifted: float
-    eps_s_before: tuple
-    eps_s_after: tuple
     drift: np.ndarray
     drift_norm: float
     drift_bound: float
@@ -74,14 +67,9 @@ class StepDiagnostics:
 class PosterioriReport:
     drift: np.ndarray
     drift_norm: float
-    eps0: float
     bound: float
     drift_ok: bool
     hull_ok: bool
-
-
-def _norm_method(s) -> str:
-    return "grid" if float(s).is_integer() else "fourier"
 
 
 def _check_values(f: TorusMapLift) -> tuple:
@@ -112,7 +100,6 @@ def _posteriori(f_next, values, vec, c_post, tol_abs) -> PosterioriReport:
     return PosterioriReport(
         drift=drift,
         drift_norm=drift_norm,
-        eps0=eps0,
         bound=bound,
         drift_ok=bool(drift_norm <= bound + tol_abs),
         hull_ok=_origin_in_hull(points, hull_tol),
@@ -157,10 +144,6 @@ def step(
             f"C * gamma * N^(2tau+d+2) * eps0 = {config.smallness_c * margin:.3e} >= 1 "
             f"at cutoff {cutoff}"
         )
-    eps_s_before = tuple(
-        (float(s), eps0_before if s == 0 else deviation_norm(f, vec.alpha, s, _norm_method(s)))
-        for s in config.s_report
-    )
 
     correctors = tuple(solve(u, vec, cutoff).corrector for u in f.displacement)
     phi = TorusMapLift(np.zeros(d), correctors)
@@ -176,18 +159,11 @@ def step(
     values = _check_values(f_next)
     post = _posteriori(f_next, values, vec, config.c_post, config.drift_tol_abs)
     eps0_after = _sup(v + a for v, a in zip(values, post.drift))
-    eps_s_after = tuple(
-        (float(s), post.eps0 if s == 0 else deviation_norm(f_next, f_next.rho, s, _norm_method(s)))
-        for s in config.s_report
-    )
     diags = StepDiagnostics(
         cutoff=int(cutoff),
         smallness_margin=margin,
         eps0_before=eps0_before,
         eps0_after=eps0_after,
-        eps0_after_drifted=post.eps0,
-        eps_s_before=eps_s_before,
-        eps_s_after=eps_s_after,
         drift=post.drift,
         drift_norm=post.drift_norm,
         drift_bound=post.bound,
@@ -196,39 +172,3 @@ def step(
         hull_ok=post.hull_ok,
     )
     return f_next, phi, diags
-
-
-def error_model_constants(history, tau: float, d: int, s_prime: float | None = None) -> dict:
-    """Fit the step error model constant from recorded diagnostics.
-
-    For each reported order s, returns the smallest C explaining every step:
-
-        eps_s' <= C * (N^(s+2tau+d+2) eps0^2 + N^(tau+d/2) eps0 eps_s
-                       + N^(s-s'+d) (1 + N^(s+tau+d/2) eps0) eps_s')
-
-    with s' the highest reported order unless given.  Needs at least three
-    steps to be meaningful.
-    """
-    history = list(history)
-    if len(history) < 3:
-        raise InsufficientData("need at least three recorded steps to fit the model")
-    orders = [s for s, _ in history[0].eps_s_before]
-    sp = max(orders) if s_prime is None else float(s_prime)
-    out = {}
-    for s in orders:
-        worst = 0.0
-        for diag in history:
-            n = float(diag.cutoff)
-            eps0 = diag.eps0_before
-            eps_s = dict(diag.eps_s_before)[s]
-            eps_sp = dict(diag.eps_s_before)[sp]
-            after = dict(diag.eps_s_after)[s]
-            bracket = (
-                n ** (s + 2.0 * tau + d + 2.0) * eps0 ** 2
-                + n ** (tau + d / 2.0) * eps0 * eps_s
-                + n ** (s - sp + d) * (1.0 + n ** (s + tau + d / 2.0) * eps0) * eps_sp
-            )
-            if bracket > 0.0:
-                worst = max(worst, after / bracket)
-        out[s] = worst
-    return out

@@ -27,7 +27,7 @@ __all__ = [
     "find_min_start",
 ]
 
-DEFAULTS = {"sigma": 0.5, "lambda_": 3.0, "mu": 7.5, "nu": 2.0}
+DEFAULTS = {"sigma": 0.5, "lambda_": 3.0, "mu": 7.5, "nu": 2.0, "start_cutoff": 8}
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class SchedulerParams:
     s0: float
     b: float
     omega0_max: float
-    start_cutoff: int = 8
+    start_cutoff: int = DEFAULTS["start_cutoff"]
 
 
 def validate(sigma: float, lambda_: float, nu: float) -> tuple:
@@ -87,7 +87,7 @@ def derive_constants(
     nu: float = DEFAULTS["nu"],
     tau: float = 2.0,
     d: int = 2,
-    start_cutoff: int = 8,
+    start_cutoff: int = DEFAULTS["start_cutoff"],
 ) -> SchedulerParams:
     """Resolve exponent ratios into absolute exponents, enforcing feasibility."""
     ok, bad = validate(sigma, lambda_, nu)
@@ -244,6 +244,8 @@ def replay_induction(
         raise ValueError("start cutoff must be at least 2")
     if prefactor <= 0:
         raise ValueError("prefactor must be positive")
+    if n_steps < 1:
+        raise ValueError(f"replay needs at least one step, got {n_steps}")
     lw = math.log(prefactor)
     ln = math.log(N1)
     lx = lw - p.gamma0 * ln

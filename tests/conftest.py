@@ -18,6 +18,20 @@ from kamconj import DiophantineVector, PeriodicField, cs_norm, verified
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PAIR_2D = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
 
+# run config overrides that a config check rejects, each with its message;
+# unchecked, each of them failed deep inside a run with a bare Python error
+MALFORMED_CONFIGS = [
+    ({"tolerances": {"max_iters": -1}}, "max_iters must be at least 0, got -1"),
+    ({"scheduler": {"start_cutoff": 0}}, "start_cutoff must be at least 2, got 0"),
+    ({"max_degree": 0}, "max_degree must be at least 1, got 0"),
+    ({"max_degree": -3}, "max_degree must be at least 1, got -3"),
+    ({"dc_radius": 0}, "dc_radius must be at least 1, got 0"),
+    ({"tau": 0}, "tau must be positive"),
+    ({"tolerances": {"max_iters": "x"}}, "invalid config document: invalid literal for int()"),
+    ({"scheduler": {"sigma": "x"}}, "invalid config document: could not convert string to float"),
+    ({"initial_map": {"kind": "conjugate", "params": [1]}}, "initial_map params must be an object"),
+]
+
 
 def eval_oracle(f: PeriodicField, x) -> float | np.ndarray:
     """Plain double loop over every mode in the coefficient box.

@@ -15,7 +15,7 @@ import pytest
 from kamconj.cli import _parse_alpha, main
 from kamconj.io import load_map
 
-from conftest import GOLDEN, suite_env
+from conftest import GOLDEN, MALFORMED_CONFIGS, suite_env
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 DC_CHECK_ARGS = ["dc-check", "--alpha", "golden", "--tau", "1", "--K", "64"]
@@ -123,6 +123,20 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        MALFORMED_CONFIGS + [
+            (
+                {"initial_map": {"kind": "conjugate", "params": {"degree": -1}}},
+                "degree must be at least 0, got -1",
+            ),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestParams:
@@ -272,6 +286,33 @@ class TestRotationCommand:
         capsys.readouterr()
         assert main(["rotation", "--map", str(src), *flags]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# out-of-range arguments that numeric code rejects with a ValueError; "{map}" is a 1D map file
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dc-check", "--alpha", "golden", "--tau", "1", "--radius", "0"], "radius must be at least 1"),
+        (["dc-check", "--alpha", "golden", "--tau", "0", "--radius", "8"], "gamma and tau must be positive"),
+        (DC_CHECK_ARGS + ["--gamma", "-1"], "gamma and tau must be positive"),
+        (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "0"],
+         "radius must be at least 1"),
+        (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "8", "--gamma", "x"],
+         "could not convert string to float: 'x'"),
+        (["params", "--start-cutoff", "1", "--schedule", "3"], "start cutoff must be at least 2"),
+        (["params", "--replay", "-1"], "replay needs at least one step, got -1"),
+        (["make-map", "--kind", "single-mode", "--alpha", "golden", "--seed", "0", "--out", "{out}",
+          "--modes", "[[1, 0.1]]"], "not enough values to unpack"),
+    ],
+)
+def test_bad_argument_is_usage_error(tmp_path, capsys, argv, message):
+    src, out = tmp_path / "map.json", tmp_path / "out.json"
+    main(["make-map", "--kind", "conjugate", "--alpha", "golden", "--seed", "0", "--out", str(src)])
+    capsys.readouterr()
+    assert main([a.format(map=src, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestMakeMap:

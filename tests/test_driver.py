@@ -30,7 +30,7 @@ from kamconj import kamstep as kstep
 from kamconj.io import load_map, save_map
 from kamconj.spectral import sampling_grid
 
-from conftest import GOLDEN, PAIR_2D
+from conftest import GOLDEN, MALFORMED_CONFIGS, PAIR_2D
 
 
 CONJ_PARAMS = {"amplitude": 0.005}
@@ -132,6 +132,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="object"):
             ExperimentConfig.from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("overrides, message", MALFORMED_CONFIGS)
+    def test_malformed_values_rejected(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(minimal_config(**overrides))
+        assert str(info.value).startswith(message)
+
 
 class TestMakeTestMap:
     def test_conjugate_is_near_rotation(self):
@@ -200,6 +206,11 @@ class TestMakeTestMap:
     def test_unknown_params_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             make_test_map("conjugate", {"amp": 1.0}, [GOLDEN], seed=0)
+
+    @pytest.mark.parametrize("kind", ["random-decay", "conjugate", "drifted"])
+    def test_negative_degree_rejected(self, kind):
+        with pytest.raises(ConfigError, match="degree must be at least 0, got -1"):
+            make_test_map(kind, {"degree": -1}, [GOLDEN], seed=0)
 
 
 class TestChainHelpers:

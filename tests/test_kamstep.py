@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kamconj import (
-    InsufficientData,
     KamError,
     NonFinite,
     PeriodicField,
@@ -18,7 +17,6 @@ from kamconj import (
     TorusMapLift,
     conjugate,
     deviation_norm,
-    error_model_constants,
     convex_hull,
     hull_contains,
     rebase,
@@ -93,27 +91,19 @@ class TestStep:
 
     def test_diagnostics_fields(self, golden_vector):
         f = perturbed_rotation([GOLDEN], 1e-3, seed=74)
-        cfg = StepConfig(smallness_c=1e-8, s_report=(0.0, 1.0))
-        f_next, phi, diag = step(f, golden_vector, 12, cfg)
+        f_next, phi, diag = step(f, golden_vector, 12, StepConfig(smallness_c=1e-8))
         assert diag.cutoff == 12
         assert diag.eps0_before == pytest.approx(1e-3, rel=1e-6)
-        assert [s for s, _ in diag.eps_s_before] == [0.0, 1.0]
         assert diag.eps0_after < diag.eps0_before
         assert diag.corrector_norm0 > 0.0
-        assert diag.drift_bound >= 0.0
-        # the order-0 entries are the step's own eps0 values, bit for bit
-        assert diag.eps_s_before[0][1] == diag.eps0_before
-        assert diag.eps_s_after[0][1] == diag.eps0_after_drifted
-        assert diag.eps0_after_drifted == deviation_norm(f_next, f_next.rho, 0)
+        # the bound is c_post times the deviation from the drifted rotation, bit for bit
+        assert diag.drift_bound == 2.0 * deviation_norm(f_next, f_next.rho, 0)
 
     def test_diagnostics_fields_2d(self, pair_vector):
         f = perturbed_rotation(pair_vector.alpha, 1e-3, seed=72, degree=2)
-        cfg = StepConfig(smallness_c=1e-12, s_report=(0.0, 1.0))
-        f_next, _, diag = step(f, pair_vector, 8, cfg)
-        assert [s for s, _ in diag.eps_s_after] == [0.0, 1.0]
-        assert diag.eps_s_before[0][1] == diag.eps0_before
-        assert diag.eps_s_after[0][1] == diag.eps0_after_drifted
-        assert diag.eps0_after_drifted == deviation_norm(f_next, f_next.rho, 0)
+        f_next, _, diag = step(f, pair_vector, 8, StepConfig(smallness_c=1e-12))
+        assert diag.eps0_before == deviation_norm(rebase(f, pair_vector.alpha), pair_vector.alpha, 0)
+        assert diag.drift_bound == 2.0 * deviation_norm(f_next, f_next.rho, 0)
         assert diag.eps0_after == deviation_norm(f_next, pair_vector.alpha, 0)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -139,7 +129,20 @@ class TestStep:
         f_next, _, diag = step(f, vec, 8, StepConfig(smallness_c=1e-12))
         assert [id(u) for u in calls] == [id(u) for u in f_next.displacement]
         assert diag.eps0_after == deviation_norm(f_next, vec.alpha, 0)
-        assert diag.eps0_after_drifted == deviation_norm(f_next, f_next.rho, 0)
+        assert diag.drift_bound == 2.0 * deviation_norm(f_next, f_next.rho, 0)
+
+    def test_step_reports_only_what_a_run_reads(self):
+        import kamconj
+
+        assert [fld.name for fld in dataclasses.fields(StepConfig)] == [
+            "smallness_c", "c_post", "target_degree", "drift_tol_abs",
+        ]
+        with pytest.raises(TypeError):
+            StepConfig(s_report=(0.0,))
+        names = {fld.name for fld in dataclasses.fields(kamconj.StepDiagnostics)}
+        assert not names & {"eps_s_before", "eps_s_after", "eps0_after_drifted"}
+        for name in ("error_model_constants", "InsufficientData"):
+            assert not hasattr(kamconj, name)
 
     def test_rho_rebased_into_window(self, golden_vector):
         f = TorusMapLift(np.array([GOLDEN + 3.0]), (seeded_field(1, 3, 1e-4, seed=75),))
@@ -270,36 +273,3 @@ class TestQuadrantAccept:
         f = perturbed_rotation(pair_vector.alpha, 1e-3, seed=72, degree=2)
         _, _, diag = step(f, pair_vector, 8, StepConfig(smallness_c=1e-12))
         assert diag.hull_ok
-
-
-class TestErrorModel:
-    def test_needs_three_steps(self, golden_vector):
-        f = perturbed_rotation([GOLDEN], 1e-4, seed=78)
-        _, _, diag = step(f, golden_vector, 12, StepConfig(smallness_c=1e-8))
-        with pytest.raises(InsufficientData):
-            error_model_constants([diag, diag], tau=1.0, d=1)
-
-    def test_fit_is_finite_and_positive(self, golden_vector):
-        cfg = StepConfig(smallness_c=1e-8, s_report=(0.0, 1.0, 2.0))
-        f = perturbed_rotation([GOLDEN], 1e-3, seed=79)
-        history = []
-        for cutoff in (8, 12, 16):
-            f_next, _, diag = step(f, golden_vector, cutoff, cfg)
-            history.append(diag)
-            f = f_next
-        constants = error_model_constants(history, tau=1.0, d=1)
-        assert set(constants) == {0.0, 1.0, 2.0}
-        for c in constants.values():
-            assert math.isfinite(c) and c >= 0.0
-
-    def test_explicit_s_prime(self, golden_vector):
-        cfg = StepConfig(smallness_c=1e-8, s_report=(0.0, 2.0))
-        f = perturbed_rotation([GOLDEN], 1e-3, seed=80)
-        history = []
-        for cutoff in (8, 12, 16):
-            f_next, _, diag = step(f, golden_vector, cutoff, cfg)
-            history.append(diag)
-            f = f_next
-        a = error_model_constants(history, tau=1.0, d=1)
-        b = error_model_constants(history, tau=1.0, d=1, s_prime=2.0)
-        assert a == b

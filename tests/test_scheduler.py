@@ -225,6 +225,11 @@ class TestReplay:
         p = derive_constants(start_cutoff=8)
         assert replay_induction(p, start=2).ok
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_needs_a_step(self, n_steps):
+        with pytest.raises(ValueError, match="at least one step"):
+            replay_induction(derive_constants(), n_steps=n_steps)
+
 
 def test_find_min_start_default():
     p = derive_constants()
