@@ -77,6 +77,14 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
+def _read(d: dict, key: str, default, kind, where: str = ""):
+    """d[key] (default when absent) converted by `kind`; a failed conversion names the key."""
+    try:
+        return kind(d.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid config document: {exc} in {where}{key}") from None
+
+
 def _resolve_component(x) -> float:
     if isinstance(x, str):
         if x not in NAMED_ALPHAS:
@@ -130,7 +138,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        # conversions that fail (float("x"), int(None)) end as ConfigError
+        # a value that fails to convert names its key (`_read`); anything else
+        # that fails on a malformed document still ends as ConfigError
         with kio._invalid("config"):
             allowed = {
                 "alpha", "tau", "gamma", "dc_radius", "scheduler", "initial_map",
@@ -143,13 +152,13 @@ class ExperimentConfig:
                     raise ConfigError(f"missing required key {key!r}")
             alpha = _resolve_alpha(raw["alpha"])
             dim = alpha.size
-            tau = float(raw.get("tau", 1.0 if dim == 1 else 2.0))
+            tau = _read(raw, "tau", 1.0 if dim == 1 else 2.0, float)
 
             gamma_raw = raw.get("gamma", "auto")
             if gamma_raw == "auto":
                 gamma = None
             else:
-                gamma = float(gamma_raw)
+                gamma = _read(raw, "gamma", None, float)
                 if gamma <= 0:
                     raise ConfigError("gamma must be positive")
 
@@ -159,11 +168,11 @@ class ExperimentConfig:
             if not isinstance(sched, dict):
                 raise ConfigError("scheduler must be 'default' or an object")
             _reject_unknown(sched, {"sigma", "lambda", "mu", "nu", "start_cutoff"}, "scheduler")
-            sigma = float(sched.get("sigma", DEFAULTS["sigma"]))
-            lambda_ = float(sched.get("lambda", DEFAULTS["lambda_"]))
-            nu = float(sched.get("nu", DEFAULTS["nu"]))
-            mu = float(sched.get("mu", DEFAULTS["mu"]))
-            start_cutoff = int(sched.get("start_cutoff", DEFAULTS["start_cutoff"]))
+            sigma = _read(sched, "sigma", DEFAULTS["sigma"], float, "scheduler.")
+            lambda_ = _read(sched, "lambda", DEFAULTS["lambda_"], float, "scheduler.")
+            nu = _read(sched, "nu", DEFAULTS["nu"], float, "scheduler.")
+            mu = _read(sched, "mu", DEFAULTS["mu"], float, "scheduler.")
+            start_cutoff = _read(sched, "start_cutoff", DEFAULTS["start_cutoff"], int, "scheduler.")
 
             imap = raw["initial_map"]
             if not isinstance(imap, dict):
@@ -181,18 +190,19 @@ class ExperimentConfig:
             if not isinstance(tol, dict):
                 raise ConfigError("tolerances must be an object")
             _reject_unknown(tol, {"eps_stop", "max_iters", "residual_tol"}, "tolerances")
-            eps_stop = float(tol.get("eps_stop", 1e-9))
-            max_iters = int(tol.get("max_iters", 12))
+            eps_stop = _read(tol, "eps_stop", 1e-9, float, "tolerances.")
+            max_iters = _read(tol, "max_iters", 12, int, "tolerances.")
             residual_tol = tol.get("residual_tol")
-            residual_tol = None if residual_tol is None else float(residual_tol)
+            if residual_tol is not None:
+                residual_tol = _read(tol, "residual_tol", None, float, "tolerances.")
 
             output = raw.get("output", {})
             if not isinstance(output, dict):
                 raise ConfigError("output must be an object")
             _reject_unknown(output, {"trace", "chain", "final_map"}, "output")
 
-            dc_radius = None if raw.get("dc_radius") is None else int(raw["dc_radius"])
-            max_degree = int(raw.get("max_degree", _DEFAULT_MAX_DEGREE[dim]))
+            dc_radius = None if raw.get("dc_radius") is None else _read(raw, "dc_radius", None, int)
+            max_degree = _read(raw, "max_degree", _DEFAULT_MAX_DEGREE[dim], int)
             for name, value, low in (
                 ("max_iters", max_iters, 0), ("start_cutoff", start_cutoff, 2),
                 ("max_degree", max_degree, 1), ("dc_radius", dc_radius, 1),
@@ -216,10 +226,10 @@ class ExperimentConfig:
                 eps_stop=eps_stop,
                 max_iters=max_iters,
                 residual_tol=residual_tol,
-                seed=int(raw["seed"]),
-                smallness_c=float(raw.get("smallness_c", 1.0)),
-                c_post=float(raw.get("c_post", 2.0)),
-                drift_tol_abs=float(raw.get("drift_tol_abs", 0.0)),
+                seed=_read(raw, "seed", None, int),
+                smallness_c=_read(raw, "smallness_c", 1.0, float),
+                c_post=_read(raw, "c_post", 2.0, float),
+                drift_tol_abs=_read(raw, "drift_tol_abs", 0.0, float),
                 max_degree=max_degree,
                 output=output,
             )
@@ -238,7 +248,10 @@ def _random_field(dim: int, degree: int, amplitude: float, decay: float, rng) ->
 
 def _modes_field(dim: int, modes) -> PeriodicField:
     entries = []
-    for k, re, im in modes:
+    for mode in modes:
+        if not isinstance(mode, (list, tuple)) or len(mode) != 3:
+            raise ConfigError(f"each mode is [k, re, im], got {mode!r}")
+        k, re, im = mode
         k = (int(k),) if np.isscalar(k) else tuple(int(x) for x in k)
         entries.append((k, complex(float(re), float(im))))
     degree = max(sum(abs(x) for x in k) for k, _ in entries)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite
-from .spectral import TorusMapLift, _mode_scratch, _mode_sum, _modes, sampling_grid
+from .spectral import TorusMapLift, _mode_scratch, _modes, sampling_grid
 
 __all__ = [
     "Hull",
@@ -150,8 +150,8 @@ def _segment_distance(a, b, p) -> float:
 def displacement_hull(f: TorusMapLift, resolution: int | None = None) -> Hull:
     """Hull of the one-step displacement f(x) - x sampled on a uniform grid."""
     m = max(sampling_grid(f.degree) if resolution is None else int(resolution), 2 * f.degree + 1)
-    pts = np.stack([r + v.ravel() for r, v in zip(f.rho, f.displacement_values(m))], axis=1)
-    return convex_hull(pts)
+    coords = np.stack([r + v.ravel() for r, v in zip(f.rho, f.displacement_values(m))])
+    return convex_hull(coords.T)  # Fortran order: the hull reads each coordinate without a copy
 
 
 _WRAP_EVERY = 16  # iterates between two reductions of the orbits by their integer parts
@@ -168,13 +168,17 @@ def _birkhoff_batch(f: TorusMapLift, starts: np.ndarray, n_iter: int) -> np.ndar
     if n_iter < 1:
         raise ValueError("need at least one iterate")
     x0 = np.asarray(starts, dtype=float).reshape(-1, f.dim) % 1.0
-    modes = _modes(f.displacement, f.rho)
-    scratch = _mode_scratch(modes, len(x0))
+    k, w = modes = _modes(f.displacement, f.rho)
+    theta, phase, unit, unit_floats = _mode_scratch(modes, len(x0))
     x, disp, wraps = x0.copy(), np.empty_like(x0), np.zeros_like(x0)
+    vecmat, exp, matvec, add = np.vecmat, np.exp, np.matvec, np.add
     for done in range(0, n_iter, _WRAP_EVERY):
         for _ in range(min(_WRAP_EVERY, n_iter - done)):
-            _mode_sum(modes, x, scratch, disp)
-            x += disp
+            # spectral._mode_sum's calls on its operands, without a Python call per iterate
+            vecmat(x, k, theta)
+            exp(phase, unit)
+            matvec(w, unit_floats, disp)
+            add(x, disp, x)
         wraps += np.floor(x)
         x %= 1.0  # x - floor(x), bit for bit
     return ((x - x0) + wraps) / n_iter

@@ -90,6 +90,8 @@ def derive_constants(
     start_cutoff: int = DEFAULTS["start_cutoff"],
 ) -> SchedulerParams:
     """Resolve exponent ratios into absolute exponents, enforcing feasibility."""
+    if start_cutoff < 2:
+        raise ValueError("start cutoff must be at least 2")
     ok, bad = validate(sigma, lambda_, nu)
     if not ok:
         raise InfeasibleParams("constraints violated: " + ", ".join(bad))
@@ -142,6 +144,8 @@ def schedule_cutoffs(start: int, sigma: float, count: int, cap: int = 2 ** 20) -
     """
     if start < 2:
         raise ValueError("start cutoff must be at least 2")
+    if count < 0:
+        raise ValueError(f"schedule length must be at least 0, got {count}")
     out = list(_snapped_cutoffs(start, sigma, count, cap))
     if len(out) < count:
         raise ScheduleOverflow(f"cutoff at step {len(out) + 1} exceeds cap {cap}")

@@ -27,8 +27,14 @@ MALFORMED_CONFIGS = [
     ({"max_degree": -3}, "max_degree must be at least 1, got -3"),
     ({"dc_radius": 0}, "dc_radius must be at least 1, got 0"),
     ({"tau": 0}, "tau must be positive"),
-    ({"tolerances": {"max_iters": "x"}}, "invalid config document: invalid literal for int()"),
-    ({"scheduler": {"sigma": "x"}}, "invalid config document: could not convert string to float"),
+    (
+        {"tolerances": {"max_iters": "x"}},
+        "invalid config document: invalid literal for int() with base 10: 'x' in tolerances.max_iters",
+    ),
+    (
+        {"scheduler": {"sigma": "x"}},
+        "invalid config document: could not convert string to float: 'x' in scheduler.sigma",
+    ),
     ({"initial_map": {"kind": "conjugate", "params": [1]}}, "initial_map params must be an object"),
 ]
 

@@ -302,7 +302,9 @@ class TestRotationCommand:
         (["params", "--start-cutoff", "1", "--schedule", "3"], "start cutoff must be at least 2"),
         (["params", "--replay", "-1"], "replay needs at least one step, got -1"),
         (["make-map", "--kind", "single-mode", "--alpha", "golden", "--seed", "0", "--out", "{out}",
-          "--modes", "[[1, 0.1]]"], "not enough values to unpack"),
+          "--modes", "[[1, 0.1]]"], "each mode is [k, re, im], got [1, 0.1]"),
+        (["params", "--start-cutoff", "1"], "start cutoff must be at least 2"),
+        (["params", "--schedule", "-2"], "schedule length must be at least 0, got -2"),
     ],
 )
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv, message):

@@ -138,6 +138,24 @@ class TestConfig:
             ExperimentConfig.from_dict(minimal_config(**overrides))
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "tau", "gamma", "dc_radius", "max_degree", "seed", "smallness_c", "c_post",
+            "drift_tol_abs", "scheduler.sigma", "scheduler.lambda", "scheduler.mu", "scheduler.nu",
+            "scheduler.start_cutoff", "tolerances.eps_stop", "tolerances.max_iters",
+            "tolerances.residual_tol",
+        ],
+    )
+    @pytest.mark.parametrize("value", ["x", [1.0]])
+    def test_unconvertible_value_names_its_key(self, path, value):
+        section, _, key = path.rpartition(".")
+        overrides = {section: {key: value}} if section else {key: value}
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(minimal_config(**overrides))
+        message = str(info.value)
+        assert message.startswith("invalid config document: ") and message.endswith(f" in {path}")
+
 
 class TestMakeTestMap:
     def test_conjugate_is_near_rotation(self):

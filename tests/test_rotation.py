@@ -20,7 +20,6 @@ from kamconj import (
     hull_contains,
     rotation_set_estimate,
 )
-from kamconj import rotation
 from kamconj.rotation import (
     _FILTER_DIRECTIONS,
     _WRAP_EVERY,
@@ -29,6 +28,7 @@ from kamconj.rotation import (
     _drop_interior,
     _monotone_chain,
 )
+from kamconj.spectral import _mode_scratch, _mode_sum, _modes
 
 from conftest import GOLDEN, PAIR_2D, bits, eval_oracle, hull_contains_oracle, seeded_field, suite_env
 
@@ -206,6 +206,14 @@ class TestHullPrefilter:
         pts = _PREFILTER["cocircular"]
         assert len(_drop_interior(pts)) == len(pts)
         assert len(convex_hull(pts).vertices) == len(pts)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_fortran_ordered_cloud_gives_same_vertices(self, index):
+        # displacement_hull passes its coordinates column-major
+        pts = rotation_2d_cloud(index, 256)
+        fortran = np.asfortranarray(pts)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        assert bits(convex_hull(fortran).vertices) == bits(convex_hull(pts).vertices)
 
     @pytest.mark.parametrize("name", sorted(_PREFILTER))
     def test_first_pass_keeps_every_vertex(self, name):
@@ -442,18 +450,27 @@ class TestBirkhoff:
             assert np.max(np.abs(avg - _oracle_average(f, x0, 30))) < 1e-14
 
 
-def _recorded_displacements(monkeypatch) -> list:
-    """Copies of every displacement array `_birkhoff_batch` computes, in order."""
-    seen = []
-    mode_sum = rotation._mode_sum
+def _recorded_orbit(monkeypatch) -> tuple:
+    """Copies of every orbit point and displacement `_birkhoff_batch` computes, in order.
 
-    def record(modes, x, scratch, out):
-        result = mode_sum(modes, x, scratch, out)
+    Its loop calls `np.vecmat` once per iterate at the orbit points and
+    `np.matvec` once into their displacements; both are wrapped here.
+    """
+    points, seen = [], []
+    vecmat, matvec = np.vecmat, np.matvec
+
+    def record_points(x, k, out):
+        points.append(x.copy())
+        return vecmat(x, k, out)
+
+    def record_displacements(w, unit_floats, out):
+        result = matvec(w, unit_floats, out)
         seen.append(out.copy())
         return result
 
-    monkeypatch.setattr(rotation, "_mode_sum", record)
-    return seen
+    monkeypatch.setattr(np, "vecmat", record_points)
+    monkeypatch.setattr(np, "matvec", record_displacements)
+    return points, seen
 
 
 class TestLiftAverage:
@@ -476,7 +493,7 @@ class TestLiftAverage:
         f = TorusMapLift(np.array(rho), u)
         starts = np.random.default_rng(162).random((16, 2))
         n = 10_000
-        seen = _recorded_displacements(monkeypatch)
+        _, seen = _recorded_orbit(monkeypatch)
         avg = _birkhoff_batch(f, starts, n)
         assert len(seen) == n
         disp = np.stack(seen)
@@ -489,9 +506,32 @@ class TestLiftAverage:
         # the exp(0) = 1 column carries the mean bit for bit
         f = TorusMapLift(np.array(rho), tuple(PeriodicField.zeros(len(rho), 3) for _ in rho))
         starts = np.random.default_rng(163).random((5, len(rho)))
-        seen = _recorded_displacements(monkeypatch)
+        _, seen = _recorded_orbit(monkeypatch)
         _birkhoff_batch(f, starts, 3 * _WRAP_EVERY + 2)
+        assert len(seen) == 3 * _WRAP_EVERY + 2
         assert all(np.array_equal(d, np.broadcast_to(f.rho, d.shape)) for d in seen)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_orbit_displacements_match_mode_sum(self, dim, monkeypatch):
+        # the loop issues `_mode_sum`'s calls itself, so an iterate keeps its bits
+        u = tuple(seeded_field(dim, 3, 0.02, seed=170 + i) for i in range(dim))
+        f = TorusMapLift(np.array([GOLDEN] if dim == 1 else PAIR_2D), u)
+        starts = np.random.default_rng(172).random((16, dim))
+        n_iter = 2 * _WRAP_EVERY + 3
+        points, seen = _recorded_orbit(monkeypatch)
+        _birkhoff_batch(f, starts, n_iter)
+        monkeypatch.undo()
+        assert len(points) == len(seen) == n_iter
+        modes = _modes(f.displacement, f.rho)
+        scratch = _mode_scratch(modes, len(starts))
+        for x, disp in zip(points, seen):
+            assert bits(disp) == bits(_mode_sum(modes, x, scratch, np.empty_like(x)))
+        for i in range(n_iter - 1):
+            step = points[i] + seen[i]
+            if (i + 1) % _WRAP_EVERY == 0:  # a wrap: the orbit left [0, 1) and is reduced into it
+                assert step.max() > 1.0
+                step %= 1.0
+            assert bits(points[i + 1]) == bits(step)
 
     @pytest.mark.parametrize("n_iter", [1, _WRAP_EVERY, _WRAP_EVERY + 1, 10_000])
     def test_rigid_rotation_average_is_exactly_rho(self, n_iter):

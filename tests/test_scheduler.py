@@ -90,6 +90,12 @@ class TestDeriveConstants:
         with pytest.raises(InfeasibleParams, match="constraints"):
             derive_constants(sigma=0.2, lambda_=3.0)
 
+    @pytest.mark.parametrize("start", [1, 0, -4])
+    def test_start_below_two_rejected(self, start):
+        # N1 = 1 gives log N1 = 0: a schedule that never grows
+        with pytest.raises(ValueError, match="start cutoff must be at least 2"):
+            derive_constants(start_cutoff=start)
+
     def test_mu_outside_window_rejected(self):
         with pytest.raises(InfeasibleParams, match="window"):
             derive_constants(mu=8.5)
@@ -129,6 +135,11 @@ class TestSchedule:
     def test_start_validation(self):
         with pytest.raises(ValueError, match="start"):
             schedule_cutoffs(1, 0.5, 3)
+
+    def test_empty_schedule_allowed_negative_rejected(self):
+        assert schedule_cutoffs(8, 0.5, 0) == []
+        with pytest.raises(ValueError, match="schedule length must be at least 0, got -2"):
+            schedule_cutoffs(8, 0.5, -2)
 
 
 class TestInductiveInequalities:
