@@ -16,6 +16,7 @@ from . import io as kio
 from .cohomology import solve
 from .diophantine import DiophantineVector, best_gamma, verified_vector, verify_dc
 from .driver import (
+    CONFIG_KEYS,
     EXIT_CODES,
     ExperimentConfig,
     _resolve_alpha,
@@ -37,6 +38,9 @@ from .scheduler import (
 from .spectral import TorusMapLift, cs_norm
 
 __all__ = ["main"]
+
+# the generator params that `make-map` takes as flags; `make_test_map` reads them
+_PARAM_KEYS = [key for section, key in CONFIG_KEYS if section == "initial_map.params"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,8 +76,8 @@ def _build_parser() -> _Parser:
     par.add_argument("--lambda", dest="lambda_", type=float, default=DEFAULTS["lambda_"])
     par.add_argument("--mu", type=float, default=None)
     par.add_argument("--nu", type=float, default=DEFAULTS["nu"])
-    par.add_argument("--tau", type=float, default=2.0)
-    par.add_argument("--dim", type=int, default=2)
+    par.add_argument("--tau", type=float, help="default: a run's tau at this dimension")
+    par.add_argument("--dim", type=int, choices=(1, 2), default=2)
     par.add_argument("--start-cutoff", "--N1", dest="start_cutoff", type=int, default=DEFAULTS["start_cutoff"])
     par.add_argument("--replay", type=int, default=0, help="replay the envelope recursion this many steps")
     par.add_argument("--schedule", type=int, default=0, help="print this many schedule cutoffs")
@@ -104,10 +108,8 @@ def _build_parser() -> _Parser:
     mk.add_argument("--alpha", required=True)
     mk.add_argument("--seed", type=int, required=True)
     mk.add_argument("--out", required=True)
-    mk.add_argument("--degree", type=int)
-    mk.add_argument("--amplitude", type=float)
-    mk.add_argument("--decay", type=float)
-    mk.add_argument("--target-degree", type=int)
+    for key in _PARAM_KEYS:
+        mk.add_argument("--" + key.replace("_", "-"))
     mk.add_argument("--delta", help="comma-separated translation offset")
     mk.add_argument("--modes", help="mode list as JSON")
     return p
@@ -151,7 +153,8 @@ def _cmd_params(args) -> int:
     print(f"omega0 bound: {omega0_bound(args.sigma, args.lambda_):.12g}")
     params = derive_constants(
         sigma=args.sigma, lambda_=args.lambda_, mu=mu, nu=args.nu,
-        tau=args.tau, d=args.dim, start_cutoff=args.start_cutoff,
+        tau=CONFIG_KEYS["", "tau"][1][args.dim] if args.tau is None else args.tau,
+        d=args.dim, start_cutoff=args.start_cutoff,
     )
     print(
         f"exponents: a={params.a:.6g} gamma0={params.gamma0:.6g} "
@@ -230,18 +233,9 @@ def _cmd_rotation(args) -> int:
 
 
 def _cmd_make_map(args) -> int:
-    params = {}
-    for key in ("degree", "amplitude", "decay"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    if args.target_degree is not None:
-        params["target_degree"] = args.target_degree
+    params = {key: getattr(args, key) for key in _PARAM_KEYS if getattr(args, key) is not None}
     if args.delta is not None:
-        try:
-            params["delta"] = [float(x) for x in args.delta.split(",")]
-        except ValueError:
-            raise ConfigError(f"--delta must be comma-separated numbers, got {args.delta!r}") from None
+        params["delta"] = args.delta.split(",")
     if args.modes is not None:
         params["modes"] = json.loads(args.modes)
     alpha = _parse_alpha(args.alpha)

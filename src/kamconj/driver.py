@@ -45,6 +45,7 @@ __all__ = [
     "compose_chain",
     "conjugacy_verification",
     "NAMED_ALPHAS",
+    "CONFIG_KEYS",
 ]
 
 NAMED_ALPHAS = {
@@ -53,7 +54,42 @@ NAMED_ALPHAS = {
     "sqrt3-1": math.sqrt(3.0) - 1.0,
 }
 
-_DEFAULT_MAX_DEGREE = {1: 2048, 2: 256}
+# One row per scalar key: (section, key) -> (kind, default, lower bound, strict);
+# a strict bound is 0. A default keyed by dimension is picked by alpha's size;
+# None means absent (gamma: fit the smallest verified value, dc_radius: the
+# largest scheduled cutoff, residual_tol: 10 * eps_stop). Generator params take
+# the defaults of their kind (`_GENERATORS`).
+CONFIG_KEYS = {
+    ("", "tau"): (float, {1: 1.0, 2: 2.0}, 0, True),
+    ("", "gamma"): (float, None, 0, True),
+    ("", "dc_radius"): (int, None, 1, False),
+    ("", "seed"): (int, None, 0, False),
+    ("", "smallness_c"): (float, StepConfig.smallness_c, 0, True),
+    ("", "c_post"): (float, StepConfig.c_post, 0, False),
+    ("", "drift_tol_abs"): (float, StepConfig.drift_tol_abs, 0, False),
+    ("", "max_degree"): (int, {1: 2048, 2: 256}, 1, False),
+    ("scheduler", "sigma"): (float, DEFAULTS["sigma"], None, False),
+    ("scheduler", "lambda"): (float, DEFAULTS["lambda_"], None, False),
+    ("scheduler", "mu"): (float, DEFAULTS["mu"], None, False),
+    ("scheduler", "nu"): (float, DEFAULTS["nu"], None, False),
+    ("scheduler", "start_cutoff"): (int, DEFAULTS["start_cutoff"], 2, False),
+    ("tolerances", "eps_stop"): (float, 1e-9, 0, False),
+    ("tolerances", "max_iters"): (int, 12, 0, False),
+    ("tolerances", "residual_tol"): (float, None, 0, False),
+    ("initial_map.params", "degree"): (int, None, 0, False),
+    ("initial_map.params", "amplitude"): (float, None, None, False),
+    ("initial_map.params", "decay"): (float, None, None, False),
+    ("initial_map.params", "target_degree"): (int, None, 0, False),
+}
+
+# each generator's params with their defaults; target_degree None is max(16, 4 * degree)
+_CONJUGATE = {"degree": 3, "amplitude": 0.02, "decay": 1.0, "target_degree": None, "delta": None}
+_GENERATORS = {
+    "conjugate": _CONJUGATE,
+    "drifted": _CONJUGATE,
+    "single-mode": {"modes": None},
+    "random-decay": {"degree": 4, "amplitude": 0.01, "decay": 1.0},
+}
 
 
 class RunStatus(enum.Enum):
@@ -77,12 +113,41 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
-def _read(d: dict, key: str, default, kind, where: str = ""):
-    """d[key] (default when absent) converted by `kind`; a failed conversion names the key."""
+def _number(kind, value):
+    """value as an int or a finite float; bools and non-integral floats are refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    value = kind(value)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _read(d: dict, section: str, key: str, default):
+    """d[key] converted and bounded by its CONFIG_KEYS row, `default` when absent or null."""
+    kind, _, low, strict = CONFIG_KEYS[section, key]
+    path = f"{section}.{key}" if section else key
+    if d.get(key) is None:
+        return default
     try:
-        return kind(d.get(key, default))
+        value = _number(kind, d[key])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid config document: {exc} in {where}{key}") from None
+        raise ConfigError(f"invalid config document: {exc} in {path}") from None
+    if low is not None and (value <= low if strict else value < low):
+        need = "positive" if strict else f"at least {low}"
+        raise ConfigError(f"{key} must be {need}, got {value} in {path}")
+    return value
+
+
+def _object(d: dict, key: str, allowed: set) -> dict:
+    """d[key] ({} when absent) as an object that holds only `allowed` keys."""
+    value = d.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object")
+    _reject_unknown(value, allowed, key)
+    return value
 
 
 def _resolve_component(x) -> float:
@@ -91,9 +156,9 @@ def _resolve_component(x) -> float:
             raise ConfigError(f"unknown rotation tag {x!r}; use one of {sorted(NAMED_ALPHAS)}")
         return NAMED_ALPHAS[x]
     try:
-        return float(x)
-    except (TypeError, ValueError):
-        raise ConfigError("alpha components must be numbers or tags") from None
+        return _number(float, x)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"alpha components must be finite numbers or tags, got {x!r}") from None
 
 
 def _resolve_alpha(spec) -> np.ndarray:
@@ -105,8 +170,6 @@ def _resolve_alpha(spec) -> np.ndarray:
         raise ConfigError("alpha must be a tag, a number, or a list of those") from None
     if arr.size not in (1, 2):
         raise ConfigError("alpha must have one or two components")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError("alpha must be finite")
     return arr
 
 
@@ -141,103 +204,38 @@ class ExperimentConfig:
         # a value that fails to convert names its key (`_read`); anything else
         # that fails on a malformed document still ends as ConfigError
         with kio._invalid("config"):
-            allowed = {
-                "alpha", "tau", "gamma", "dc_radius", "scheduler", "initial_map",
-                "tolerances", "seed", "smallness_c", "c_post", "drift_tol_abs",
-                "max_degree", "output",
-            }
-            _reject_unknown(raw, allowed, "config")
+            keys = {name: {k for s, k in CONFIG_KEYS if s == name} for name in ("", "scheduler", "tolerances")}
+            keys[""] |= {"alpha", "scheduler", "initial_map", "tolerances", "output"}
+            _reject_unknown(raw, keys[""], "config")
             for key in ("alpha", "initial_map", "seed"):
-                if key not in raw:
+                if raw.get(key) is None:
                     raise ConfigError(f"missing required key {key!r}")
             alpha = _resolve_alpha(raw["alpha"])
-            dim = alpha.size
-            tau = _read(raw, "tau", 1.0 if dim == 1 else 2.0, float)
-
-            gamma_raw = raw.get("gamma", "auto")
-            if gamma_raw == "auto":
-                gamma = None
-            else:
-                gamma = _read(raw, "gamma", None, float)
-                if gamma <= 0:
-                    raise ConfigError("gamma must be positive")
-
-            sched = raw.get("scheduler", "default")
-            if sched == "default":
-                sched = {}
-            if not isinstance(sched, dict):
-                raise ConfigError("scheduler must be 'default' or an object")
-            _reject_unknown(sched, {"sigma", "lambda", "mu", "nu", "start_cutoff"}, "scheduler")
-            sigma = _read(sched, "sigma", DEFAULTS["sigma"], float, "scheduler.")
-            lambda_ = _read(sched, "lambda", DEFAULTS["lambda_"], float, "scheduler.")
-            nu = _read(sched, "nu", DEFAULTS["nu"], float, "scheduler.")
-            mu = _read(sched, "mu", DEFAULTS["mu"], float, "scheduler.")
-            start_cutoff = _read(sched, "start_cutoff", DEFAULTS["start_cutoff"], int, "scheduler.")
+            # gamma "auto" and scheduler "default" read as absent
+            absent = (("gamma", "auto"), ("scheduler", "default"))
+            root = {k: v for k, v in raw.items() if (k, v) not in absent}
+            docs = {name: _object(root, name, keys[name]) if name else root for name in keys}
+            values = {}
+            for (section, key), (_, default, _, _) in CONFIG_KEYS.items():
+                if section in docs:
+                    if isinstance(default, dict):  # by dimension
+                        default = default[alpha.size]
+                    name = "lambda_" if key == "lambda" else key
+                    values[name] = _read(docs[section], section, key, default)
 
             imap = raw["initial_map"]
-            if not isinstance(imap, dict):
-                raise ConfigError("initial_map must be an object")
-            if "file" in imap:
-                _reject_unknown(imap, {"file"}, "initial_map")
-            else:
-                _reject_unknown(imap, {"kind", "params"}, "initial_map")
+            stored = isinstance(imap, dict) and "file" in imap
+            _object(raw, "initial_map", {"file"} if stored else {"kind", "params"})
+            if not stored:
                 if "kind" not in imap:
                     raise ConfigError("initial_map needs 'file' or 'kind'")
-                if not isinstance(imap.get("params", {}), dict):
-                    raise ConfigError("initial_map params must be an object")
-
-            tol = raw.get("tolerances", {})
-            if not isinstance(tol, dict):
-                raise ConfigError("tolerances must be an object")
-            _reject_unknown(tol, {"eps_stop", "max_iters", "residual_tol"}, "tolerances")
-            eps_stop = _read(tol, "eps_stop", 1e-9, float, "tolerances.")
-            max_iters = _read(tol, "max_iters", 12, int, "tolerances.")
-            residual_tol = tol.get("residual_tol")
-            if residual_tol is not None:
-                residual_tol = _read(tol, "residual_tol", None, float, "tolerances.")
-
-            output = raw.get("output", {})
-            if not isinstance(output, dict):
-                raise ConfigError("output must be an object")
-            _reject_unknown(output, {"trace", "chain", "final_map"}, "output")
-
-            dc_radius = None if raw.get("dc_radius") is None else _read(raw, "dc_radius", None, int)
-            max_degree = _read(raw, "max_degree", _DEFAULT_MAX_DEGREE[dim], int)
-            for name, value, low in (
-                ("max_iters", max_iters, 0), ("start_cutoff", start_cutoff, 2),
-                ("max_degree", max_degree, 1), ("dc_radius", dc_radius, 1),
-            ):
-                if value is not None and value < low:
-                    raise ConfigError(f"{name} must be at least {low}, got {value}")
-            if not tau > 0:
-                raise ConfigError("tau must be positive")
-
-            return cls(
-                alpha=alpha,
-                tau=tau,
-                gamma=gamma,
-                dc_radius=dc_radius,
-                sigma=sigma,
-                lambda_=lambda_,
-                mu=mu,
-                nu=nu,
-                start_cutoff=start_cutoff,
-                initial_map=imap,
-                eps_stop=eps_stop,
-                max_iters=max_iters,
-                residual_tol=residual_tol,
-                seed=_read(raw, "seed", None, int),
-                smallness_c=_read(raw, "smallness_c", 1.0, float),
-                c_post=_read(raw, "c_post", 2.0, float),
-                drift_tol_abs=_read(raw, "drift_tol_abs", 0.0, float),
-                max_degree=max_degree,
-                output=output,
-            )
+                # a bad generator param fails here, not inside the run
+                _generator_params(imap["kind"], imap.get("params", {}), alpha.size)
+            output = _object(raw, "output", {"trace", "chain", "final_map"})
+            return cls(alpha=alpha, initial_map=imap, output=output, **values)
 
 
 def _random_field(dim: int, degree: int, amplitude: float, decay: float, rng) -> PeriodicField:
-    if degree < 0:
-        raise ConfigError(f"degree must be at least 0, got {degree}")
     entries = []
     for k in _ball(dim, degree) if degree > 0 else ():  # degree 0: no modes to draw
         scale = amplitude * math.exp(-decay * int(np.abs(k).sum()))
@@ -246,16 +244,51 @@ def _random_field(dim: int, degree: int, amplitude: float, decay: float, rng) ->
     return PeriodicField.from_entries(dim, degree, entries)
 
 
-def _modes_field(dim: int, modes) -> PeriodicField:
-    entries = []
-    for mode in modes:
-        if not isinstance(mode, (list, tuple)) or len(mode) != 3:
-            raise ConfigError(f"each mode is [k, re, im], got {mode!r}")
-        k, re, im = mode
-        k = (int(k),) if np.isscalar(k) else tuple(int(x) for x in k)
-        entries.append((k, complex(float(re), float(im))))
-    degree = max(sum(abs(x) for x in k) for k, _ in entries)
-    return PeriodicField.from_entries(dim, degree, entries)
+def _read_modes(modes, dim: int) -> tuple:
+    """single-mode's [k, re, im] lists, one per component, as fields of one degree."""
+    per_comp = modes if dim == 2 else [modes]
+    lists = isinstance(modes, (list, tuple)) and all(isinstance(c, (list, tuple)) and c for c in per_comp)
+    if not lists or len(per_comp) != dim:
+        raise ConfigError("single-mode needs one nonempty mode list per component in initial_map.params.modes")
+    comps = []
+    for comp in per_comp:
+        comps.append([])
+        for mode in comp:
+            try:
+                k, re, im = mode
+                k = tuple(_number(int, x) for x in (k if isinstance(k, (list, tuple)) else [k]))
+                comps[-1].append((k, complex(_number(float, re), _number(float, im))))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"each mode is [k, re, im], got {mode!r} in initial_map.params.modes") from None
+    degree = max(sum(map(abs, k)) for entries in comps for k, _ in entries)
+    return tuple(PeriodicField.from_entries(dim, degree, entries) for entries in comps)
+
+
+def _generator_params(kind: str, params, dim: int) -> dict:
+    """A generator's params, read and bounded, with its kind's defaults filled in."""
+    if kind not in _GENERATORS:
+        raise ConfigError(f"unknown test map kind {kind!r}")
+    if not isinstance(params, dict):
+        raise ConfigError("initial_map params must be an object")
+    defaults = _GENERATORS[kind]
+    _reject_unknown(params, set(defaults), f"params for {kind!r}")
+    out = {
+        key: _read(params, "initial_map.params", key, default)
+        for key, default in defaults.items() if ("initial_map.params", key) in CONFIG_KEYS
+    }
+    if "target_degree" in out and out["target_degree"] is None:
+        out["target_degree"] = max(16, 4 * out["degree"])
+    if kind == "drifted":
+        delta = params.get("delta", [0.0] * dim)
+        try:
+            out["delta"] = np.array([_number(float, x) for x in np.atleast_1d(delta).tolist()])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid config document: {exc} in initial_map.params.delta") from None
+        if out["delta"].size != dim:
+            raise ConfigError("delta must match the dimension in initial_map.params.delta")
+    if kind == "single-mode":
+        out["modes"] = _read_modes(params.get("modes"), dim)
+    return out
 
 
 def make_test_map(kind: str, params: dict, alpha, seed: int) -> TorusMapLift:
@@ -270,50 +303,21 @@ def make_test_map(kind: str, params: dict, alpha, seed: int) -> TorusMapLift:
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     dim = alpha.size
-    params = dict(params or {})
+    p = _generator_params(kind, params or {}, dim)
     rng = np.random.default_rng(seed)
-    if kind in ("conjugate", "drifted"):
-        allowed = {"degree", "amplitude", "decay", "target_degree", "delta"}
-        _reject_unknown(params, allowed, f"params for {kind!r}")
-        degree = int(params.get("degree", 3))
-        amplitude = float(params.get("amplitude", 0.02))
-        decay = float(params.get("decay", 1.0))
-        target = int(params.get("target_degree", max(16, 4 * degree)))
-        fields = tuple(_random_field(dim, degree, amplitude, decay, rng) for _ in range(dim))
-        change = TorusMapLift(np.zeros(dim), fields)
-        if change.jacobian_sup() >= 0.5:
-            raise OutOfRegime("generated change of variables is too steep; lower the amplitude")
-        f = conjugate(change, TorusMapLift.rotation(alpha), target_degree=target)
-        if kind == "drifted":
-            delta = np.atleast_1d(np.asarray(params.get("delta", [0.0] * dim), dtype=float))
-            if delta.size != dim:
-                raise ConfigError("delta must match the dimension")
-            if not np.all(np.isfinite(delta)):
-                raise ConfigError("delta must be finite")
-            f = TorusMapLift(f.rho + delta, f.displacement)
-    elif kind == "single-mode":
-        _reject_unknown(params, {"modes"}, "params for 'single-mode'")
-        if "modes" not in params:
-            raise ConfigError("single-mode needs 'modes'")
-        modes = params["modes"]
-        per_comp = modes if dim == 2 else [modes]
-        if len(per_comp) != dim:
-            raise ConfigError("need one mode list per component")
-        fields = tuple(_modes_field(dim, m) for m in per_comp)
-        deg = max(u.degree for u in fields)
-        fields = tuple(
-            PeriodicField(dim, deg, u._embed(deg)) for u in fields
-        )
-        f = TorusMapLift(alpha.copy(), fields)
-    elif kind == "random-decay":
-        _reject_unknown(params, {"degree", "amplitude", "decay"}, "params for 'random-decay'")
-        degree = int(params.get("degree", 4))
-        amplitude = float(params.get("amplitude", 0.01))
-        decay = float(params.get("decay", 1.0))
-        fields = tuple(_random_field(dim, degree, amplitude, decay, rng) for _ in range(dim))
-        f = TorusMapLift(alpha.copy(), fields)
+    if kind == "single-mode":
+        f = TorusMapLift(alpha.copy(), p["modes"])
     else:
-        raise ConfigError(f"unknown test map kind {kind!r}")
+        fields = tuple(_random_field(dim, p["degree"], p["amplitude"], p["decay"], rng) for _ in range(dim))
+        if kind == "random-decay":
+            f = TorusMapLift(alpha.copy(), fields)
+        else:
+            change = TorusMapLift(np.zeros(dim), fields)
+            if change.jacobian_sup() >= 0.5:
+                raise OutOfRegime("generated change of variables is too steep; lower the amplitude")
+            f = conjugate(change, TorusMapLift.rotation(alpha), target_degree=p["target_degree"])
+            if kind == "drifted":
+                f = TorusMapLift(f.rho + p["delta"], f.displacement)
     if f.jacobian_sup() >= 0.5:
         raise OutOfRegime("map is outside the perturbative regime (Jacobian deviation >= 1/2)")
     return f

@@ -36,6 +36,25 @@ MALFORMED_CONFIGS = [
         "invalid config document: could not convert string to float: 'x' in scheduler.sigma",
     ),
     ({"initial_map": {"kind": "conjugate", "params": [1]}}, "initial_map params must be an object"),
+    ({"initial_map": {"kind": "conjugate", "params": {"degree": -1}}}, "degree must be at least 0, got -1"),
+    # each of these once ran on and misclassified the run, or failed inside it
+    ({"c_post": -1}, "c_post must be at least 0, got -1.0 in c_post"),
+    (
+        {"drift_tol_abs": math.nan},
+        "invalid config document: expected a finite number, got nan in drift_tol_abs",
+    ),
+    (
+        {"tolerances": {"eps_stop": math.nan}},
+        "invalid config document: expected a finite number, got nan in tolerances.eps_stop",
+    ),
+    (
+        {"tolerances": {"residual_tol": -1}},
+        "residual_tol must be at least 0, got -1.0 in tolerances.residual_tol",
+    ),
+    ({"tau": math.inf}, "invalid config document: expected a finite number, got inf in tau"),
+    ({"gamma": math.nan}, "invalid config document: expected a finite number, got nan in gamma"),
+    ({"seed": -3}, "seed must be at least 0, got -3 in seed"),
+    ({"smallness_c": -1}, "smallness_c must be positive, got -1.0 in smallness_c"),
 ]
 
 

@@ -19,6 +19,7 @@ from conftest import GOLDEN, MALFORMED_CONFIGS, suite_env
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 DC_CHECK_ARGS = ["dc-check", "--alpha", "golden", "--tau", "1", "--K", "64"]
+MAKE_MAP_ARGS = ["make-map", "--kind", "conjugate", "--alpha", "golden", "--seed", "0", "--out", "{out}"]
 
 
 def write_config(path, **overrides):
@@ -124,15 +125,7 @@ class TestRun:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 1
 
-    @pytest.mark.parametrize(
-        "overrides, message",
-        MALFORMED_CONFIGS + [
-            (
-                {"initial_map": {"kind": "conjugate", "params": {"degree": -1}}},
-                "degree must be at least 0, got -1",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("overrides, message", MALFORMED_CONFIGS)
     def test_bad_value_is_usage_error(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["run", "--config", str(cfg)]) == 1
@@ -165,6 +158,19 @@ class TestParams:
     def test_explicit_mu_outside_window(self, capsys):
         assert main(["params", "--mu", "9.0"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_default_tau_follows_the_dimension(self, capsys):
+        # a 1D run defaults to tau = 1, so a = 2 * 1 + 1 + 2
+        assert main(["params", "--dim", "1"]) == 0
+        assert "a=5 gamma0=15 s0=37.5 b=10" in capsys.readouterr().out
+        assert main(["params", "--dim", "1", "--tau", "2"]) == 0
+        assert "a=7 gamma0=21 s0=52.5 b=14" in capsys.readouterr().out
+
+    def test_dimension_is_one_or_two(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["params", "--dim", "3"])
+        assert info.value.code == 1
+        assert "invalid choice: 3" in capsys.readouterr().err
 
 
 class TestDcCheck:
@@ -305,6 +311,20 @@ class TestRotationCommand:
           "--modes", "[[1, 0.1]]"], "each mode is [k, re, im], got [1, 0.1]"),
         (["params", "--start-cutoff", "1"], "start cutoff must be at least 2"),
         (["params", "--schedule", "-2"], "schedule length must be at least 0, got -2"),
+        (MAKE_MAP_ARGS + ["--degree", "x"],
+         "invalid config document: invalid literal for int() with base 10: 'x' in initial_map.params.degree"),
+        (MAKE_MAP_ARGS + ["--degree", "2.5"],
+         "invalid config document: invalid literal for int() with base 10: '2.5' in initial_map.params.degree"),
+        (MAKE_MAP_ARGS + ["--target-degree", "-4"],
+         "target_degree must be at least 0, got -4 in initial_map.params.target_degree"),
+        (MAKE_MAP_ARGS + ["--amplitude", "inf"],
+         "invalid config document: expected a finite number, got inf in initial_map.params.amplitude"),
+        (["make-map", "--kind", "single-mode", "--alpha", "golden", "--seed", "0", "--out", "{out}",
+          "--modes", "[]"],
+         "single-mode needs one nonempty mode list per component in initial_map.params.modes"),
+        (["make-map", "--kind", "single-mode", "--alpha", "golden", "--seed", "0", "--out", "{out}",
+          "--modes", '[["a", 0.0, 0.1]]'],
+         "each mode is [k, re, im], got ['a', 0.0, 0.1] in initial_map.params.modes"),
     ],
 )
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv, message):

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,9 @@ class TestConfig:
         assert cfg.max_iters == 12
         assert cfg.start_cutoff == 8
         assert cfg.sigma == 0.5 and cfg.lambda_ == 3.0 and cfg.mu == 7.5 and cfg.nu == 2.0
+        step_defaults = kstep.StepConfig()
+        assert cfg.c_post == step_defaults.c_post and cfg.drift_tol_abs == step_defaults.drift_tol_abs
+        assert cfg.max_degree == 2048 and cfg.dc_radius is None and cfg.residual_tol is None
 
     def test_defaults_2d(self):
         cfg = ExperimentConfig.from_dict(minimal_config(alpha=["sqrt2-1", "sqrt3-1"]))
@@ -156,6 +160,44 @@ class TestConfig:
         message = str(info.value)
         assert message.startswith("invalid config document: ") and message.endswith(f" in {path}")
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("tolerances.max_iters", 2.7), ("scheduler.start_cutoff", 8.9), ("seed", 1.9),
+            ("max_degree", 40.5), ("dc_radius", True), ("tolerances.max_iters", math.inf),
+            ("scheduler.sigma", False),
+        ],
+    )
+    def test_non_integral_or_bool_value_names_its_key(self, path, value):
+        section, _, key = path.rpartition(".")
+        overrides = {section: {key: value}} if section else {key: value}
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(minimal_config(**overrides))
+        message = str(info.value)
+        assert message.startswith("invalid config document: expected ") and message.endswith(f" in {path}")
+
+    def test_integral_float_reads_as_int(self):
+        cfg = ExperimentConfig.from_dict(
+            minimal_config(scheduler={"start_cutoff": 8.0}, tolerances={"max_iters": 3.0}, seed=5.0)
+        )
+        assert (cfg.start_cutoff, cfg.max_iters, cfg.seed) == (8, 3, 5)
+        assert all(type(v) is int for v in (cfg.start_cutoff, cfg.max_iters, cfg.seed))
+
+    def test_generator_is_checked_at_load(self):
+        with pytest.raises(ConfigError, match="unknown test map kind 'bogus'"):
+            ExperimentConfig.from_dict(minimal_config(initial_map={"kind": "bogus"}))
+        with pytest.raises(ConfigError, match="in initial_map.params.degree$"):
+            ExperimentConfig.from_dict(
+                minimal_config(initial_map={"kind": "random-decay", "params": {"degree": "x"}})
+            )
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config file", 1)[1].split("\n### ", 1)[0]
+        for key in driver.CONFIG_KEYS:
+            path = ".".join(filter(None, key))
+            assert f"`{path}`" in section, path
+
 
 class TestMakeTestMap:
     def test_conjugate_is_near_rotation(self):
@@ -224,6 +266,28 @@ class TestMakeTestMap:
     def test_unknown_params_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             make_test_map("conjugate", {"amp": 1.0}, [GOLDEN], seed=0)
+
+    @pytest.mark.parametrize(
+        "kind, params, key, alpha",
+        [
+            ("conjugate", {"degree": "x"}, "degree", [GOLDEN]),
+            ("conjugate", {"degree": 2.5}, "degree", [GOLDEN]),
+            ("conjugate", {"target_degree": -4}, "target_degree", [GOLDEN]),
+            ("random-decay", {"amplitude": True}, "amplitude", [GOLDEN]),
+            ("random-decay", {"decay": math.nan}, "decay", [GOLDEN]),
+            ("drifted", {"delta": ["x"]}, "delta", [GOLDEN]),
+            ("single-mode", {"modes": []}, "modes", [GOLDEN]),
+            ("single-mode", {"modes": [["x", 0.0, 1e-4]]}, "modes", [GOLDEN]),
+            ("single-mode", {"modes": [[1, "re", 1e-4]]}, "modes", [GOLDEN]),
+            ("single-mode", {"modes": [[1.5, 0.0, 1e-4]]}, "modes", [GOLDEN]),
+            ("single-mode", {"modes": [5, 6]}, "modes", PAIR_2D),
+            ("single-mode", {"modes": [[[(1, 0), 1e-4, 0.0]], []]}, "modes", PAIR_2D),
+        ],
+    )
+    def test_bad_param_names_its_key(self, kind, params, key, alpha):
+        with pytest.raises(ConfigError) as info:
+            make_test_map(kind, params, alpha, seed=0)
+        assert str(info.value).endswith(f" in initial_map.params.{key}")
 
     @pytest.mark.parametrize("kind", ["random-decay", "conjugate", "drifted"])
     def test_negative_degree_rejected(self, kind):
