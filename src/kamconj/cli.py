@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
     mk = sub.add_parser("make-map", help="generate a test map")
     mk.add_argument("--kind", required=True)
     mk.add_argument("--alpha", required=True)
-    mk.add_argument("--seed", type=int, required=True)
+    mk.add_argument("--seed", required=True)
     mk.add_argument("--out", required=True)
     for key in _PARAM_KEYS:
         mk.add_argument("--" + key.replace("_", "-"))
@@ -149,13 +149,16 @@ def _cmd_params(args) -> int:
         return 3
     lo, hi = mu_window(args.sigma, args.lambda_, args.nu)
     mu = args.mu if args.mu is not None else 0.5 * (lo + hi)
-    print(f"mu window: ({lo:.6g}, {hi:.6g}); using mu={mu:.6g}")
-    print(f"omega0 bound: {omega0_bound(args.sigma, args.lambda_):.12g}")
+    # mu, tau and both counts are checked before the report starts
     params = derive_constants(
         sigma=args.sigma, lambda_=args.lambda_, mu=mu, nu=args.nu,
         tau=CONFIG_KEYS["", "tau"][1][args.dim] if args.tau is None else args.tau,
         d=args.dim, start_cutoff=args.start_cutoff,
     )
+    schedule = schedule_cutoffs(args.start_cutoff, args.sigma, args.schedule)
+    rep = replay_induction(params, n_steps=args.replay) if args.replay else None
+    print(f"mu window: ({lo:.6g}, {hi:.6g}); using mu={mu:.6g}")
+    print(f"omega0 bound: {omega0_bound(args.sigma, args.lambda_):.12g}")
     print(
         f"exponents: a={params.a:.6g} gamma0={params.gamma0:.6g} "
         f"s0={params.s0:.6g} b={params.b:.6g}"
@@ -163,10 +166,9 @@ def _cmd_params(args) -> int:
     for name, row in check_inductive_inequalities(params).items():
         state = "ok" if row["ok"] else "VIOLATED"
         print(f"  {name}: lhs={row['lhs']:.6g} bound={row['bound']:.6g} margin={row['margin']:.6g} [{state}]")
-    if args.schedule:
-        print("schedule:", schedule_cutoffs(args.start_cutoff, args.sigma, args.schedule))
-    if args.replay:
-        rep = replay_induction(params, n_steps=args.replay)
+    if schedule:
+        print("schedule:", schedule)
+    if rep is not None:
         print(
             f"replay: ok={rep.ok} steps={rep.steps} "
             f"final margins=({rep.margins_low[-1]:.3g}, {rep.margins_high[-1]:.3g})"
@@ -179,14 +181,14 @@ def _cmd_params(args) -> int:
 
 def _cmd_dc_check(args) -> int:
     alpha = _parse_alpha(args.alpha)
+    claim = None if args.gamma is None else DiophantineVector(alpha, args.gamma, args.tau)
     gamma = best_gamma(alpha, args.tau, args.radius)
     probe = verify_dc(DiophantineVector(alpha, gamma, args.tau), args.radius)
     print(f"worst-case gamma over |k|_1 <= {args.radius}: {gamma!r}")
     print(f"worst mode: k={probe.worst_k}")
-    if args.gamma is None:
+    if claim is None:
         return 0
-    vec = DiophantineVector(alpha, args.gamma, args.tau)
-    report = verify_dc(vec, args.radius)
+    report = verify_dc(claim, args.radius)
     state = "holds" if report.ok else "FAILS"
     print(
         f"claim gamma={args.gamma}: {state} "
@@ -208,7 +210,7 @@ def _cmd_cohomology(args) -> int:
         correctors.append(sol.corrector)
         print(
             f"component {i}: |phi|_0={cs_norm(sol.corrector, 0):.6e} "
-            f"residual={sol.residual:.3e} min divisor={sol.min_divisor:.6e}"
+            f"residual={sol.residual / sol.scale:.3e} min divisor={sol.min_divisor:.6e}"
         )
     if args.out:
         phi = TorusMapLift(np.zeros(f.dim), tuple(correctors))

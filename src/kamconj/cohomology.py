@@ -27,7 +27,8 @@ _RESIDUAL_REL = 1e-10
 @dataclass(frozen=True, eq=False)
 class CohomologySolution:
     corrector: PeriodicField
-    residual: float
+    residual: float  # l1 sum of the coefficients of phi(x + alpha) - phi(x) + f(x) below the cutoff
+    scale: float  # |f|_2, the square root of the sum of |f_k|^2 over the whole box
     min_divisor: float
 
 
@@ -46,7 +47,7 @@ def solve(f: PeriodicField, vec: DiophantineVector, cutoff: int) -> CohomologySo
 
     Requires the rotation vector to have been verified at least up to the
     effective band, refuses divisors below an absolute floor, and checks the
-    defining equation on a grid after the fact.
+    defining equation on the coefficients after the fact.
     """
     if f.dim != vec.dim:
         raise ValueError("field and rotation vector dimensions differ")
@@ -57,9 +58,7 @@ def solve(f: PeriodicField, vec: DiophantineVector, cutoff: int) -> CohomologySo
         )
     rhs = truncate(f, effective, mode="homogeneous")
     div = _divisors(vec, rhs.degree)
-    center = (rhs.degree,) * rhs.dim
     mags = np.abs(div)
-    mags[center] = np.inf
     radii = _l1_radii(rhs.dim, rhs.degree)
     in_ball = (radii <= rhs.degree) & (radii > 0)
     min_divisor = float(np.min(mags[in_ball])) if in_ball.any() else np.inf
@@ -71,41 +70,35 @@ def solve(f: PeriodicField, vec: DiophantineVector, cutoff: int) -> CohomologySo
     np.divide(-rhs.coeffs, div, out=coeffs, where=in_ball)
     phi = PeriodicField(rhs.dim, rhs.degree, coeffs)
 
-    # residual phi(x+alpha) - phi(x) + rhs(x), exact in coefficients.  Its real
-    # part is taken here: the roundoff of the product is not Hermitian, and for
-    # huge coefficients it can be as large as the residual itself
-    res = phi.coeffs * div + rhs.coeffs
-    res_field = PeriodicField._exact(rhs.dim, rhs.degree, 0.5 * res + 0.5 * np.conj(np.flip(res)))
-    residual = cs_norm(res_field, 0, "grid")
-    scale = max(cs_norm(f, 0, "grid"), 1e-300)
-    if not (math.isfinite(residual) and math.isfinite(scale)):
-        raise NonFinite(f"grid sup of the residual ({residual:.3e}) or the field ({scale:.3e}) overflows")
+    # the l1 sum of the residual's coefficients bounds its sup, and |f|_2 is at most
+    # f's sup on any grid that resolves f (Parseval): no grid sup could pass more
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.sum(np.abs(phi.coeffs * div + rhs.coeffs)))
+        size = float(np.sum(np.abs(f.coeffs)))
+    if not (math.isfinite(residual) and math.isfinite(size)):
+        raise NonFinite(f"l1 sum of the residual ({residual:.3e}) or the field ({size:.3e}) overflows")
+    top = max(float(np.max(np.abs(f.coeffs))), 1e-300)  # |f|_2 = top * |f / top|_2 cannot overflow
+    scale = max(top * float(np.linalg.norm(f.coeffs / top)), 1e-300)
     if residual > _RESIDUAL_REL * scale:
         raise CohomologyResidualError(
             f"corrector residual {residual:.3e} exceeds {_RESIDUAL_REL:.0e} * {scale:.3e}"
         )
-    return CohomologySolution(corrector=phi, residual=residual, min_divisor=min_divisor)
+    return CohomologySolution(corrector=phi, residual=residual, scale=scale, min_divisor=min_divisor)
 
 
-def growth_ratios(
-    f: PeriodicField,
-    vec: DiophantineVector,
-    cutoffs,
-    s_values,
-    method: str = "grid",
-) -> list:
+def growth_ratios(f: PeriodicField, vec: DiophantineVector, cutoffs, s_values) -> list:
     """Corrector norms against the gamma * N^(s + tau + d/2) * |f|_0 envelope.
 
     Returns one row per cutoff: (cutoff, [(s, norm, ratio), ...]).  Bounded
     ratios across cutoffs are the expected loss profile of the solver.
     """
-    base = cs_norm(f, 0, "grid")
+    base = cs_norm(f, 0)
     rows = []
     for cutoff in cutoffs:
         sol = solve(f, vec, int(cutoff))
         cells = []
         for s in s_values:
-            value = cs_norm(sol.corrector, s, method)
+            value = cs_norm(sol.corrector, s)
             envelope = vec.gamma * float(cutoff) ** (float(s) + vec.tau + f.dim / 2.0) * base
             cells.append((s, value, value / envelope if envelope > 0 else np.inf))
         rows.append((int(cutoff), cells))

@@ -40,8 +40,8 @@ class DiophantineVector:
         a = np.atleast_1d(np.asarray(self.alpha, dtype=float)) % 1.0
         if a.size not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
-        if not (self.gamma > 0 and self.tau > 0):
-            raise ValueError("gamma and tau must be positive")
+        if not (0 < self.gamma < np.inf and 0 < self.tau < np.inf):
+            raise ValueError(f"gamma and tau must be positive and finite, got {self.gamma} and {self.tau}")
         a.flags.writeable = False
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "gamma", float(self.gamma))

@@ -83,10 +83,10 @@ CONFIG_KEYS = {
 }
 
 # each generator's params with their defaults; target_degree None is max(16, 4 * degree)
-_CONJUGATE = {"degree": 3, "amplitude": 0.02, "decay": 1.0, "target_degree": None, "delta": None}
+_CONJUGATE = {"degree": 3, "amplitude": 0.02, "decay": 1.0, "target_degree": None}
 _GENERATORS = {
     "conjugate": _CONJUGATE,
-    "drifted": _CONJUGATE,
+    "drifted": {**_CONJUGATE, "delta": None},
     "single-mode": {"modes": None},
     "random-decay": {"degree": 4, "amplitude": 0.01, "decay": 1.0},
 }
@@ -304,7 +304,7 @@ def make_test_map(kind: str, params: dict, alpha, seed: int) -> TorusMapLift:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     dim = alpha.size
     p = _generator_params(kind, params or {}, dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_read({"seed": seed}, "", "seed", None))
     if kind == "single-mode":
         f = TorusMapLift(alpha.copy(), p["modes"])
     else:

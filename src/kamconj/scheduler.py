@@ -92,6 +92,8 @@ def derive_constants(
     """Resolve exponent ratios into absolute exponents, enforcing feasibility."""
     if start_cutoff < 2:
         raise ValueError("start cutoff must be at least 2")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     ok, bad = validate(sigma, lambda_, nu)
     if not ok:
         raise InfeasibleParams("constraints violated: " + ", ".join(bad))

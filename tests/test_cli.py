@@ -166,6 +166,12 @@ class TestParams:
         assert main(["params", "--dim", "1", "--tau", "2"]) == 0
         assert "a=7 gamma0=21 s0=52.5 b=14" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [["--tau", "nan"], ["--mu", "nan"], ["--replay", "-2"], ["--schedule", "-1"]])
+    def test_bad_input_prints_no_report(self, capsys, flags):
+        assert main(["params", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_dimension_is_one_or_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["params", "--dim", "3"])
@@ -325,6 +331,18 @@ class TestRotationCommand:
         (["make-map", "--kind", "single-mode", "--alpha", "golden", "--seed", "0", "--out", "{out}",
           "--modes", '[["a", 0.0, 0.1]]'],
          "each mode is [k, re, im], got ['a', 0.0, 0.1] in initial_map.params.modes"),
+        (DC_CHECK_ARGS + ["--gamma", "inf"], "gamma and tau must be positive"),
+        (["dc-check", "--alpha", "golden", "--tau", "inf", "--radius", "8"], "gamma and tau must be positive"),
+        (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "8", "--gamma", "inf"],
+         "gamma and tau must be positive"),
+        (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "inf", "--cutoff", "8"],
+         "gamma and tau must be positive"),
+        (["params", "--tau", "nan"], "tau must be positive and finite, got nan"),
+        (["make-map", "--kind", "conjugate", "--alpha", "golden", "--seed", "-3", "--out", "{out}"],
+         "seed must be at least 0, got -3 in seed"),
+        (["make-map", "--kind", "conjugate", "--alpha", "golden", "--seed", "2.5", "--out", "{out}"],
+         "invalid config document: invalid literal for int() with base 10: '2.5' in seed"),
+        (MAKE_MAP_ARGS + ["--delta", "0.5"], "unknown keys in params for 'conjugate': delta"),
     ],
 )
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv, message):

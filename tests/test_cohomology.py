@@ -20,8 +20,11 @@ from kamconj import (
     eval_at_points,
     growth_ratios,
     solve,
+    truncate,
     verified,
 )
+from kamconj import spectral
+from kamconj.cohomology import _divisors
 
 from conftest import GOLDEN, seeded_field
 
@@ -149,6 +152,54 @@ def test_overflowing_field_ends_classified(golden_vector):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises((NonFinite, CohomologyResidualError)):
             solve(_flat_field(4e307), golden_vector, 8)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_samples_no_grid(monkeypatch, golden_vector, pair_vector, dim):
+    f = seeded_field(dim, 8, 1.0, seed=61)
+    calls = []
+    value_grid = spectral.value_grid
+    monkeypatch.setattr(spectral, "value_grid", lambda g, m=None: calls.append(g) or value_grid(g, m))
+    solve(f, golden_vector if dim == 1 else pair_vector, 8)
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=999),
+    st.floats(min_value=-30, max_value=30),
+)
+def test_coefficient_check_is_never_looser(golden_vector, pair_vector, dim, live, pad, cutoff, seed, log_size):
+    """The l1 residual bounds the old check's grid sup, and the scale stays below the field's grid sup.
+
+    So `solve` refuses every field that a check of the symmetrized residual's
+    grid sup against the field's grid sup refused; `pad` puts the live shell
+    below the box.
+    """
+    vec = golden_vector if dim == 1 else pair_vector
+    size = 10.0**log_size
+    small = seeded_field(dim, live, size, seed=seed, decay=0.3)
+    f = PeriodicField(dim, live + pad, small._embed(live + pad)) + 0.5 * size
+    sol = solve(f, vec, cutoff)
+    rhs = truncate(f, cutoff, mode="homogeneous")
+    res = sol.corrector.coeffs * _divisors(vec, rhs.degree) + rhs.coeffs
+    symmetrized = PeriodicField(dim, rhs.degree, 0.5 * res + 0.5 * np.conj(np.flip(res)))
+    assert sol.residual >= cs_norm(symmetrized, 0)
+    assert sol.scale <= cs_norm(f, 0)
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 2048), (2, 256)])
+def test_flat_spectrum_on_the_largest_box(golden_vector, pair_vector, dim, degree):
+    # random phases of modulus one on every mode of the largest box a run allows
+    vec = verified(golden_vector, degree) if dim == 1 else pair_vector
+    n = 2 * degree + 1
+    c = np.exp(2j * np.pi * np.random.default_rng(62).random((n,) * dim))
+    sol = solve(PeriodicField(dim, degree, c + np.conj(np.flip(c))), vec, degree)
+    assert sol.residual / sol.scale < 1e-12
 
 
 def test_growth_ratios_shape_and_envelope(golden_vector):

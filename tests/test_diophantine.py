@@ -49,6 +49,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             DiophantineVector(np.array([GOLDEN]), gamma=1.0, tau=0.0)
 
+    @pytest.mark.parametrize("gamma, tau", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+    def test_finite_constants_required(self, gamma, tau):
+        # an infinite gamma or tau makes the claim hold vacuously
+        with pytest.raises(ValueError, match="gamma and tau must be positive and finite"):
+            DiophantineVector(np.array([GOLDEN]), gamma=gamma, tau=tau)
+
 
 class TestSmallDivisor:
     def test_matches_explicit_formula(self):

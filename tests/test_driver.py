@@ -222,6 +222,17 @@ class TestMakeTestMap:
         drifted = make_test_map("drifted", {"delta": [0.01]}, [GOLDEN], seed=9)
         assert drifted.rho[0] == pytest.approx(base.rho[0] + 0.01, abs=1e-15)
 
+    def test_conjugate_takes_no_delta(self):
+        # only drifted reads delta; conjugate took it and gave no drift
+        with pytest.raises(ConfigError, match="unknown keys in params for 'conjugate': delta"):
+            make_test_map("conjugate", {"delta": [0.5]}, [GOLDEN], seed=9)
+
+    @pytest.mark.parametrize("seed", [-3, True, 2.5])
+    def test_bad_seed_names_its_key(self, seed):
+        with pytest.raises(ConfigError) as info:
+            make_test_map("conjugate", {}, [GOLDEN], seed=seed)
+        assert str(info.value).endswith(" in seed")
+
     def test_drifted_delta_dimension(self):
         with pytest.raises(ConfigError, match="delta"):
             make_test_map("drifted", {"delta": [0.01, 0.02]}, [GOLDEN], seed=9)
@@ -596,8 +607,6 @@ class TestRunScheme:
                 name, local, outer = frame.f_code.co_name, frame.f_locals, frame.f_back
                 if name == "cs_norm":
                     box = local["f"].degree
-                    if outer.f_code.co_name == "solve" and local["f"] is outer.f_locals["res_field"]:
-                        name, box = "residual", min(outer.f_locals["cutoff"], outer.f_locals["f"].degree)
                 elif name == "_composition_defect":  # called through recorded_defect
                     name = outer.f_back.f_code.co_name
                     box = max(local[k].degree for k in "abcd")
@@ -618,7 +627,7 @@ class TestRunScheme:
         assert res.status is RunStatus.CONVERGED and res.n_steps == 2
 
         # _check_values: the stepped map's grids, shared by its deviations and its hull
-        names = {"cs_norm", "residual", "jacobian_sup", "_check_values", "conjugacy_verification"}
+        names = {"cs_norm", "jacobian_sup", "_check_values", "conjugacy_verification"}
         assert {g[0] for g in grids} == names
         # every kind of check samples a field whose box reaches past its live shell
         assert {g[0] for g in grids if g[3]} == names

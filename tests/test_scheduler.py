@@ -96,6 +96,12 @@ class TestDeriveConstants:
         with pytest.raises(ValueError, match="start cutoff must be at least 2"):
             derive_constants(start_cutoff=start)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        # a nan tau gave nan exponents that every inductive inequality read as ok
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            derive_constants(tau=tau)
+
     def test_mu_outside_window_rejected(self):
         with pytest.raises(InfeasibleParams, match="window"):
             derive_constants(mu=8.5)
