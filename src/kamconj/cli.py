@@ -203,7 +203,9 @@ def _cmd_cohomology(args) -> int:
     if alpha.size != f.dim:
         raise ConfigError("alpha dimension does not match the map")
     gamma = None if args.gamma == "auto" else float(args.gamma)
-    vec = verified_vector(alpha, args.tau, args.cutoff, gamma)
+    # solve reads only the band min(cutoff, degree); the first shell is kept so
+    # that a rotation map still gets a gamma, and a cutoff below 1 is still refused
+    vec = verified_vector(alpha, args.tau, min(args.cutoff, max(f.degree, 1)), gamma)
     correctors = []
     for i, u in enumerate(f.displacement):
         sol = solve(u, vec, args.cutoff)
@@ -221,6 +223,8 @@ def _cmd_cohomology(args) -> int:
 def _cmd_rotation(args) -> int:
     if min(args.samples, args.iters) < 1:
         raise ConfigError(f"--samples and --iters must be at least 1, got {args.samples} and {args.iters}")
+    if args.resolution is not None and args.resolution < 1:
+        raise ConfigError(f"--resolution must be at least 1, got {args.resolution}")
     f = kio.load_map(args.map_path)
     data = rotation_set_estimate(
         f, n_samples=args.samples, n_iter=args.iters, grid_resolution=args.resolution

@@ -93,7 +93,9 @@ def _worst(alpha: np.ndarray, tau: float, radius: int):
     # k1*a1 + k2*a2, and near a resonance that last bit is ~1e-11 of the distance
     dots = (k * alpha).sum(axis=1)
     dist = _dist_to_integers(dots)
-    ratio = dist * (np.abs(k).sum(axis=1).astype(float) ** tau)
+    # past the float maximum, |k|_1^tau = inf is the exact limit of the ratio
+    with np.errstate(over="ignore"):
+        ratio = dist * (np.abs(k).sum(axis=1).astype(float) ** tau)
     i = int(np.argmin(ratio))
     return tuple(int(x) for x in k[i]), float(ratio[i])
 

@@ -19,6 +19,7 @@ from .errors import NonFinite, SmallnessViolated
 from .rotation import convex_hull, hull_contains
 from .spectral import (
     TorusMapLift,
+    _abs_max,
     conjugate,
     cs_norm,
     deviation_norm,
@@ -77,10 +78,11 @@ def _check_values(f: TorusMapLift) -> tuple:
     return f.displacement_values(sampling_grid(f.degree))
 
 
-def _sup(grids) -> float:
-    """Largest absolute value on any of the grids."""
+def _sup(grids, shifts=None) -> float:
+    """Largest |g + shift| on any of the grids (no shifts: |g|), with no copy of a grid."""
+    shifts = (0.0,) * len(grids) if shifts is None else shifts
     # np.max, not max(): a nan sup stays nan
-    return float(np.max([np.max(np.abs(g)) for g in grids]))
+    return float(np.max([_abs_max(g, a) for g, a in zip(grids, shifts)]))
 
 
 def _posteriori(f_next, values, vec, c_post, tol_abs) -> PosterioriReport:
@@ -95,30 +97,36 @@ def _posteriori(f_next, values, vec, c_post, tol_abs) -> PosterioriReport:
     drift_norm = float(np.linalg.norm(drift))
     eps0 = _sup(values)
     bound = c_post * eps0
-    points = np.stack([a + v.ravel() for v, a in zip(values, drift)], axis=1)
     hull_tol = tol_abs + 1e-13 + 1e-9 * eps0
     return PosterioriReport(
         drift=drift,
         drift_norm=drift_norm,
         bound=bound,
         drift_ok=bool(drift_norm <= bound + tol_abs),
-        hull_ok=_origin_in_hull(points, hull_tol),
+        hull_ok=_origin_in_hull(values, drift, hull_tol),
     )
 
 
-def _origin_in_hull(points: np.ndarray, tol: float) -> bool:
-    """`hull_contains(convex_hull(points), 0, tol)`, without the hull when the answer is plain.
+def _origin_in_hull(values, drift, tol: float) -> bool:
+    """Whether the hull of the points (v_i + drift_i)_i, one coordinate per grid, holds the origin.
 
-    In 2D, finite points with one strictly inside each open quadrant put the
-    origin strictly inside the hull of those four: no line through the
-    origin has all four on one side.
+    `hull_contains(convex_hull(points), 0, tol)`, without the hull when the
+    answer is plain.  In 2D, finite points with one strictly inside each open
+    quadrant put the origin strictly inside the hull of those four: no line
+    through the origin has all four on one side.  The quadrants are read on
+    the grids, since v + a > 0 exactly when v > -a, and the points are stacked
+    only for the full hull.
     """
-    if points.shape[1] == 2 and np.all(np.isfinite(points)):
-        x, y = points[:, 0], points[:, 1]
-        right, up = x > 0, y > 0
-        left, down = x < 0, y < 0
-        if all(np.any(a & b) for a, b in ((right, up), (left, up), (left, down), (right, down))):
+    if len(values) == 2 and all(
+        math.isfinite(np.max(v) + a) and math.isfinite(np.min(v) + a) for v, a in zip(values, drift)
+    ):  # as np.all(np.isfinite(v + a)): rounding is monotone
+        (x, y), (a, b) = values, drift
+        if all(
+            np.any((x > -a if right else x < -a) & (y > -b if up else y < -b))
+            for right, up in ((True, True), (False, True), (False, False), (True, False))
+        ):
             return True
+    points = np.stack([a + v.ravel() for v, a in zip(values, drift)], axis=1)
     return hull_contains(convex_hull(points), np.zeros(points.shape[1]), tol)
 
 
@@ -158,7 +166,7 @@ def step(
     # adds a mean on the grid, so eps0_after is deviation_norm(f_next, alpha) bit for bit
     values = _check_values(f_next)
     post = _posteriori(f_next, values, vec, config.c_post, config.drift_tol_abs)
-    eps0_after = _sup(v + a for v, a in zip(values, post.drift))
+    eps0_after = _sup(values, post.drift)
     diags = StepDiagnostics(
         cutoff=int(cutoff),
         smallness_margin=margin,

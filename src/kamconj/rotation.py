@@ -148,7 +148,13 @@ def _segment_distance(a, b, p) -> float:
 
 
 def displacement_hull(f: TorusMapLift, resolution: int | None = None) -> Hull:
-    """Hull of the one-step displacement f(x) - x sampled on a uniform grid."""
+    """Hull of the one-step displacement f(x) - x sampled on a uniform grid.
+
+    The grid has `resolution` points per axis (default: the sampling grid of
+    f's degree), raised to 2 * degree + 1 where that is coarser.
+    """
+    if resolution is not None and resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     m = max(sampling_grid(f.degree) if resolution is None else int(resolution), 2 * f.degree + 1)
     coords = np.stack([r + v.ravel() for r, v in zip(f.rho, f.displacement_values(m))])
     return convex_hull(coords.T)  # Fortran order: the hull reads each coordinate without a copy

@@ -494,6 +494,16 @@ def truncate(f: PeriodicField, cutoff: int, mode: str = "inhomogeneous") -> Peri
     return PeriodicField._exact(f.dim, deg, c)
 
 
+def _abs_max(grid: np.ndarray, shift: float = 0.0) -> float:
+    """np.max(np.abs(grid + shift)) bit for bit, read from the grid's two extremes.
+
+    Rounding is monotone, so max(grid) + shift is the largest entry of
+    grid + shift (likewise the smallest), and no shifted or absolute copy of
+    the grid is made.  A nan anywhere gives nan.
+    """
+    return float(np.max(np.abs([np.max(grid) + shift, np.min(grid) + shift])))
+
+
 def _multi_orders(dim: int, s: int) -> list:
     if dim == 1:
         return [(t,) for t in range(s + 1)]
@@ -535,7 +545,7 @@ def cs_norm(f: PeriodicField, s: float = 0, method: str = "grid") -> float:
                 df = f.derivative(o) if any(o) else f
         except NonFinite:  # a coefficient of the derivative, and so its sup, passes the float maximum
             return math.inf
-        sups.append(np.max(np.abs(value_grid(df, m))))
+        sups.append(_abs_max(value_grid(df, m)))
     # np.max, not max(): a nan sup (an overflowed grid) stays nan instead of losing to 0.0
     return float(np.max(sups))
 
@@ -606,14 +616,16 @@ class TorusMapLift:
     def jacobian_sup(self) -> float:
         """Sampled sup of the max row sum of the displacement Jacobian."""
         m = sampling_grid(self.degree)
-        worst = None
+        orders = [tuple(1 if a == j else 0 for a in range(self.dim)) for j in range(self.dim)]
+        sups = []
         for u in self.displacement:
             row = np.zeros((m,) * self.dim)
-            for j in range(self.dim):
-                order = tuple(1 if a == j else 0 for a in range(self.dim))
-                row = row + np.abs(value_grid(u.derivative(order), m))
-            worst = row if worst is None else np.maximum(worst, row)
-        return float(np.max(worst))
+            for order in orders:
+                part = value_grid(u.derivative(order), m)
+                row += np.abs(part, out=part)
+            sups.append(np.max(row))
+        # np.max, not max(): a nan sup stays nan
+        return float(np.max(sups))
 
 
 def rebase(f: TorusMapLift, alpha) -> TorusMapLift:
@@ -699,14 +711,16 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     fold = np.concatenate([fold.real, fold.imag], axis=1).reshape(-1, width)
     block = max(1, _BLOCK_ENTRIES // width)
     cap = min(block, n)
-    # one allocation for the three block buffers: glibc's malloc hands a freed
-    # heap top back to the OS once it passes twice the largest chunk it has
-    # unmapped, which three separate buffers exceed, so every call faulted them
-    # in anew; one chunk raises that limit past itself and stays mapped
-    scratch = np.empty((2 * deg + width + len(fold)) * cap)
-    powers_buf = scratch[:2 * deg * cap].view(np.complex128)
-    basis_buf = scratch[2 * deg * cap:(2 * deg + width) * cap]
-    rows_buf = scratch[(2 * deg + width) * cap:]
+    # one allocation for the block buffers: glibc's malloc hands a freed heap
+    # top back to the OS once it passes twice the largest chunk it has
+    # unmapped, which separate buffers exceed, so every call faulted them in
+    # anew; one chunk raises that limit past itself and stays mapped
+    scratch = np.empty((len(fold) + width) * cap)
+    rows_buf, basis_buf = scratch[:len(fold) * cap], scratch[len(fold) * cap:]
+    # the powers sit at the front of the rows, which the product writes only once
+    # the basis holds them (len(fold) = 2 (deg + 1) nf > 2 deg); rows first keeps
+    # their complex view 16-byte aligned
+    powers_buf = rows_buf[:2 * deg * cap].view(np.complex128)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         size = hi - lo
@@ -767,7 +781,10 @@ def _walk(maps, m: int, invert: bool = False) -> tuple:
         v, rho = maps[0].displacement_values(m), maps[0].rho
     for p in maps[1:]:
         if p.live_degree:
-            v = tuple(a + b for a, b in zip(v, _eval_displaced(p.displacement, rho, v, m)))
+            moved = _eval_displaced(p.displacement, rho, v, m)
+            for a, b in zip(v, moved):  # b + a is a + b bit for bit
+                b += a
+            v = moved
         rho = rho + p.rho
     return v, rho
 
@@ -836,7 +853,9 @@ def _composition_defect(a, b, c, d) -> float:
     """
     m = sampling_grid(max(a.degree, b.degree, c.degree, d.degree, 1))
     (left, lrho), (right, rrho) = _walk((b, a), m), _walk((d, c), m)
-    return max(float(np.max(np.abs((x - y) + (p - q)))) for x, y, p, q in zip(left, right, lrho, rrho))
+    for x, y in zip(left, right):
+        x -= y
+    return max(_abs_max(x, p - q) for x, p, q in zip(left, lrho, rrho))
 
 
 def conjugate(phi: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:

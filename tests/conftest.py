@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import kamconj
 from kamconj import DiophantineVector, PeriodicField, cs_norm, verified
@@ -179,6 +180,34 @@ def seeded_field(
     f = PeriodicField.from_entries(dim, degree, entries)
     base = cs_norm(f, 0)
     return f * (norm0 / base)
+
+
+# grid entries that a copy-free sup or sign test must read as the copy did
+SPECIAL_ENTRIES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 5e-324])
+# a shift added to such a grid: a drift or a translation difference
+SHIFTS = st.one_of(st.floats(-2.0, 2.0), SPECIAL_ENTRIES)
+
+
+@st.composite
+def check_grids(draw, count: int, shape: tuple):
+    """`count` float grids of one shape, mostly in [-2, 2], each with up to three `SPECIAL_ENTRIES`."""
+    size = math.prod(shape)
+    grids = []
+    for _ in range(count):
+        g = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)))
+        for i, x in draw(st.lists(st.tuples(st.integers(0, size - 1), SPECIAL_ENTRIES), max_size=3)):
+            g[i] = x
+        grids.append(g.reshape(shape))
+    return tuple(grids)
+
+
+def outcome(fn, *args):
+    """fn's value as its repr (nan, inf and -0.0 told apart), or the type of what it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return repr(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - two forms must raise alike
+            return type(exc)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -201,6 +202,16 @@ class TestDcCheck:
         code = main(["dc-check", "--alpha", "0.414213,0.732050", "--tau", "2", "--K", "32"])
         assert code == 0
 
+    def test_huge_tau_prints_no_warning(self, capsys):
+        # |k|_1^tau overflows for every |k|_1 >= 2; inf is the ratio's exact limit there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dc-check", "--alpha", "golden", "--tau", "1e308", "--radius", "8"])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        assert "worst-case gamma over |k|_1 <= 8: 2.6180339887498953" in out.out
+        assert "worst mode: k=(1,)" in out.out
+
     def test_resonant_alpha_is_error(self, capsys):
         assert main(["dc-check", "--alpha", "0.5", "--tau", "1", "--K", "8"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -250,6 +261,33 @@ class TestCohomologyCommand:
         assert phi.dim == 1
         assert phi.displacement[0].coefficient((1,)) != 0
 
+    def test_verifies_only_the_solved_band(self, tmp_path, capsys, monkeypatch):
+        # a degree-16 2D map: solve reads |k|_1 <= 16 whatever the cutoff, so the
+        # Diophantine bound is checked that far and no (2 * 1200 + 1)^2 ball is built
+        from kamconj import cli
+
+        src = tmp_path / "map.json"
+        main([
+            "make-map", "--kind", "conjugate", "--alpha", "sqrt2-1,sqrt3-1", "--seed", "3",
+            "--degree", "2", "--amplitude", "0.005", "--out", str(src),
+        ])
+        assert load_map(src).degree == 16
+        radii, real = [], cli.verified_vector
+
+        def recording(alpha, tau, radius, gamma=None):
+            radii.append(radius)
+            return real(alpha, tau, radius, gamma)
+
+        monkeypatch.setattr(cli, "verified_vector", recording)
+        capsys.readouterr()
+        reports = []
+        for cutoff in ("12", "16", "1200"):
+            args = ["--alpha", "sqrt2-1,sqrt3-1", "--tau", "2", "--cutoff", cutoff]
+            assert main(["cohomology", "--map", str(src), *args]) == 0
+            reports.append(capsys.readouterr().out)
+        assert radii == [12, 16, 16]
+        assert reports[1] == reports[2]
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         src = tmp_path / "map.json"
         main(
@@ -291,7 +329,9 @@ class TestRotationCommand:
         assert hull_csv.read_text().startswith("x1\n")
 
 
-    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-2"], ["--iters", "0"]])
+    @pytest.mark.parametrize("flags", [
+        ["--samples", "0"], ["--samples", "-2"], ["--iters", "0"], ["--resolution", "0"], ["--resolution", "-1"],
+    ])
     def test_bad_counts_are_usage_errors(self, tmp_path, capsys, flags):
         src = tmp_path / "map.json"
         main(["make-map", "--kind", "conjugate", "--alpha", "sqrt2-1,sqrt3-1", "--seed", "0", "--out", str(src)])

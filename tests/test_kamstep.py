@@ -25,7 +25,7 @@ from kamconj import (
 from kamconj import kamstep, spectral
 from kamconj.spectral import _composition_defect
 
-from conftest import GOLDEN, seeded_field
+from conftest import GOLDEN, SHIFTS, check_grids, outcome, seeded_field
 
 
 def perturbed_rotation(alpha, eps: float, seed: int, degree: int = 3) -> TorusMapLift:
@@ -224,6 +224,11 @@ _HULL_TOLS = st.sampled_from([1e-13, 1e-11, 1e-9, 1e-6])
 _COORD = st.one_of(st.integers(-2, 2).map(float), st.floats(-1.0, 1.0))
 
 
+def _grids(points) -> tuple:
+    """The columns of an (n, 2) point array as the two check grids of a step."""
+    return points[:, 0].copy(), points[:, 1].copy()
+
+
 class TestQuadrantAccept:
     """The step's hull test accepts a point in each open quadrant without building the hull."""
 
@@ -231,7 +236,7 @@ class TestQuadrantAccept:
     @given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40), _HULL_TOLS)
     def test_matches_full_hull(self, points, tol):
         pts = np.array(points, dtype=float)
-        assert kamstep._origin_in_hull(pts, tol) == _full_hull_verdict(pts, tol)
+        assert kamstep._origin_in_hull(_grids(pts), (0.0, 0.0), tol) == _full_hull_verdict(pts, tol)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -246,24 +251,38 @@ class TestQuadrantAccept:
         local = np.array([[-0.5, 0.0], [0.5, 0.0]] + points) + [0.0, offset * tol]
         turn = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
         pts = local @ turn.T
-        assert kamstep._origin_in_hull(pts, tol) == _full_hull_verdict(pts, tol)
+        assert kamstep._origin_in_hull(_grids(pts), (0.0, 0.0), tol) == _full_hull_verdict(pts, tol)
 
     def test_each_quadrant_is_needed(self):
+        def verdict(pts):
+            return kamstep._origin_in_hull(_grids(pts), (0.0, 0.0), 1e-13)
+
         corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-        assert kamstep._origin_in_hull(corners, 1e-13)
+        assert verdict(corners)
         for i in range(4):
             # the rest, plus the missing corner moved onto an axis: the hull decides
             for moved in (corners[i] * [1.0, 0.0], corners[i] * [0.0, 1.0], -corners[i]):
                 pts = np.vstack([np.delete(corners, i, axis=0), moved])
-                assert kamstep._origin_in_hull(pts, 1e-13) == _full_hull_verdict(pts, 1e-13)
-        assert not kamstep._origin_in_hull(corners + [2.5, 0.0], 1e-13)
+                assert verdict(pts) == _full_hull_verdict(pts, 1e-13)
+        assert not verdict(corners + [2.5, 0.0])
         # three quadrants filled, the origin below the edge from (-1, -0.1) to (3, 1)
-        assert not kamstep._origin_in_hull(np.array([[3.0, 1.0], [-1.0, 1.0], [-1.0, -0.1]]), 1e-13)
+        assert not verdict(np.array([[3.0, 1.0], [-1.0, 1.0], [-1.0, -0.1]]))
 
     def test_non_finite_points_still_raise(self):
         corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [np.nan, 0.5]])
         with pytest.raises(NonFinite):
-            kamstep._origin_in_hull(corners, 1e-13)
+            kamstep._origin_in_hull(_grids(corners), (0.0, 0.0), 1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40),
+        st.tuples(_COORD, _COORD),
+        _HULL_TOLS,
+    )
+    def test_drift_moves_the_points(self, points, drift, tol):
+        pts = np.array(points, dtype=float)
+        moved = pts + np.array(drift)
+        assert kamstep._origin_in_hull(_grids(pts), drift, tol) == _full_hull_verdict(moved, tol)
 
     def test_2d_step_builds_no_hull(self, pair_vector, monkeypatch):
         def refuse(points):
@@ -273,3 +292,47 @@ class TestQuadrantAccept:
         f = perturbed_rotation(pair_vector.alpha, 1e-3, seed=72, degree=2)
         _, _, diag = step(f, pair_vector, 8, StepConfig(smallness_c=1e-12))
         assert diag.hull_ok
+
+
+def _parent_origin_in_hull(points, tol) -> bool:
+    """The hull test as it read the stacked points before it read the check grids."""
+    if points.shape[1] == 2 and np.all(np.isfinite(points)):
+        x, y = points[:, 0], points[:, 1]
+        right, up = x > 0, y > 0
+        left, down = x < 0, y < 0
+        if all(np.any(a & b) for a, b in ((right, up), (left, up), (left, down), (right, down))):
+            return True
+    return hull_contains(convex_hull(points), np.zeros(points.shape[1]), tol)
+
+
+class TestCopyFreeChecks:
+    """The step's checks read sups and signs off the grids without a shifted copy, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2), st.sampled_from([(5,), (3, 4)]), st.data())
+    def test_sup_with_shifts(self, dim, shape, data):
+        grids = data.draw(check_grids(dim, shape))
+        shifts = data.draw(st.lists(SHIFTS, min_size=dim, max_size=dim))
+        want = outcome(lambda: float(np.max([np.max(np.abs(g + a)) for g, a in zip(grids, shifts)])))
+        assert outcome(kamstep._sup, grids, shifts) == want
+        want = outcome(lambda: float(np.max([np.max(np.abs(g)) for g in grids])))
+        assert outcome(kamstep._sup, grids) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(check_grids(2, (12,)), st.tuples(SHIFTS, SHIFTS), _HULL_TOLS)
+    def test_quadrant_verdict_on_grids(self, grids, drift, tol):
+        with np.errstate(all="ignore"):
+            points = np.stack([a + v.ravel() for v, a in zip(grids, drift)], axis=1)
+        want = outcome(_parent_origin_in_hull, points, tol)
+        assert outcome(kamstep._origin_in_hull, grids, drift, tol) == want
+
+    def test_overflowing_point_takes_the_full_hull(self):
+        # every quadrant holds a point, but 1.7e308 + 1e308 overflows: the finite
+        # test reads the drifted extremes, and the full hull refuses the points
+        x = np.array([-1.7e308, -1.7e308, 1.0, 1.0, 1.7e308])
+        y = np.array([1.0, -1.0, 1.0, -1.0, 0.0])
+        drift = (1e308, 0.0)
+        with np.errstate(over="ignore"):
+            points = np.stack([x + drift[0], y + drift[1]], axis=1)
+        assert outcome(_parent_origin_in_hull, points, 1e-13) is NonFinite
+        assert outcome(kamstep._origin_in_hull, (x, y), drift, 1e-13) is NonFinite

@@ -360,6 +360,11 @@ class TestDisplacementHull:
         assert hi == pytest.approx(GOLDEN + eps, abs=1e-3 * eps)
         assert lo == pytest.approx(GOLDEN - eps, abs=1e-3 * eps)
 
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_resolution_below_one_is_refused(self, resolution):
+        with pytest.raises(ValueError, match=f"resolution must be at least 1, got {resolution}"):
+            displacement_hull(TorusMapLift.rotation([GOLDEN]), resolution)
+
     def test_2d_axis_extremes(self):
         e1, e2 = 0.02, 0.03
         u1 = PeriodicField.from_entries(2, 1, [((1, 0), -0.5j * e1)])
