@@ -7,6 +7,7 @@ exhausted, 3 divergence or a failed claimed bound, 4 drift obstruction.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -117,15 +118,10 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
-        raw = json.load(fh)
+        config = ExperimentConfig.from_dict(json.load(fh))
     overrides = {"trace": args.trace, "chain": args.chain, "final_map": args.final_map}
-    output = dict(raw.get("output", {}))
-    for key, value in overrides.items():
-        if value:
-            output[key] = value
-    if output:
-        raw["output"] = output
-    config = ExperimentConfig.from_dict(raw)
+    output = {**config.output, **{key: value for key, value in overrides.items() if value}}
+    config = dataclasses.replace(config, output=output)
     result = run_scheme(config)
     if not args.quiet:
         for row in result.trace:

@@ -19,6 +19,7 @@ from .diophantine import DiophantineVector, _ball, verified_vector
 from .errors import (
     ConfigError,
     KamError,
+    NotContractive,
     OutOfRegime,
     ResidualTooLarge,
     SmallnessViolated,
@@ -232,6 +233,9 @@ class ExperimentConfig:
                 # a bad generator param fails here, not inside the run
                 _generator_params(imap["kind"], imap.get("params", {}), alpha.size)
             output = _object(raw, "output", {"trace", "chain", "final_map"})
+            for key, path in output.items():
+                if not (isinstance(path, str) and path):
+                    raise ConfigError(f"output paths must be non-empty strings, got {path!r} in output.{key}")
             return cls(alpha=alpha, initial_map=imap, output=output, **values)
 
 
@@ -313,9 +317,10 @@ def make_test_map(kind: str, params: dict, alpha, seed: int) -> TorusMapLift:
             f = TorusMapLift(alpha.copy(), fields)
         else:
             change = TorusMapLift(np.zeros(dim), fields)
-            if change.jacobian_sup() >= 0.5:
-                raise OutOfRegime("generated change of variables is too steep; lower the amplitude")
-            f = conjugate(change, TorusMapLift.rotation(alpha), target_degree=p["target_degree"])
+            try:  # conjugate refuses a change whose Jacobian reaches 1/2
+                f = conjugate(change, TorusMapLift.rotation(alpha), target_degree=p["target_degree"])
+            except NotContractive:
+                raise OutOfRegime("generated change of variables is too steep; lower the amplitude") from None
             if kind == "drifted":
                 f = TorusMapLift(f.rho + p["delta"], f.displacement)
     if f.jacobian_sup() >= 0.5:

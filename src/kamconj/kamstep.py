@@ -8,7 +8,10 @@ its distance from the target ("drift") is reported, not subtracted.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,7 @@ from .errors import NonFinite, SmallnessViolated
 from .rotation import convex_hull, hull_contains
 from .spectral import (
     TorusMapLift,
-    _abs_max,
+    _sup,
     conjugate,
     cs_norm,
     deviation_norm,
@@ -64,68 +67,51 @@ class StepDiagnostics:
     hull_ok: bool
 
 
-@dataclass(frozen=True, eq=False)
-class PosterioriReport:
-    drift: np.ndarray
-    drift_norm: float
-    bound: float
-    drift_ok: bool
-    hull_ok: bool
+def _drift_check(f_next: TorusMapLift, vec: DiophantineVector, config: StepConfig) -> dict:
+    """The `StepDiagnostics` fields that validate the translation drift of a rebased map.
 
-
-def _check_values(f: TorusMapLift) -> tuple:
-    """Each displacement component on the sampling grid of the map's box degree."""
-    return f.displacement_values(sampling_grid(f.degree))
-
-
-def _sup(grids, shifts=None) -> float:
-    """Largest |g + shift| on any of the grids (no shifts: |g|), with no copy of a grid."""
-    shifts = (0.0,) * len(grids) if shifts is None else shifts
-    # np.max, not max(): a nan sup stays nan
-    return float(np.max([_abs_max(g, a) for g, a in zip(grids, shifts)]))
-
-
-def _posteriori(f_next, values, vec, c_post, tol_abs) -> PosterioriReport:
-    """Validate the translation drift of a rebased map from its `_check_values`.
-
-    Two checks: the drift must not exceed c_post times the deviation from the
-    drifted rotation, and the target defect f(x) - x - alpha must change sign
-    (zero inside the hull of its sampled values).  The hull margin absorbs
-    roundoff at the scale of the deviation itself.
+    One value grid per component, on the sampling grid of the map's box
+    degree, gives both deviations and the hull; value_grid adds a mean on the
+    grid, so eps0_after is deviation_norm(f_next, alpha) bit for bit.  Two
+    checks: the drift must not exceed c_post times the deviation from the
+    drifted rotation (posteriori_ok), and the target defect f(x) - x - alpha
+    must change sign, zero inside the hull of its sampled values (hull_ok).
+    The hull margin absorbs roundoff at the scale of the deviation itself.
     """
+    values = f_next.displacement_values(sampling_grid(f_next.degree))
     drift = f_next.rho - vec.alpha
     drift_norm = float(np.linalg.norm(drift))
     eps0 = _sup(values)
-    bound = c_post * eps0
-    hull_tol = tol_abs + 1e-13 + 1e-9 * eps0
-    return PosterioriReport(
-        drift=drift,
-        drift_norm=drift_norm,
-        bound=bound,
-        drift_ok=bool(drift_norm <= bound + tol_abs),
-        hull_ok=_origin_in_hull(values, drift, hull_tol),
-    )
+    bound = config.c_post * eps0
+    return {
+        "eps0_after": _sup(values, drift),
+        "drift": drift,
+        "drift_norm": drift_norm,
+        "drift_bound": bound,
+        "posteriori_ok": bool(drift_norm <= bound + config.drift_tol_abs),
+        "hull_ok": _origin_in_hull(values, drift, config.drift_tol_abs + 1e-13 + 1e-9 * eps0),
+    }
 
 
 def _origin_in_hull(values, drift, tol: float) -> bool:
     """Whether the hull of the points (v_i + drift_i)_i, one coordinate per grid, holds the origin.
 
     `hull_contains(convex_hull(points), 0, tol)`, without the hull when the
-    answer is plain.  In 2D, finite points with one strictly inside each open
-    quadrant put the origin strictly inside the hull of those four: no line
-    through the origin has all four on one side.  The quadrants are read on
-    the grids, since v + a > 0 exactly when v > -a, and the points are stacked
-    only for the full hull.
+    answer is plain: finite points with one strictly inside each open orthant
+    put the origin strictly inside the hull of those points, since no
+    hyperplane through the origin has them all on one side (in 1D: a point on
+    each side of 0).  The orthants are read on the grids one at a time, since
+    v + a > 0 exactly when v > -a, and the points are stacked only for the
+    full hull.
     """
-    if len(values) == 2 and all(
-        math.isfinite(np.max(v) + a) and math.isfinite(np.min(v) + a) for v, a in zip(values, drift)
-    ):  # as np.all(np.isfinite(v + a)): rounding is monotone
-        (x, y), (a, b) = values, drift
-        if all(
-            np.any((x > -a if right else x < -a) & (y > -b if up else y < -b))
-            for right, up in ((True, True), (False, True), (False, False), (True, False))
-        ):
-            return True
+    def occupied(signs) -> bool:
+        sides = (v > -a if up else v < -a for v, a, up in zip(values, drift, signs))
+        return bool(np.any(functools.reduce(operator.and_, sides)))
+
+    orthants = itertools.product((True, False), repeat=len(values))
+    # finite as np.all(np.isfinite(v + a)): rounding is monotone
+    if math.isfinite(_sup(values, drift)) and all(map(occupied, orthants)):
+        return True
     points = np.stack([a + v.ravel() for v, a in zip(values, drift)], axis=1)
     return hull_contains(convex_hull(points), np.zeros(points.shape[1]), tol)
 
@@ -155,28 +141,16 @@ def step(
 
     correctors = tuple(solve(u, vec, cutoff).corrector for u in f.displacement)
     phi = TorusMapLift(np.zeros(d), correctors)
-    corrector_norm0 = max(cs_norm(c, 0, "grid") for c in correctors)
+    corrector_norm0 = float(np.max([cs_norm(c, 0, "grid") for c in correctors]))
 
     target = config.target_degree
     if target is None:
         target = max(int(cutoff), f.degree)
     f_next = rebase(conjugate(phi, f, target), vec.alpha)
-
-    # one value grid per component gives both deviations and the hull; value_grid
-    # adds a mean on the grid, so eps0_after is deviation_norm(f_next, alpha) bit for bit
-    values = _check_values(f_next)
-    post = _posteriori(f_next, values, vec, config.c_post, config.drift_tol_abs)
-    eps0_after = _sup(values, post.drift)
-    diags = StepDiagnostics(
+    return f_next, phi, StepDiagnostics(
         cutoff=int(cutoff),
         smallness_margin=margin,
         eps0_before=eps0_before,
-        eps0_after=eps0_after,
-        drift=post.drift,
-        drift_norm=post.drift_norm,
-        drift_bound=post.bound,
         corrector_norm0=corrector_norm0,
-        posteriori_ok=post.drift_ok,
-        hull_ok=post.hull_ok,
+        **_drift_check(f_next, vec, config),
     )
-    return f_next, phi, diags

@@ -20,6 +20,7 @@ to its tail (`_reach`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -494,14 +495,17 @@ def truncate(f: PeriodicField, cutoff: int, mode: str = "inhomogeneous") -> Peri
     return PeriodicField._exact(f.dim, deg, c)
 
 
-def _abs_max(grid: np.ndarray, shift: float = 0.0) -> float:
-    """np.max(np.abs(grid + shift)) bit for bit, read from the grid's two extremes.
+def _sup(grids, shifts=None) -> float:
+    """Largest |g + shift| over the grids (no shifts: |g|), with no copy of a grid.
 
-    Rounding is monotone, so max(grid) + shift is the largest entry of
-    grid + shift (likewise the smallest), and no shifted or absolute copy of
-    the grid is made.  A nan anywhere gives nan.
+    np.max(np.abs(g + shift)) bit for bit: rounding is monotone, so
+    max(g) + shift is the largest entry of g + shift (likewise the smallest).
+    The grids are read one at a time, so a generator of them holds one.  The
+    extremes are reduced with np.max, not max(): a nan anywhere gives nan,
+    whatever the order of the grids.
     """
-    return float(np.max(np.abs([np.max(grid) + shift, np.min(grid) + shift])))
+    shifts = itertools.repeat(0.0) if shifts is None else shifts
+    return float(np.max(np.abs([(np.max(g) + a, np.min(g) + a) for g, a in zip(grids, shifts)])))
 
 
 def _multi_orders(dim: int, s: int) -> list:
@@ -537,17 +541,13 @@ def cs_norm(f: PeriodicField, s: float = 0, method: str = "grid") -> float:
         raise ValueError(f"unknown norm method {method!r}")
     if s != int(s):
         raise ValueError("grid method needs integer s; use method='fourier'")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [f.derivative(o) if any(o) else f for o in _multi_orders(f.dim, int(s))]
+    except NonFinite:  # a coefficient of a derivative, and so its sup, passes the float maximum
+        return math.inf
     m = sampling_grid(f.degree)
-    sups = []
-    for o in _multi_orders(f.dim, int(s)):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                df = f.derivative(o) if any(o) else f
-        except NonFinite:  # a coefficient of the derivative, and so its sup, passes the float maximum
-            return math.inf
-        sups.append(_abs_max(value_grid(df, m)))
-    # np.max, not max(): a nan sup (an overflowed grid) stays nan instead of losing to 0.0
-    return float(np.max(sups))
+    return _sup(value_grid(df, m) for df in parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -757,7 +757,7 @@ def _inverse_values(phi: TorusMapLift, m: int) -> tuple:
     best, stagnant = math.inf, 0
     for _ in range(_INVERT_SWEEPS):
         uvals = _eval_displaced(phi.displacement, shift, w, m)
-        defect = max(float(np.max(np.abs(a + b))) for a, b in zip(w, uvals))
+        defect = _sup(a + b for a, b in zip(w, uvals))
         w = tuple(-a for a in uvals)
         if defect <= 0.2 * _INVERT_TOL:
             break
@@ -855,7 +855,7 @@ def _composition_defect(a, b, c, d) -> float:
     (left, lrho), (right, rrho) = _walk((b, a), m), _walk((d, c), m)
     for x, y in zip(left, right):
         x -= y
-    return max(_abs_max(x, p - q) for x, p, q in zip(left, lrho, rrho))
+    return _sup(left, lrho - rrho)
 
 
 def conjugate(phi: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:

@@ -56,6 +56,11 @@ MALFORMED_CONFIGS = [
     ({"gamma": math.nan}, "invalid config document: expected a finite number, got nan in gamma"),
     ({"seed": -3}, "seed must be at least 0, got -3 in seed"),
     ({"smallness_c": -1}, "smallness_c must be positive, got -1.0 in smallness_c"),
+    # a path that is not a non-empty string once ran the scheme and wrote to a file descriptor
+    ({"output": {"trace": True}}, "output paths must be non-empty strings, got True in output.trace"),
+    ({"output": {"trace": 7}}, "output paths must be non-empty strings, got 7 in output.trace"),
+    ({"output": {"chain": ""}}, "output paths must be non-empty strings, got '' in output.chain"),
+    ({"output": {"final_map": None}}, "output paths must be non-empty strings, got None in output.final_map"),
 ]
 
 

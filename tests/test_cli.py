@@ -126,6 +126,29 @@ class TestRun:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([1, 2], "configuration must be a JSON object"),
+            ("x", "configuration must be a JSON object"),
+            ({"alpha": "golden", "initial_map": {"kind": "conjugate"}, "seed": 5, "output": [1]},
+             "output must be an object"),
+        ],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--trace", "t.csv"]])
+    def test_malformed_document_is_usage_error(self, tmp_path, capsys, document, message, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        assert main(["run", "--config", str(cfg), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_flags_override_the_document_outputs(self, tmp_path, capsys):
+        kept, moved = tmp_path / "chain.json", tmp_path / "trace.csv"
+        cfg = write_config(tmp_path / "cfg.json", output={"trace": str(tmp_path / "unused.csv"), "chain": str(kept)})
+        assert main(["run", "--config", str(cfg), "--trace", str(moved), "--quiet"]) == 0
+        assert moved.read_text().startswith("n,N,eps0") and kept.exists()
+        assert not (tmp_path / "unused.csv").exists()
+
     @pytest.mark.parametrize("overrides, message", MALFORMED_CONFIGS)
     def test_bad_value_is_usage_error(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path / "cfg.json", **overrides)

@@ -49,7 +49,7 @@ TWO_STEP_2D = {
 }
 
 # functions that sample a field on a grid to check a result
-_CHECKS = {"cs_norm", "jacobian_sup", "_check_values", "_composition_defect"}
+_CHECKS = {"cs_norm", "jacobian_sup", "_drift_check", "_composition_defect"}
 
 
 def minimal_config(**overrides) -> dict:
@@ -270,6 +270,19 @@ class TestMakeTestMap:
         with pytest.raises(OutOfRegime):
             make_test_map("random-decay", {"amplitude": 0.5}, [GOLDEN], seed=3)
 
+    def test_too_steep_change_is_out_of_regime(self):
+        with pytest.raises(OutOfRegime, match="^generated change of variables is too steep; lower the amplitude$"):
+            make_test_map("conjugate", {"amplitude": 0.5}, [GOLDEN], seed=0)
+
+    @pytest.mark.parametrize("kind", ["conjugate", "drifted"])
+    def test_each_jacobian_is_read_once(self, kind, monkeypatch):
+        # the change's by conjugate's gate, then the generated map's
+        calls = []
+        jacobian_sup = TorusMapLift.jacobian_sup
+        monkeypatch.setattr(TorusMapLift, "jacobian_sup", lambda p: calls.append(p) or jacobian_sup(p))
+        f = make_test_map(kind, {}, [GOLDEN], seed=9)
+        assert len(calls) == 2 and calls[1] is f
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             make_test_map("bogus", {}, [GOLDEN], seed=0)
@@ -339,6 +352,17 @@ class TestChainHelpers:
         h = TorusMapLift.identity(1)
         f = TorusMapLift.rotation([GOLDEN])
         assert conjugacy_verification(h, f, [GOLDEN]) < 1e-15
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_conjugacy_verification_keeps_a_nan_defect(self, order):
+        # 2 * 0.9e308 overflows on the grid, so that component's defect is inf - inf = nan;
+        # the other component's is 0.0, and the sup is nan whichever comes first
+        steep = PeriodicField.from_entries(2, 1, [((1, 0), 0.9e308)])
+        fields = (PeriodicField.zeros(2, 1), steep)
+        h = TorusMapLift(np.zeros(2), tuple(fields[i] for i in order))
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = conjugacy_verification(h, TorusMapLift.identity(2), np.zeros(2))
+        assert math.isnan(residual)
 
 
 class TestRunScheme:
@@ -611,7 +635,7 @@ class TestRunScheme:
                     name = outer.f_back.f_code.co_name
                     box = max(local[k].degree for k in "abcd")
                 else:
-                    box = local["self" if name == "jacobian_sup" else "f"].degree
+                    box = local["self" if name == "jacobian_sup" else "f_next"].degree
                 used = sampling_grid(f.degree) if m is None else m
                 grids.append((name, used, box, f.live_degree < f.degree))
             return value_grid(f, m)
@@ -626,8 +650,8 @@ class TestRunScheme:
         res = run_scheme(ExperimentConfig.from_dict(minimal_config(**TWO_STEP_2D)))
         assert res.status is RunStatus.CONVERGED and res.n_steps == 2
 
-        # _check_values: the stepped map's grids, shared by its deviations and its hull
-        names = {"cs_norm", "jacobian_sup", "_check_values", "conjugacy_verification"}
+        # _drift_check: the stepped map's grids, shared by its deviations and its hull
+        names = {"cs_norm", "jacobian_sup", "_drift_check", "conjugacy_verification"}
         assert {g[0] for g in grids} == names
         # every kind of check samples a field whose box reaches past its live shell
         assert {g[0] for g in grids if g[3]} == names

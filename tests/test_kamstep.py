@@ -158,9 +158,9 @@ class TestStep:
 
 
 def _posteriori_report(f, vec, c_post=2.0, tol_abs=0.0):
-    """The step's drift and hull checks on a map: rebase, sample, `_posteriori`."""
+    """The step's drift and hull checks on a map: rebase, then `_drift_check`."""
     f = rebase(f, vec.alpha)
-    return kamstep._posteriori(f, kamstep._check_values(f), vec, c_post, tol_abs)
+    return kamstep._drift_check(f, vec, StepConfig(c_post=c_post, drift_tol_abs=tol_abs))
 
 
 class TestPosteriori:
@@ -168,14 +168,14 @@ class TestPosteriori:
         h = TorusMapLift(np.zeros(1), (seeded_field(1, 3, 0.01, seed=77),))
         f = conjugate(h, TorusMapLift.rotation([GOLDEN]), target_degree=12)
         report = _posteriori_report(f, golden_vector)
-        assert report.drift_ok and report.hull_ok
-        assert report.drift_norm <= report.bound
+        assert report["posteriori_ok"] and report["hull_ok"]
+        assert report["drift_norm"] <= report["drift_bound"]
 
     def test_drifted_rotation_fails(self, golden_vector):
         f = TorusMapLift.rotation([GOLDEN + 0.01])
         report = _posteriori_report(f, golden_vector)
-        assert not report.drift_ok
-        assert report.drift_norm == pytest.approx(0.01, abs=1e-12)
+        assert not report["posteriori_ok"]
+        assert report["drift_norm"] == pytest.approx(0.01, abs=1e-12)
 
     def test_drift_dominating_deviation_fails_hull(self, golden_vector):
         # displacement amplitude far below the drift: hull misses zero
@@ -184,19 +184,19 @@ class TestPosteriori:
             (PeriodicField.from_entries(1, 1, [((1,), -0.5e-6j)]),),
         )
         report = _posteriori_report(f, golden_vector)
-        assert not report.hull_ok
+        assert not report["hull_ok"]
 
     def test_tol_abs_loosens_drift_check(self, golden_vector):
         f = TorusMapLift.rotation([GOLDEN + 1e-8])
-        assert not _posteriori_report(f, golden_vector).drift_ok
-        assert _posteriori_report(f, golden_vector, tol_abs=1e-7).drift_ok
+        assert not _posteriori_report(f, golden_vector)["posteriori_ok"]
+        assert _posteriori_report(f, golden_vector, tol_abs=1e-7)["posteriori_ok"]
 
     def test_report_drift_vector(self, pair_vector):
         delta = np.array([2e-3, -1e-3])
         f = TorusMapLift.rotation(pair_vector.alpha + delta)
         report = _posteriori_report(f, pair_vector)
-        assert np.allclose(report.drift, delta, atol=1e-12)
-        assert report.drift_norm == pytest.approx(float(np.linalg.norm(delta)), rel=1e-9)
+        assert np.allclose(report["drift"], delta, atol=1e-12)
+        assert report["drift_norm"] == pytest.approx(float(np.linalg.norm(delta)), rel=1e-9)
 
     def test_non_finite_map_raises(self, golden_vector):
         # finite coefficients whose grid values overflow to inf - inf = nan
@@ -284,6 +284,25 @@ class TestQuadrantAccept:
         moved = pts + np.array(drift)
         assert kamstep._origin_in_hull(_grids(pts), drift, tol) == _full_hull_verdict(moved, tol)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_HULL_TOLS, st.data())
+    def test_1d_matches_full_hull(self, tol, data):
+        # points within 2 tol of 0 once drifted, among points anywhere, with a nonzero drift
+        drift = data.draw(st.one_of(_COORD, st.floats(-2.0, 2.0).map(lambda t: t * tol)))
+        near = st.floats(-2.0, 2.0).map(lambda t: t * tol - drift)
+        pts = np.array(data.draw(st.lists(st.one_of(_COORD, near), min_size=1, max_size=40)))
+        moved = (pts + drift)[:, None]
+        assert kamstep._origin_in_hull((pts,), (drift,), tol) == _full_hull_verdict(moved, tol)
+
+    def test_1d_step_builds_no_hull(self, golden_vector, monkeypatch):
+        def refuse(points):
+            raise AssertionError("hull built")
+
+        monkeypatch.setattr(kamstep, "convex_hull", refuse)
+        f = perturbed_rotation(golden_vector.alpha, 1e-3, seed=72, degree=2)
+        _, _, diag = step(f, golden_vector, 8, StepConfig(smallness_c=1e-12))
+        assert diag.hull_ok
+
     def test_2d_step_builds_no_hull(self, pair_vector, monkeypatch):
         def refuse(points):
             raise AssertionError("hull built")
@@ -315,8 +334,10 @@ class TestCopyFreeChecks:
         shifts = data.draw(st.lists(SHIFTS, min_size=dim, max_size=dim))
         want = outcome(lambda: float(np.max([np.max(np.abs(g + a)) for g, a in zip(grids, shifts)])))
         assert outcome(kamstep._sup, grids, shifts) == want
+        assert outcome(kamstep._sup, iter(grids), np.array(shifts)) == want
         want = outcome(lambda: float(np.max([np.max(np.abs(g)) for g in grids])))
         assert outcome(kamstep._sup, grids) == want
+        assert outcome(kamstep._sup, iter(grids)) == want
 
     @settings(max_examples=300, deadline=None)
     @given(check_grids(2, (12,)), st.tuples(SHIFTS, SHIFTS), _HULL_TOLS)

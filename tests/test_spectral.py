@@ -1263,14 +1263,21 @@ class TestCopyFreeSups:
             _serve(mp, "value_grid", grids)
             assert outcome(TorusMapLift.identity(dim).jacobian_sup) == want
 
+    def test_sup_keeps_a_nan_in_either_place(self):
+        zero, nan = np.array([-0.0, 1.0, -math.inf]), np.array([0.5, math.nan])
+        for grids in ((zero, nan), (nan, zero)):
+            assert repr(spectral._sup(grids)) == "nan"
+        assert repr(spectral._sup((np.array([-0.0, -0.0]),))) == "0.0"
+        assert repr(spectral._sup((zero,), (0.5,))) == "inf"
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 2), st.data())
     def test_composition_defect(self, dim, data):
         left, right = data.draw(check_grids(dim, (5,))), data.draw(check_grids(dim, (5,)))
         lrho, rrho = (np.array(data.draw(st.lists(SHIFTS, min_size=dim, max_size=dim))) for _ in "lr")
-        want = outcome(lambda: max(
-            float(np.max(np.abs((x - y) + (p - q)))) for x, y, p, q in zip(left, right, lrho, rrho)
-        ))
+        want = outcome(lambda: float(np.max(
+            [np.max(np.abs((x - y) + (p - q))) for x, y, p, q in zip(left, right, lrho, rrho)]
+        )))
         f = TorusMapLift.identity(dim)
         with pytest.MonkeyPatch.context() as mp:
             _serve(mp, "_walk", [(left, lrho), (right, rrho)])
