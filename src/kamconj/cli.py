@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as kio
 from .cohomology import solve
-from .diophantine import DiophantineVector, best_gamma, verified_vector, verify_dc
+from .diophantine import DiophantineVector, _fit, _report, verified_vector
 from .driver import (
     CONFIG_KEYS,
     EXIT_CODES,
@@ -155,10 +155,7 @@ def _cmd_params(args) -> int:
     rep = replay_induction(params, n_steps=args.replay) if args.replay else None
     print(f"mu window: ({lo:.6g}, {hi:.6g}); using mu={mu:.6g}")
     print(f"omega0 bound: {omega0_bound(args.sigma, args.lambda_):.12g}")
-    print(
-        f"exponents: a={params.a:.6g} gamma0={params.gamma0:.6g} "
-        f"s0={params.s0:.6g} b={params.b:.6g}"
-    )
+    print(f"exponents: a={params.a:.6g} gamma0={params.gamma0:.6g} s0={params.s0:.6g} b={params.b:.6g}")
     for name, row in check_inductive_inequalities(params).items():
         state = "ok" if row["ok"] else "VIOLATED"
         print(f"  {name}: lhs={row['lhs']:.6g} bound={row['bound']:.6g} margin={row['margin']:.6g} [{state}]")
@@ -178,19 +175,16 @@ def _cmd_params(args) -> int:
 def _cmd_dc_check(args) -> int:
     alpha = _parse_alpha(args.alpha)
     claim = None if args.gamma is None else DiophantineVector(alpha, args.gamma, args.tau)
-    gamma = best_gamma(alpha, args.tau, args.radius)
-    probe = verify_dc(DiophantineVector(alpha, gamma, args.tau), args.radius)
+    gamma, worst = _fit(alpha, args.tau, args.radius)  # the one pass: gamma, worst mode and verdict
+    DiophantineVector(alpha, gamma, args.tau)  # refuses a tau, or a fitted gamma, that a run refuses
     print(f"worst-case gamma over |k|_1 <= {args.radius}: {gamma!r}")
-    print(f"worst mode: k={probe.worst_k}")
+    print(f"worst mode: k={worst[0]}")
     if claim is None:
         return 0
-    report = verify_dc(claim, args.radius)
-    state = "holds" if report.ok else "FAILS"
-    print(
-        f"claim gamma={args.gamma}: {state} "
-        f"(worst ratio {report.worst_ratio!r} at k={report.worst_k})"
-    )
-    return 0 if report.ok else 3
+    ok = _report(claim, args.radius, worst).ok
+    state = "holds" if ok else "FAILS"
+    print(f"claim gamma={args.gamma}: {state} (worst ratio {worst[1]!r} at k={worst[0]})")
+    return 0 if ok else 3
 
 
 def _cmd_cohomology(args) -> int:

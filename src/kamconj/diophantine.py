@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector
+from .errors import DCViolation, DegenerateVector
 
 __all__ = [
     "DiophantineVector",
@@ -37,9 +37,7 @@ class DiophantineVector:
     verified_up_to: int = 0
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.alpha, dtype=float)) % 1.0
-        if a.size not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
+        a = _reduced(self.alpha)
         if not (0 < self.gamma < np.inf and 0 < self.tau < np.inf):
             raise ValueError(f"gamma and tau must be positive and finite, got {self.gamma} and {self.tau}")
         a.flags.writeable = False
@@ -60,24 +58,28 @@ class DCReport:
     checked_up_to: int
 
 
+def _reduced(alpha) -> np.ndarray:
+    """alpha reduced mod 1, as every pass over the ball reads it."""
+    a = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if a.size not in (1, 2):
+        raise ValueError("only dimensions 1 and 2 are supported")
+    if not np.isfinite(a).all():  # it has no residue mod 1; reduced, it reads as a nan gamma
+        raise ValueError(f"alpha components must be finite, got {a.tolist()}")
+    return a % 1.0
+
+
 def _ball(dim: int, radius: int):
     """Canonical half of the punctured l1 ball: one of each +-k pair."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if dim == 1:
-        k = np.arange(1, radius + 1)[:, None]
-        return k
-    ax = np.arange(-radius, radius + 1)
-    k1, k2 = np.meshgrid(ax, ax, indexing="ij")
-    k = np.stack([k1.ravel(), k2.ravel()], axis=1)
-    norms = np.abs(k).sum(axis=1)
-    canonical = (k[:, 0] > 0) | ((k[:, 0] == 0) & (k[:, 1] > 0))
-    return k[(norms >= 1) & (norms <= radius) & canonical]
-
-
-def _dist_to_integers(t: np.ndarray) -> np.ndarray:
-    r = t % 1.0
-    return np.minimum(r, 1.0 - r)
+        return np.arange(1, radius + 1)[:, None]
+    # row k1 = 0 holds k2 = 1..radius, row k1 > 0 holds |k2| <= radius - k1, k2 increasing
+    k1 = np.arange(radius + 1)
+    first = np.where(k1 == 0, 1, k1 - radius)
+    counts = radius - k1 - first + 1
+    k2 = np.arange(counts.sum()) + np.repeat(first + counts - np.cumsum(counts), counts)
+    return np.stack([np.repeat(k1, counts), k2], axis=1)
 
 
 def small_divisor(vec: DiophantineVector, k) -> float:
@@ -91,13 +93,18 @@ def _worst(alpha: np.ndarray, tau: float, radius: int):
     k = _ball(alpha.size, radius)
     # one product per axis, summed in order: a BLAS kernel may fuse
     # k1*a1 + k2*a2, and near a resonance that last bit is ~1e-11 of the distance
-    dots = (k * alpha).sum(axis=1)
-    dist = _dist_to_integers(dots)
+    r = (k * alpha).sum(axis=1) % 1.0
+    dist = np.minimum(r, 1.0 - r)
     # past the float maximum, |k|_1^tau = inf is the exact limit of the ratio
     with np.errstate(over="ignore"):
         ratio = dist * (np.abs(k).sum(axis=1).astype(float) ** tau)
     i = int(np.argmin(ratio))
     return tuple(int(x) for x in k[i]), float(ratio[i])
+
+
+def _report(vec: DiophantineVector, radius: int, worst: tuple) -> DCReport:
+    """The claim's verdict on one pass's (worst_k, worst_ratio)."""
+    return DCReport(bool(worst[1] >= 1.0 / vec.gamma), *worst, int(radius))
 
 
 def verify_dc(vec: DiophantineVector, radius: int) -> DCReport:
@@ -106,28 +113,29 @@ def verify_dc(vec: DiophantineVector, radius: int) -> DCReport:
     The distance dist(k . alpha, Z) is symmetric under k -> -k, so only a
     canonical half of the ball is enumerated.
     """
-    worst_k, worst_ratio = _worst(vec.alpha, vec.tau, int(radius))
-    return DCReport(
-        ok=bool(worst_ratio >= 1.0 / vec.gamma),
-        worst_k=worst_k,
-        worst_ratio=worst_ratio,
-        checked_up_to=int(radius),
-    )
+    return _report(vec, radius, _worst(vec.alpha, vec.tau, int(radius)))
 
 
-def verified(vec: DiophantineVector, radius: int) -> DiophantineVector:
-    """Return a copy whose verified range covers `radius`, or raise DCViolation."""
-    from .errors import DCViolation
-
-    if vec.verified_up_to >= radius:
-        return vec
-    report = verify_dc(vec, radius)
+def _stamped(vec: DiophantineVector, report: DCReport) -> DiophantineVector:
     if not report.ok:
         raise DCViolation(
             f"dist(k.alpha, Z) * |k|^tau = {report.worst_ratio:.6e} at k={report.worst_k}, "
             f"below 1/gamma = {1.0 / vec.gamma:.6e}"
         )
-    return dataclasses.replace(vec, verified_up_to=int(radius))
+    return dataclasses.replace(vec, verified_up_to=report.checked_up_to)
+
+
+def verified(vec: DiophantineVector, radius: int) -> DiophantineVector:
+    """Return a copy whose verified range covers `radius`, or raise DCViolation."""
+    return vec if vec.verified_up_to >= radius else _stamped(vec, verify_dc(vec, radius))
+
+
+def _fit(alpha, tau: float, radius: int) -> tuple:
+    """(smallest admissible gamma, (worst_k, worst_ratio)), both from one pass."""
+    worst_k, worst_ratio = worst = _worst(_reduced(alpha), float(tau), int(radius))
+    if worst_ratio < _RESONANCE_FLOOR:
+        raise DegenerateVector(f"resonance at k={worst_k}: k.alpha is an integer to roundoff")
+    return 1.0 / worst_ratio, worst
 
 
 def best_gamma(alpha, tau: float, radius: int) -> float:
@@ -136,15 +144,13 @@ def best_gamma(alpha, tau: float, radius: int) -> float:
     Raises DegenerateVector when some k.alpha is an integer to within roundoff,
     in which case no finite gamma works.
     """
-    a = np.atleast_1d(np.asarray(alpha, dtype=float)) % 1.0
-    worst_k, worst_ratio = _worst(a, float(tau), int(radius))
-    if worst_ratio < _RESONANCE_FLOOR:
-        raise DegenerateVector(f"resonance at k={worst_k}: k.alpha is an integer to roundoff")
-    return 1.0 / worst_ratio
+    return _fit(alpha, tau, radius)[0]
 
 
 def verified_vector(alpha, tau: float, radius: int, gamma=None) -> DiophantineVector:
     """(alpha, gamma, tau) verified up to `radius`; no gamma means `best_gamma` plus 1e-12 relative."""
-    if gamma is None:
-        gamma = best_gamma(alpha, tau, radius) * (1.0 + 1e-12)
-    return verified(DiophantineVector(alpha, gamma, tau), radius)
+    if gamma is not None:
+        return verified(DiophantineVector(alpha, gamma, tau), radius)
+    gamma, worst = _fit(alpha, tau, radius)  # the fitting pass is the verifying pass
+    vec = DiophantineVector(alpha, gamma * (1.0 + 1e-12), tau)
+    return _stamped(vec, _report(vec, radius, worst))

@@ -323,7 +323,7 @@ def make_test_map(kind: str, params: dict, alpha, seed: int) -> TorusMapLift:
                 raise OutOfRegime("generated change of variables is too steep; lower the amplitude") from None
             if kind == "drifted":
                 f = TorusMapLift(f.rho + p["delta"], f.displacement)
-    if f.jacobian_sup() >= 0.5:
+    if not f.jacobian_sup() < 0.5:  # not (< 1/2): a nan Jacobian is out of regime too
         raise OutOfRegime("map is outside the perturbative regime (Jacobian deviation >= 1/2)")
     return f
 
@@ -472,7 +472,7 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         composed = compose_chain(chain, config.max_degree)
         residual = conjugacy_verification(composed, first_map, vec.alpha)
         tol = 10.0 * config.eps_stop if config.residual_tol is None else config.residual_tol
-        if residual > tol:
+        if not residual <= tol:  # not (<=): a nan residual fails too
             failure = f"composed conjugacy residual {residual:.3e} exceeds {tol:.3e}"
 
     result = RunResult(

@@ -46,28 +46,30 @@ class SchedulerParams:
     start_cutoff: int = DEFAULTS["start_cutoff"]
 
 
+# Each exponent inequality once, as name: (bound c, side, f(sigma, lambda, nu, c)): a side-0 row
+# reads f > c; on side 1 (-1), f is mu's threshold from below (above), in `mu_window`'s bit order.
+# The side-0 rows imply lambda + nu > 2.9 and lambda + sigma*nu > 1, once rows of their own.
+_ROWS = {
+    "decay_outruns_refinement": (1.0, 0, lambda s, l, n, c: (1.0 - s) * l),
+    "quadratic_gain": (0.5, 1, lambda s, l, n, c: (1.0 + s) * l + n + c),
+    "corrector_loss": (1.0, 1, lambda s, l, n, c: c + s * l + n),
+    "mu_ceiling": (1.0, -1, lambda s, l, n, c: 2.0 * l + (1.0 + s) * n - c),
+    "growth_absorbs_tail": (0.5, 0, lambda s, l, n, c: s * n),
+    "cross_margin": (1.0, 1, lambda s, l, n, c: c + s * n + l),
+}
+
+
 def validate(sigma: float, lambda_: float, nu: float) -> tuple:
     """Standing constraints on the exponent ratios; returns (ok, violated names)."""
-    bad = []
-    if not (0.0 < sigma < 1.0):
-        bad.append("sigma_in_unit_interval")
-    if not (lambda_ + nu > 2.0):
-        bad.append("lambda_plus_nu_above_two")
-    if not ((1.0 - sigma) * lambda_ > 1.0):
-        bad.append("decay_outruns_refinement")
-    if not (sigma * nu > 0.5):
-        bad.append("growth_absorbs_tail")
+    bad = [] if 0.0 < sigma < 1.0 else ["sigma_in_unit_interval"]
+    bad += [name for name, (c, side, f) in _ROWS.items() if side == 0 and not f(sigma, lambda_, nu, c) > c]
     return (not bad, bad)
 
 
 def mu_window(sigma: float, lambda_: float, nu: float) -> tuple:
     """Open interval of admissible mu; raises EmptyWindow when none exists."""
-    lo = max(
-        (1.0 + sigma) * lambda_ + nu + 0.5,
-        1.0 + sigma * lambda_ + nu,
-        1.0 + sigma * nu + lambda_,
-    )
-    hi = 2.0 * lambda_ + (1.0 + sigma) * nu - 1.0
+    lo = max(f(sigma, lambda_, nu, c) for c, side, f in _ROWS.values() if side == 1)
+    hi = min(f(sigma, lambda_, nu, c) for c, side, f in _ROWS.values() if side == -1)
     if not (lo < hi):
         raise EmptyWindow(f"no admissible mu: lower bound {lo} meets upper bound {hi}")
     return (lo, hi)
@@ -157,28 +159,14 @@ def schedule_cutoffs(start: int, sigma: float, count: int, cap: int = 2 ** 20) -
 def check_inductive_inequalities(p: SchedulerParams) -> dict:
     """Margins of the per-step exponent inequalities behind the envelope proof.
 
-    Each row maps a name to (lhs, bound, margin, ok) with margin = lhs - bound.
-    The row `tail_sum` is implied by `decay_outruns_refinement` together with
-    `growth_absorbs_tail`; it is reported anyway for completeness.
+    Each row maps a name to (lhs, bound, margin, ok) with margin = lhs - bound;
+    a row on mu reads lhs as its bound plus mu's distance past its threshold.
     """
-    s, l, m, n = p.sigma, p.lambda_, p.mu, p.nu
-    rows = {
-        "decay_outruns_refinement": ((1.0 - s) * l, 1.0),
-        "quadratic_gain": (m - (1.0 + s) * l - n, 0.5),
-        "corrector_loss": (m - s * l - n, 1.0),
-        "mu_ceiling": (2.0 * l + (1.0 + s) * n - m, 1.0),
-        "tail_sum": (s * n + l, 1.0),
-        "tail_product": (s * n, 0.5),
-        "cross_margin": (m - s * n - l, 1.0),
-    }
     out = {}
-    for name, (lhs, bound) in rows.items():
-        out[name] = {
-            "lhs": lhs,
-            "bound": bound,
-            "margin": lhs - bound,
-            "ok": lhs > bound,
-        }
+    for name, (c, side, f) in _ROWS.items():
+        t = f(p.sigma, p.lambda_, p.nu, c)
+        lhs = t if side == 0 else c + side * (p.mu - t)
+        out[name] = {"lhs": lhs, "bound": c, "margin": lhs - c, "ok": lhs > c}
     return out
 
 

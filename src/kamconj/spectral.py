@@ -547,7 +547,13 @@ def cs_norm(f: PeriodicField, s: float = 0, method: str = "grid") -> float:
     except NonFinite:  # a coefficient of a derivative, and so its sup, passes the float maximum
         return math.inf
     m = sampling_grid(f.degree)
-    return _sup(value_grid(df, m) for df in parts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = _sup(value_grid(df, m) for df in parts)
+    # the Fourier norm bounds every grid value: past 2^1000 a transform may overflow to
+    # inf or nan, so the grids are read again at an exact 2^-64 and the sup scaled back
+    if not math.isfinite(sup) and cs_norm(f, s, "fourier") > 2.0 ** 1000:
+        sup = _sup(value_grid(df * 2.0 ** -64, m) for df in parts) * 2.0 ** 64
+    return sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -768,7 +774,7 @@ def _inverse_values(phi: TorusMapLift, m: int) -> tuple:
         else:
             stagnant = 0
         best = min(best, defect)
-    if defect > _INVERT_TOL:
+    if not defect <= _INVERT_TOL:  # not (<=): a nan defect fails too
         raise NoConvergence(f"inverse defect {defect:.3e} above tolerance {_INVERT_TOL:.1e} on grid {m}")
     return w
 
@@ -804,7 +810,7 @@ def _chain(maps, target: int, invert: bool = False) -> TorusMapLift:
     inverting chain refuses a first map whose Jacobian reaches 1/2
     (NotContractive) once, before it walks.
     """
-    if invert and maps[0].jacobian_sup() >= 0.5:
+    if invert and not maps[0].jacobian_sup() < 0.5:  # not (< 1/2): a nan Jacobian fails too
         raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
     ceiling = _grid(target, maps)
     live = [p.live_degree for p in maps]

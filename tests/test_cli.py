@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kamconj import driver
 from kamconj.cli import _parse_alpha, main
 from kamconj.io import load_map
 
@@ -78,6 +79,13 @@ class TestRun:
         trace = tmp_path / "trace.csv"
         assert main(["run", "--config", str(cfg), "--trace", str(trace)]) == 3
         assert "error:" in capsys.readouterr().err
+        assert trace.read_text().startswith("n,N,eps0")
+
+    def test_nan_residual_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(driver, "conjugacy_verification", lambda h, f, alpha: math.nan)
+        cfg, trace = write_config(tmp_path / "cfg.json"), tmp_path / "trace.csv"
+        assert main(["run", "--config", str(cfg), "--trace", str(trace), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("error: composed conjugacy residual nan exceeds")
         assert trace.read_text().startswith("n,N,eps0")
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):

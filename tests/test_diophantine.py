@@ -17,7 +17,9 @@ from kamconj import (
     verified,
     verify_dc,
 )
-from kamconj.diophantine import _ball, verified_vector
+from kamconj import diophantine
+from kamconj.cli import main
+from kamconj.diophantine import _ball, _fit, verified_vector
 
 from conftest import GOLDEN, PAIR_2D, dc_oracle
 
@@ -26,6 +28,25 @@ GOLDEN_WORST_RATIO = 0.3819660112501051
 GOLDEN_BEST_GAMMA = 2.6180339887498953
 PAIR_BEST_GAMMA = 16.936066824240672
 PAIR_WORST_K = (5, 4)
+
+
+def _meshgrid_ball(dim, radius):
+    """The canonical half ball as masked down from the full (2R+1)^2 box."""
+    if dim == 1:
+        return np.arange(1, radius + 1)[:, None]
+    ax = np.arange(-radius, radius + 1)
+    k1, k2 = np.meshgrid(ax, ax, indexing="ij")
+    k = np.stack([k1.ravel(), k2.ravel()], axis=1)
+    norms = np.abs(k).sum(axis=1)
+    canonical = (k[:, 0] > 0) | ((k[:, 0] == 0) & (k[:, 1] > 0))
+    return k[(norms >= 1) & (norms <= radius) & canonical]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_matches_meshgrid_oracle(dim):
+    for radius in [*range(1, 65), 256]:
+        got, expected = _ball(dim, radius), _meshgrid_ball(dim, radius)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_ball_needs_a_positive_radius():
@@ -190,3 +211,95 @@ def test_verify_matches_oracle_random_pair(a1, a2, radius):
     report = verify_dc(vec, radius)
     assert report.worst_ratio == pytest.approx(worst, rel=1e-12, abs=1e-15)
     assert report.worst_k == worst_k
+
+
+# (alpha, tau, radius) for the one-pass checks: golden and the pair, and the random pair's example
+ONE_PASS_CASES = (
+    [([GOLDEN], 1.0, r) for r in (8, 64, 256, 2048)]
+    + [(PAIR_2D, 2.0, r) for r in (8, 48, 256)]
+    + [((0.7789984073527905, 0.3262472352849394), 2.0, 7)]
+)
+
+
+def _two_pass(alpha, tau, radius):
+    """The fitted vector and its report, enumerating the ball once to fit and once to verify."""
+    vec = DiophantineVector(alpha, best_gamma(alpha, tau, radius) * (1.0 + 1e-12), tau)
+    return vec, verify_dc(vec, radius)
+
+
+def _message(call):
+    with pytest.raises((DCViolation, DegenerateVector)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.fixture
+def worst_calls(monkeypatch):
+    calls = []
+    worst = diophantine._worst
+    monkeypatch.setattr(diophantine, "_worst", lambda *a: calls.append(a) or worst(*a))
+    return calls
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("alpha, tau, radius", ONE_PASS_CASES)
+    def test_matches_two_pass_oracle(self, alpha, tau, radius):
+        oracle, report = _two_pass(alpha, tau, radius)
+        vec = verified_vector(alpha, tau, radius)
+        assert vec.gamma.hex() == oracle.gamma.hex() and vec.verified_up_to == radius
+        _, worst = _fit(alpha, tau, radius)
+        assert worst == (report.worst_k, report.worst_ratio) and report.ok
+        # a claim just under the fitted gamma fails with the oracle's own report
+        low = oracle.gamma * (1.0 - 1e-9)
+        assert _message(lambda: verified_vector(alpha, tau, radius, low)) == _message(
+            lambda: verified(DiophantineVector(alpha, low, tau), radius)
+        )
+
+    @pytest.mark.parametrize("alpha, tau, radius", [(PAIR_2D, 2.0, 48), (PAIR_2D, 2.0, 256), ([GOLDEN], 1.0, 2048)])
+    def test_fitted_gamma_bits_frozen(self, alpha, tau, radius):
+        expected = {2.0: "0x1.0efa2134d0e99p+4", 1.0: "0x1.4f1bbcdcc115dp+1"}[tau]
+        assert verified_vector(alpha, tau, radius).gamma.hex() == expected
+
+    @pytest.mark.parametrize("alpha, tau", [([0.5], 1.0), ((0.5, 0.25), 2.0), ([0.25 + 1e-16], 1.0)])
+    def test_resonance_message_matches_oracle(self, alpha, tau):
+        assert _message(lambda: verified_vector(alpha, tau, 8)) == _message(lambda: best_gamma(alpha, tau, 8))
+
+    @pytest.mark.parametrize("gamma", [None, 3.0])
+    def test_one_enumeration_per_verified_vector(self, gamma, worst_calls):
+        verified_vector([GOLDEN], 1.0, 64, gamma)
+        assert len(worst_calls) == 1
+
+    @pytest.mark.parametrize("claim", [None, 17.0, 2.0])
+    def test_one_enumeration_per_dc_check(self, claim, worst_calls, capsys):
+        flags = [] if claim is None else ["--gamma", str(claim)]
+        code = main(["dc-check", "--alpha", "sqrt2-1,sqrt3-1", "--tau", "2", "--K", "32", *flags])
+        assert len(worst_calls) == 1
+        gamma = best_gamma(PAIR_2D, 2.0, 32)
+        expected = [
+            f"worst-case gamma over |k|_1 <= 32: {gamma!r}",
+            f"worst mode: k={verify_dc(DiophantineVector(PAIR_2D, gamma, 2.0), 32).worst_k}",
+        ]
+        if claim is not None:
+            report = verify_dc(DiophantineVector(PAIR_2D, claim, 2.0), 32)
+            state = "holds" if report.ok else "FAILS"
+            expected.append(f"claim gamma={claim}: {state} (worst ratio {report.worst_ratio!r} at k={report.worst_k})")
+        assert capsys.readouterr().out.splitlines() == expected
+        assert code == (0 if claim in (None, 17.0) else 3)
+
+
+class TestNonFiniteAlpha:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: best_gamma([math.nan], 1.0, 8),
+            lambda: best_gamma([math.inf, 0.3], 2.0, 8),
+            lambda: DiophantineVector([math.nan], 5.0, 1.0),
+            lambda: verified_vector([math.inf], 1.0, 8),
+            lambda: verified_vector([0.3, -math.inf], 2.0, 8, 5.0),
+        ],
+        ids=["best_gamma-nan", "best_gamma-inf", "vector-nan", "verified_vector-inf", "given-gamma"],
+    )
+    def test_refused_by_name(self, call):
+        # once: a nan gamma, a report with worst_ratio=nan, or an error that blamed gamma
+        with pytest.raises(ValueError, match=r"^alpha components must be finite, got \[.*(nan|inf)"):
+            call()

@@ -274,6 +274,15 @@ class TestMakeTestMap:
         with pytest.raises(OutOfRegime, match="^generated change of variables is too steep; lower the amplitude$"):
             make_test_map("conjugate", {"amplitude": 0.5}, [GOLDEN], seed=0)
 
+    @pytest.mark.parametrize("alpha", [[GOLDEN], PAIR_2D])
+    def test_nan_jacobian_is_out_of_regime(self, alpha):
+        # modes k = 1..8 (k = (1..8, 0) in 2D) at 2e306: the Jacobian's transform overflows to nan
+        dim = len(alpha)
+        modes = [[k if dim == 1 else [k, 0], 2e306, 0.0] for k in range(1, 9)]
+        params = {"modes": modes if dim == 1 else [modes, modes]}
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OutOfRegime, match="Jacobian"):
+            make_test_map("single-mode", params, alpha, seed=0)
+
     @pytest.mark.parametrize("kind", ["conjugate", "drifted"])
     def test_each_jacobian_is_read_once(self, kind, monkeypatch):
         # the change's by conjugate's gate, then the generated map's
@@ -403,7 +412,7 @@ class TestRunScheme:
         assert np.array_equal(load_map(tmp_path / "final.json").rho, res.final_map.rho)
 
     def test_map_with_overflowing_values_diverges(self, tmp_path):
-        # finite coefficients whose grid values overflow: eps0 is nan, which passed smallness
+        # finite coefficients whose grid values overflow: eps0 reads inf (it read nan, which passed smallness)
         path = tmp_path / "huge.json"
         u = PeriodicField.from_entries(1, 8, [((k,), 4e307) for k in range(1, 9)])
         save_map(TorusMapLift(np.array([GOLDEN]), (u,)), path)
@@ -411,7 +420,7 @@ class TestRunScheme:
         with np.errstate(over="ignore", invalid="ignore"):
             res = run_scheme(cfg)
         assert res.status is RunStatus.DIVERGED and res.exit_code == 3
-        assert res.messages == ["step 1: deviation eps0 = nan is not finite"]
+        assert res.messages == ["step 1: deviation eps0 = inf is not finite"]
 
     def test_exact_conjugate_converges(self):
         cfg = ExperimentConfig.from_dict(minimal_config())
@@ -560,6 +569,15 @@ class TestRunScheme:
         text = trace_path.read_text().splitlines()
         assert text[0] == "n,N,eps0,eps_s0,drift,drift_bound,env_eps0,env_eps_s0,phi_norm0,accepted"
         assert len(attempted) >= 1 and len(text) == 1 + len(attempted)
+
+    def test_nan_residual_fails_verification(self, tmp_path, monkeypatch):
+        # a nan residual is not within the tolerance; the outputs are still written
+        monkeypatch.setattr(driver, "conjugacy_verification", lambda h, f, alpha: math.nan)
+        trace_path = tmp_path / "trace.csv"
+        cfg = ExperimentConfig.from_dict(minimal_config(output={"trace": str(trace_path)}))
+        with pytest.raises(ResidualTooLarge, match="^composed conjugacy residual nan exceeds"):
+            run_scheme(cfg)
+        assert trace_path.read_text().startswith("n,N,eps0")
 
     def test_outputs_written(self, tmp_path):
         trace_path = tmp_path / "trace.csv"

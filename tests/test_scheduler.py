@@ -22,6 +22,13 @@ from kamconj import (
 )
 from kamconj.scheduler import _snapped_cutoffs
 
+CRITERION_7_GRID = [
+    (sigma, lam, nu)
+    for sigma in np.linspace(0.03, 0.97, 22)
+    for lam in np.linspace(0.15, 7.85, 22)
+    for nu in np.linspace(0.1, 3.9, 22)
+]
+
 
 class TestValidate:
     def test_default_ratios_pass(self):
@@ -30,7 +37,9 @@ class TestValidate:
 
     def test_each_constraint_named(self):
         assert "sigma_in_unit_interval" in validate(1.5, 3.0, 2.0)[1]
-        assert "lambda_plus_nu_above_two" in validate(0.9, 1.0, 0.9)[1]
+        # lambda + nu = 1.9 is no row of its own: the decay row, which implies lambda + nu > 2.9, refuses it
+        ok, bad = validate(0.9, 1.0, 0.9)
+        assert not ok and "decay_outruns_refinement" in bad
         assert "decay_outruns_refinement" in validate(0.8, 1.2, 2.0)[1]
         assert "growth_absorbs_tail" in validate(0.2, 3.0, 2.0)[1]
 
@@ -58,6 +67,21 @@ class TestMuWindow:
     def test_empty_window_raises(self):
         with pytest.raises(EmptyWindow, match="lower bound"):
             mu_window(0.1, 1.02, 0.6)
+
+    def test_bits_and_verdicts_match_the_written_out_rules(self):
+        # criterion 7's grid; the window's three lower terms and one upper term, and
+        # validate's four standing constraints, each written out as before the one table
+        for sigma, lam, nu in CRITERION_7_GRID:
+            lo = max((1.0 + sigma) * lam + nu + 0.5, 1.0 + sigma * lam + nu, 1.0 + sigma * nu + lam)
+            hi = 2.0 * lam + (1.0 + sigma) * nu - 1.0
+            if lo < hi:
+                got = mu_window(sigma, lam, nu)
+                assert got[0].hex() == lo.hex() and got[1].hex() == hi.hex()
+            else:
+                with pytest.raises(EmptyWindow):
+                    mu_window(sigma, lam, nu)
+            standing = 0.0 < sigma < 1.0 and lam + nu > 2.0 and (1.0 - sigma) * lam > 1.0 and sigma * nu > 0.5
+            assert validate(sigma, lam, nu)[0] == standing
 
 
 class TestOmega0:
@@ -157,14 +181,31 @@ class TestInductiveInequalities:
             "quadratic_gain": 0.5,
             "corrector_loss": 3.0,
             "mu_ceiling": 0.5,
-            "tail_sum": 3.0,
-            "tail_product": 0.5,
+            "growth_absorbs_tail": 0.5,
             "cross_margin": 2.5,
         }
-        assert set(rows) == set(expected)
+        assert list(rows) == list(expected)
         for name, margin in expected.items():
             assert rows[name]["margin"] == pytest.approx(margin, abs=1e-12)
             assert rows[name]["ok"]
+
+    def test_rows_match_the_written_out_left_sides(self):
+        # a mu row's left side is its bound plus mu's distance past its threshold
+        for mu in (7.0, 7.25, 7.5, 7.9, 8.0):
+            s, l, m, n = 0.5, 3.0, mu, 2.0
+            rows = check_inductive_inequalities(dataclasses.replace(derive_constants(), mu=mu))
+            expected = {
+                "decay_outruns_refinement": ((1.0 - s) * l, 1.0),
+                "quadratic_gain": (m - (1.0 + s) * l - n, 0.5),
+                "corrector_loss": (m - s * l - n, 1.0),
+                "mu_ceiling": (2.0 * l + (1.0 + s) * n - m, 1.0),
+                "growth_absorbs_tail": (s * n, 0.5),
+                "cross_margin": (m - s * n - l, 1.0),
+            }
+            for name, (lhs, bound) in expected.items():
+                row = rows[name]
+                assert row["lhs"] == pytest.approx(lhs, abs=1e-14) and row["bound"] == bound
+                assert row["margin"] == pytest.approx(lhs - bound, abs=1e-14) and row["ok"] == (lhs > bound)
 
     def test_window_edges_lose_a_margin(self):
         p = derive_constants()

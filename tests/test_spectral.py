@@ -446,13 +446,36 @@ class TestNorms:
         assert cs_norm(f, 400, "fourier") == math.inf
         assert cs_norm(PeriodicField.zeros(2, 3), 120, "fourier") == 0.0
 
-    def test_nan_sup_propagates(self):
-        # finite coefficients whose grid values overflow to inf - inf = nan
+    def test_overflowing_grid_reads_inf(self):
+        # finite coefficients whose grid values overflow to inf - inf = nan; the sup, 6.4e308, is past the maximum
         f = PeriodicField.from_entries(1, 8, [((k,), 4e307) for k in range(1, 9)])
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(value_grid(f, sampling_grid(f.degree))).any()
-            assert math.isnan(cs_norm(f, 0))
-            assert math.isnan(deviation_norm(TorusMapLift(np.array([0.25]), (f,)), [0.25]))
+        assert cs_norm(f, 0) == math.inf
+        assert deviation_norm(TorusMapLift(np.array([0.25]), (f,)), [0.25]) == math.inf
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_derivative_transform_overflow_reads_inf(self, dim):
+        # the derivative's coefficients are finite, but its transform overflows to nan
+        ks = [(k,) if dim == 1 else (k, 0) for k in range(1, 9)]
+        u = PeriodicField.from_entries(dim, 8, [(k, 2e306) for k in ks])
+        assert cs_norm(u, 0) == 3.2e307
+        assert cs_norm(u, 1) == math.inf
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_overflow_reread_keeps_the_bits(self, dim, monkeypatch):
+        # a field past the re-read threshold, its direct reads forced to nan: the re-reads give their bits
+        u = seeded_field(dim, 3, 1e303, seed=7)
+        assert cs_norm(u, 0, "fourier") > 2.0 ** 1000
+        want = [cs_norm(u, s) for s in (0, 1)]
+        sup, reads = spectral._sup, []
+
+        def direct_read_nan(grids):
+            reads.append(grids)
+            return math.nan if len(reads) % 2 else sup(grids)
+
+        monkeypatch.setattr(spectral, "_sup", direct_read_nan)
+        assert [cs_norm(u, s) for s in (0, 1)] == want and len(reads) == 4
 
 
 def _oracle_map(f: TorusMapLift, x: np.ndarray) -> np.ndarray:
@@ -843,6 +866,24 @@ class TestInvert:
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.1),))
         with pytest.raises(NotContractive):
             _inverse(phi)
+
+    def test_nan_defect_is_no_convergence(self, monkeypatch):
+        # a nan defect is not within the tolerance
+        monkeypatch.setattr(spectral, "_sup", lambda grids: math.nan)
+        phi = TorusMapLift(np.array([0.0]), (sin_field(0.05),))
+        with pytest.raises(NoConvergence, match="^inverse defect nan above tolerance"):
+            spectral._inverse_values(phi, 16)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nan_jacobian_is_not_contractive(self, dim):
+        # finite coefficients whose derivative's transform overflows: the Jacobian reads nan
+        ks = [(k,) if dim == 1 else (k, 0) for k in range(1, 9)]
+        u = PeriodicField.from_entries(dim, 8, [(k, 2e306) for k in ks])
+        change = TorusMapLift(np.zeros(dim), (u,) * dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(change.jacobian_sup())
+            with pytest.raises(NotContractive):
+                conjugate(change, TorusMapLift.rotation(np.full(dim, 0.3)), 16)
 
     def test_no_convergence_when_degree_capped(self, monkeypatch):
         # one sweep: the sweeps stop with their defect above the tolerance
