@@ -90,14 +90,17 @@ def small_divisor(vec: DiophantineVector, k) -> float:
 
 
 def _worst(alpha: np.ndarray, tau: float, radius: int):
+    if not 0 < tau < np.inf:  # before the pass, which would read a nan tau as a nan gamma
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     k = _ball(alpha.size, radius)
     # one product per axis, summed in order: a BLAS kernel may fuse
     # k1*a1 + k2*a2, and near a resonance that last bit is ~1e-11 of the distance
     r = (k * alpha).sum(axis=1) % 1.0
     dist = np.minimum(r, 1.0 - r)
-    # past the float maximum, |k|_1^tau = inf is the exact limit of the ratio
+    # past the float maximum, |k|_1^tau = inf is the exact limit of the ratio, and a resonance still reads 0
     with np.errstate(over="ignore"):
-        ratio = dist * (np.abs(k).sum(axis=1).astype(float) ** tau)
+        weight = np.abs(k).sum(axis=1).astype(float) ** tau
+    ratio = np.multiply(dist, weight, out=np.zeros_like(dist), where=dist > 0)
     i = int(np.argmin(ratio))
     return tuple(int(x) for x in k[i]), float(ratio[i])
 

@@ -62,10 +62,8 @@ def _l1_radii(dim: int, degree: int) -> np.ndarray:
 _BLOCK_ENTRIES = 2 ** 18
 
 
-# sup-norm tolerance of an inverse's pointwise defect, and the fixed-point
-# sweeps allowed per grid
+# sup-norm tolerance of an inverse's pointwise defect
 _INVERT_TOL = 1e-12
-_INVERT_SWEEPS = 100
 
 # largest coefficient beyond the kept band above which a map chain doubles
 # its grid; the kept band ends at the last l1 shell holding a coefficient above
@@ -500,12 +498,13 @@ def _sup(grids, shifts=None) -> float:
 
     np.max(np.abs(g + shift)) bit for bit: rounding is monotone, so
     max(g) + shift is the largest entry of g + shift (likewise the smallest).
-    The grids are read one at a time, so a generator of them holds one.  The
-    extremes are reduced with np.max, not max(): a nan anywhere gives nan,
-    whatever the order of the grids.
+    The grids are read one at a time, so a generator of them holds one, and
+    their extremes (the ufuncs under np.max and np.min) are reduced with
+    np.max, not max(): a nan anywhere gives nan, whatever the order of the grids.
     """
     shifts = itertools.repeat(0.0) if shifts is None else shifts
-    return float(np.max(np.abs([(np.max(g) + a, np.min(g) + a) for g, a in zip(grids, shifts)])))
+    top, low = np.maximum.reduce, np.minimum.reduce
+    return float(np.max(np.abs([(top(g, None) + a, low(g, None) + a) for g, a in zip(grids, shifts)])))
 
 
 def _multi_orders(dim: int, s: int) -> list:
@@ -541,18 +540,26 @@ def cs_norm(f: PeriodicField, s: float = 0, method: str = "grid") -> float:
         raise ValueError(f"unknown norm method {method!r}")
     if s != int(s):
         raise ValueError("grid method needs integer s; use method='fourier'")
+    return _derivative_sup((f,), _multi_orders(f.dim, int(s)), sampling_grid(f.degree), _sup,
+                           lambda: cs_norm(f, s, "fourier"))
+
+
+def _derivative_sup(fields, orders, m: int, reduce, bound) -> float:
+    """reduce() of the m-point grids of the fields' derivatives, field by field, order by order.
+
+    inf where a derivative's coefficient, and so its sup, passes the float
+    maximum.  `bound()` bounds every grid value: past 2^1000 a transform may
+    overflow to inf or nan, so a read that is not finite is made again at an
+    exact 2^-64 and scaled back.  Finite reads keep their bits.
+    """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            parts = [f.derivative(o) if any(o) else f for o in _multi_orders(f.dim, int(s))]
-    except NonFinite:  # a coefficient of a derivative, and so its sup, passes the float maximum
+            parts = [u.derivative(o) if any(o) else u for u in fields for o in orders]
+            sup = reduce(value_grid(d, m) for d in parts)
+    except NonFinite:
         return math.inf
-    m = sampling_grid(f.degree)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sup = _sup(value_grid(df, m) for df in parts)
-    # the Fourier norm bounds every grid value: past 2^1000 a transform may overflow to
-    # inf or nan, so the grids are read again at an exact 2^-64 and the sup scaled back
-    if not math.isfinite(sup) and cs_norm(f, s, "fourier") > 2.0 ** 1000:
-        sup = _sup(value_grid(df * 2.0 ** -64, m) for df in parts) * 2.0 ** 64
+    if not math.isfinite(sup) and bound() > 2.0 ** 1000:
+        sup = reduce(value_grid(d * 2.0 ** -64, m) for d in parts) * 2.0 ** 64
     return sup
 
 
@@ -620,18 +627,13 @@ class TorusMapLift:
         return tuple(value_grid(u, m) for u in self.displacement)
 
     def jacobian_sup(self) -> float:
-        """Sampled sup of the max row sum of the displacement Jacobian."""
-        m = sampling_grid(self.degree)
-        orders = [tuple(1 if a == j else 0 for a in range(self.dim)) for j in range(self.dim)]
-        sups = []
-        for u in self.displacement:
-            row = np.zeros((m,) * self.dim)
-            for order in orders:
-                part = value_grid(u.derivative(order), m)
-                row += np.abs(part, out=part)
-            sups.append(np.max(row))
-        # np.max, not max(): a nan sup stays nan
-        return float(np.max(sups))
+        """Sampled sup of the max row sum of the displacement Jacobian, read as `cs_norm` reads."""
+        def rows(grids):  # each component's first-order partials in turn: sum their absolute values
+            return _sup(sum(np.abs(g, out=g) for g in row) for row in zip(*[iter(grids)] * self.dim))
+
+        units = _multi_orders(self.dim, 1)[1:]
+        return _derivative_sup(self.displacement, units, sampling_grid(self.degree), rows,
+                               lambda: max(cs_norm(u, 1, "fourier") for u in self.displacement))
 
 
 def rebase(f: TorusMapLift, alpha) -> TorusMapLift:
@@ -684,15 +686,11 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     once per block of points from the powers of the inner axis's unit phase,
     and one real matrix product contracts it against the Re and Im rows of
     every field, so the cost is dense BLAS rather than a loop over individual
-    modes; the block buffers are reused from block to block.  A zero
-    displacement on a grid that resolves the fields is one inverse FFT per
-    shifted field.  Only the live shells are read, so a field gives the same
-    bits in any box that holds them.
+    modes; the block buffers are reused from block to block.  Only the live
+    shells are read, so a field gives the same bits in any box that holds them.
     """
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     deg = max(u.live_degree for u in fields)
-    if m >= 2 * deg + 1 and not any(np.any(a) for a in v):
-        return tuple(value_grid(u.shift(shift), m) for u in fields)
     nf = len(fields)
     out = np.empty((nf, m ** fields[0].dim))
     ax = np.arange(m) / m
@@ -753,27 +751,23 @@ def _grid(target: int, maps) -> int:
 def _inverse_values(phi: TorusMapLift, m: int) -> tuple:
     """The displacement w of phi's inverse at each point y of the m-point grid.
 
-    phi must pass the Jacobian gate of `_chain`; then the sweeps
-    w <- -u(y - rho + w) contract with rate under 1/2, so w is within its last
-    measured defect of the exact value.  That defect must be within
-    `_INVERT_TOL` at every point (else NoConvergence).
+    phi must pass the Jacobian gate of `_chain` and the grid resolve its live
+    shell, as every chain grid does.  The first sweep, from w = 0, is the grid
+    transform -u(y - rho); each later one, w <- -u(y - rho + w), moves w by the
+    last defect, which past the gate it multiplies by under 1/2.  So the sweeps
+    run while the defect is above a fifth of `_INVERT_TOL` and below half the
+    one before (about 43 halvings from 1): one that fails to halve it has lost
+    the gate's premise or reached roundoff.  w is then within its last measured
+    defect of the exact value, which must be within `_INVERT_TOL` at every
+    point (else NoConvergence).
     """
     shift = -phi.rho
-    w = tuple(np.zeros((m,) * phi.dim) for _ in range(phi.dim))
-    best, stagnant = math.inf, 0
-    for _ in range(_INVERT_SWEEPS):
+    w = tuple(-value_grid(u.shift(shift), m) for u in phi.displacement)
+    last, defect = math.inf, _sup(w)
+    while 0.2 * _INVERT_TOL < defect < 0.5 * last:  # a nan or inf defect stops the sweeps
         uvals = _eval_displaced(phi.displacement, shift, w, m)
-        defect = _sup(a + b for a, b in zip(w, uvals))
+        last, defect = defect, _sup(a + b for a, b in zip(w, uvals))
         w = tuple(-a for a in uvals)
-        if defect <= 0.2 * _INVERT_TOL:
-            break
-        if defect >= 0.9 * best:
-            stagnant += 1
-            if stagnant >= 5:
-                break
-        else:
-            stagnant = 0
-        best = min(best, defect)
     if not defect <= _INVERT_TOL:  # not (<=): a nan defect fails too
         raise NoConvergence(f"inverse defect {defect:.3e} above tolerance {_INVERT_TOL:.1e} on grid {m}")
     return w

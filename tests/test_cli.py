@@ -243,6 +243,14 @@ class TestDcCheck:
         assert "worst-case gamma over |k|_1 <= 8: 2.6180339887498953" in out.out
         assert "worst mode: k=(1,)" in out.out
 
+    def test_resonance_behind_an_overflow_is_named(self, capsys):
+        # |2|^2000 overflows at the resonance k = (2,): no warning, and gamma is not blamed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dc-check", "--alpha", "0.5", "--tau", "2000", "--radius", "8"])
+        err = capsys.readouterr().err
+        assert code == 1 and err == "error: resonance at k=(2,): k.alpha is an integer to roundoff\n"
+
     def test_resonant_alpha_is_error(self, capsys):
         assert main(["dc-check", "--alpha", "0.5", "--tau", "1", "--K", "8"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -376,7 +384,7 @@ class TestRotationCommand:
     "argv, message",
     [
         (["dc-check", "--alpha", "golden", "--tau", "1", "--radius", "0"], "radius must be at least 1"),
-        (["dc-check", "--alpha", "golden", "--tau", "0", "--radius", "8"], "gamma and tau must be positive"),
+        (["dc-check", "--alpha", "golden", "--tau", "0", "--radius", "8"], "tau must be positive and finite, got 0.0"),
         (DC_CHECK_ARGS + ["--gamma", "-1"], "gamma and tau must be positive"),
         (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "0"],
          "radius must be at least 1"),
@@ -403,11 +411,11 @@ class TestRotationCommand:
           "--modes", '[["a", 0.0, 0.1]]'],
          "each mode is [k, re, im], got ['a', 0.0, 0.1] in initial_map.params.modes"),
         (DC_CHECK_ARGS + ["--gamma", "inf"], "gamma and tau must be positive"),
-        (["dc-check", "--alpha", "golden", "--tau", "inf", "--radius", "8"], "gamma and tau must be positive"),
+        (["dc-check", "--alpha", "golden", "--tau", "inf", "--radius", "8"], "tau must be positive and finite, got inf"),
         (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "8", "--gamma", "inf"],
          "gamma and tau must be positive"),
         (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "inf", "--cutoff", "8"],
-         "gamma and tau must be positive"),
+         "tau must be positive and finite, got inf"),
         (["params", "--tau", "nan"], "tau must be positive and finite, got nan"),
         (["make-map", "--kind", "conjugate", "--alpha", "golden", "--seed", "-3", "--out", "{out}"],
          "seed must be at least 0, got -3 in seed"),

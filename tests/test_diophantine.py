@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,3 +304,19 @@ class TestNonFiniteAlpha:
         # once: a nan gamma, a report with worst_ratio=nan, or an error that blamed gamma
         with pytest.raises(ValueError, match=r"^alpha components must be finite, got \[.*(nan|inf)"):
             call()
+
+
+class TestOverflowAndTau:
+    @pytest.mark.parametrize("alpha, k", [([0.5], (2,)), ((0.5, 0.25), (0, 4))])
+    def test_resonance_behind_an_overflow_is_named(self, alpha, k):
+        # |k|_1^2000 = inf there: the resonance reads ratio 0, not 0 * inf = nan
+        with pytest.raises(DegenerateVector, match=rf"^resonance at k={re.escape(str(k))}"):
+            best_gamma(alpha, 2000.0, 8)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [[0.3], [0.5]])
+    def test_tau_refused_by_name_before_the_pass(self, alpha, tau, monkeypatch):
+        monkeypatch.setattr(diophantine, "_ball", lambda *a: pytest.fail("the ball was enumerated"))
+        with pytest.raises(ValueError, match=rf"^tau must be positive and finite, got {tau}$"):
+            best_gamma(alpha, tau, 8)
+

@@ -467,7 +467,8 @@ class TestNorms:
         # a field past the re-read threshold, its direct reads forced to nan: the re-reads give their bits
         u = seeded_field(dim, 3, 1e303, seed=7)
         assert cs_norm(u, 0, "fourier") > 2.0 ** 1000
-        want = [cs_norm(u, s) for s in (0, 1)]
+        norms = [lambda: cs_norm(u, 0), lambda: cs_norm(u, 1), TorusMapLift(np.zeros(dim), (u,) * dim).jacobian_sup]
+        want = [norm() for norm in norms]
         sup, reads = spectral._sup, []
 
         def direct_read_nan(grids):
@@ -475,7 +476,7 @@ class TestNorms:
             return math.nan if len(reads) % 2 else sup(grids)
 
         monkeypatch.setattr(spectral, "_sup", direct_read_nan)
-        assert [cs_norm(u, s) for s in (0, 1)] == want and len(reads) == 4
+        assert [norm() for norm in norms] == want and len(reads) == 6
 
 
 def _oracle_map(f: TorusMapLift, x: np.ndarray) -> np.ndarray:
@@ -876,22 +877,50 @@ class TestInvert:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_nan_jacobian_is_not_contractive(self, dim):
-        # finite coefficients whose derivative's transform overflows: the Jacobian reads nan
+        # finite coefficients whose derivative's transform overflows: the Jacobian
+        # reads inf, as cs_norm(u, 1) does, where its raw grids sum to nan
         ks = [(k,) if dim == 1 else (k, 0) for k in range(1, 9)]
         u = PeriodicField.from_entries(dim, 8, [(k, 2e306) for k in ks])
         change = TorusMapLift(np.zeros(dim), (u,) * dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(change.jacobian_sup())
+            assert change.jacobian_sup() == math.inf == cs_norm(u, 1)
             with pytest.raises(NotContractive):
                 conjugate(change, TorusMapLift.rotation(np.full(dim, 0.3)), 16)
 
     def test_no_convergence_when_degree_capped(self, monkeypatch):
-        # one sweep: the sweeps stop with their defect above the tolerance
-        monkeypatch.setattr(spectral, "_INVERT_SWEEPS", 1)
+        # a tolerance below roundoff: the sweeps stop at their floor with the defect above it
+        monkeypatch.setattr(spectral, "_INVERT_TOL", 1e-300)
         phi = TorusMapLift(np.array([0.0]), (sin_field(0.07),))
         with pytest.raises(NoConvergence, match="inverse defect .* above tolerance") as info:
             _inverse(phi)
         assert float(str(info.value).split()[2]) > spectral._INVERT_TOL
+
+    def test_sweeps_stop_when_the_defect_fails_to_halve(self, monkeypatch):
+        # Jacobian 2 pi 0.1 = 0.63, past the gate: the sweeps contract by about 0.61
+        # a sweep, which the certificate does not cover, so they stop at the first
+        defects = []
+        sup = spectral._sup
+        monkeypatch.setattr(spectral, "_sup", lambda grids: defects.append(sup(grids)) or defects[-1])
+        phi = TorusMapLift(np.array([0.0]), (sin_field(0.1),))
+        with pytest.raises(NoConvergence, match="inverse defect .* above tolerance"):
+            spectral._inverse_values(phi, 16)
+        ratios = [b / a for a, b in zip(defects, defects[1:])]
+        assert all(r < 0.5 for r in ratios[:-1]) and ratios[-1] >= 0.5
+
+    @pytest.mark.parametrize("case", ["1d", "2d", "zero-1d", "zero-2d"])
+    def test_first_sweep_is_the_grid_transform(self, case, monkeypatch):
+        # the kernel never sees w = 0: the first sweep is value_grid, and a zero
+        # corrector's inverse makes no displaced evaluation at all
+        zero, dim = case.startswith("zero"), int(case[-2])
+        phi = TorusMapLift(np.full(dim, 0.3), (PeriodicField.zeros(dim, 3),) * dim) if zero else \
+            TorusMapLift(*_INVERT_CASES[case])
+        calls = []
+        kernel = spectral._eval_displaced
+        monkeypatch.setattr(spectral, "_eval_displaced", lambda *a: calls.append(a[2]) or kernel(*a))
+        w = spectral._inverse_values(phi, 12)
+        assert all(any(np.any(v) for v in vs) for vs in calls)
+        assert bool(calls) != zero
+        assert not zero or not any(np.any(a) for a in w)
 
     def test_inverse_2d(self):
         u = (seeded_field(2, 2, 0.02, seed=30), seeded_field(2, 2, 0.02, seed=31))
@@ -964,7 +993,7 @@ class TestConjugate:
         f = TorusMapLift(np.array([GOLDEN]), (sin_field(0.02),))
         with pytest.raises(NotContractive):
             conjugate(TorusMapLift(np.array([0.0]), (sin_field(0.1),)), f)
-        monkeypatch.setattr(spectral, "_INVERT_SWEEPS", 1)
+        monkeypatch.setattr(spectral, "_INVERT_TOL", 1e-300)
         with pytest.raises(NoConvergence, match="inverse defect"):
             conjugate(TorusMapLift(np.array([0.0]), (sin_field(0.07),)), f)
 
