@@ -38,8 +38,9 @@ class DiophantineVector:
 
     def __post_init__(self):
         a = _reduced(self.alpha)
-        if not (0 < self.gamma < np.inf and 0 < self.tau < np.inf):
-            raise ValueError(f"gamma and tau must be positive and finite, got {self.gamma} and {self.tau}")
+        for name, value in (("tau", self.tau), ("gamma", self.gamma)):  # tau first, as a pass refuses it
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         a.flags.writeable = False
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "gamma", float(self.gamma))

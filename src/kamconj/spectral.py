@@ -58,8 +58,9 @@ def _l1_radii(dim: int, degree: int) -> np.ndarray:
     return ax[:, None] + ax[None, :]
 
 
-# entries of the points-by-modes matrix that a blocked evaluation holds at once
-_BLOCK_ENTRIES = 2 ** 18
+# floats of scratch a blocked evaluation holds: `_values`' two complex
+# (points, modes + 1) buffers, or the 2D displaced kernel's rows and basis
+_BLOCK_ENTRIES = 2 ** 19
 
 
 # sup-norm tolerance of an inverse's pointwise defect
@@ -443,7 +444,7 @@ def _values(fields, means, x: np.ndarray) -> np.ndarray:
     """`_mode_sum` at points x of shape (p, dim), in blocks; shape (p, len(fields))."""
     modes = _modes(fields, means)
     out = np.empty((len(x), len(fields)))
-    block = _BLOCK_ENTRIES // modes[1].shape[1] + 1
+    block = _BLOCK_ENTRIES // (2 * modes[1].shape[1]) + 1
     scratch = _mode_scratch(modes, min(block, len(x)))
     for lo in range(0, len(x), block):
         xb = x[lo:lo + block]
@@ -686,8 +687,11 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     once per block of points from the powers of the inner axis's unit phase,
     and one real matrix product contracts it against the Re and Im rows of
     every field, so the cost is dense BLAS rather than a loop over individual
-    modes; the block buffers are reused from block to block.  Only the live
-    shells are read, so a field gives the same bits in any box that holds them.
+    modes.  A block is as many whole grid rows as fit `_BLOCK_ENTRIES` floats
+    of rows and basis (at least one row), and forms its own displaced points;
+    its buffers are reused from block to block.  A point's bits can depend on
+    its block (at roundoff, through the product's tail columns), never on
+    the fields' box: only the live shells are read.
     """
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     deg = max(u.live_degree for u in fields)
@@ -701,10 +705,7 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
             _horner(c.real.tolist(), c.imag.tolist(), z, row)
         return tuple(out)
     width = 2 * deg + 1
-    x1 = (ax[:, None] + shift[0] + v[0]).ravel()
-    x2 = (ax[None, :] + shift[1] + v[1]).ravel()
-    n = x1.size
-    if (deg + 1) * width * n > 2e11:
+    if (deg + 1) * width * m * m > 2e11:
         warnings.warn("displaced evaluation over a very large spectrum/grid", RuntimeWarning)
     # row k1 = 0 .. deg of each box, folded over +-k2 against the real basis
     # [cos 2 pi k2 x2, k2 = 0 .. deg; sin 2 pi k2 x2, k2 = 1 .. deg]
@@ -713,8 +714,8 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     fold = np.concatenate([half[..., deg:deg + 1], plus + minus, 1j * (plus - minus)], axis=-1)
     # real rows in (k1, Re/Im, field) order
     fold = np.concatenate([fold.real, fold.imag], axis=1).reshape(-1, width)
-    block = max(1, _BLOCK_ENTRIES // width)
-    cap = min(block, n)
+    rows_per_block = min(m, max(1, _BLOCK_ENTRIES // ((len(fold) + width) * m)))
+    cap = rows_per_block * m
     # one allocation for the block buffers: glibc's malloc hands a freed heap
     # top back to the OS once it passes twice the largest chunk it has
     # unmapped, which separate buffers exceed, so every call faulted them in
@@ -725,11 +726,13 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
     # the basis holds them (len(fold) = 2 (deg + 1) nf > 2 deg); rows first keeps
     # their complex view 16-byte aligned
     powers_buf = rows_buf[:2 * deg * cap].view(np.complex128)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    ax1, ax2 = ax + shift[0], ax + shift[1]
+    for top in range(0, m, rows_per_block):
+        end = min(top + rows_per_block, m)
+        lo, hi = top * m, end * m
         size = hi - lo
         powers = powers_buf[:deg * size].reshape(deg, size)
-        np.exp(2j * np.pi * x2[lo:hi], out=powers[:1])
+        np.exp(2j * np.pi * (ax2 + v[1][top:end]).ravel(), out=powers[:1])
         for i in range(1, deg):
             np.multiply(powers[i - 1], powers[0], out=powers[i])
         basis = basis_buf[:width * size].reshape(width, size)
@@ -739,7 +742,8 @@ def _eval_displaced(fields, shift, v: tuple, m: int) -> tuple:
         # rows[k1, :, f] = Re and Im of sum_k2 c_f[k1, k2] z2^k2
         rows = np.matmul(fold, basis, out=rows_buf[:len(fold) * size].reshape(len(fold), size))
         rows = rows.reshape(deg + 1, 2, nf, size)
-        _horner(rows[:, 0], rows[:, 1], np.exp(2j * np.pi * x1[lo:hi]), out[:, lo:hi])
+        z1 = np.exp(2j * np.pi * (ax1[top:end, None] + v[0][top:end]).ravel())
+        _horner(rows[:, 0], rows[:, 1], z1, out[:, lo:hi])
     return tuple(out.reshape(nf, m, m))
 
 

@@ -385,7 +385,7 @@ class TestRotationCommand:
     [
         (["dc-check", "--alpha", "golden", "--tau", "1", "--radius", "0"], "radius must be at least 1"),
         (["dc-check", "--alpha", "golden", "--tau", "0", "--radius", "8"], "tau must be positive and finite, got 0.0"),
-        (DC_CHECK_ARGS + ["--gamma", "-1"], "gamma and tau must be positive"),
+        (DC_CHECK_ARGS + ["--gamma", "-1"], "gamma must be positive and finite, got -1.0"),
         (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "0"],
          "radius must be at least 1"),
         (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "8", "--gamma", "x"],
@@ -410,10 +410,10 @@ class TestRotationCommand:
         (["make-map", "--kind", "single-mode", "--alpha", "golden", "--seed", "0", "--out", "{out}",
           "--modes", '[["a", 0.0, 0.1]]'],
          "each mode is [k, re, im], got ['a', 0.0, 0.1] in initial_map.params.modes"),
-        (DC_CHECK_ARGS + ["--gamma", "inf"], "gamma and tau must be positive"),
+        (DC_CHECK_ARGS + ["--gamma", "inf"], "gamma must be positive and finite, got inf"),
         (["dc-check", "--alpha", "golden", "--tau", "inf", "--radius", "8"], "tau must be positive and finite, got inf"),
         (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "8", "--gamma", "inf"],
-         "gamma and tau must be positive"),
+         "gamma must be positive and finite, got inf"),
         (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "inf", "--cutoff", "8"],
          "tau must be positive and finite, got inf"),
         (["params", "--tau", "nan"], "tau must be positive and finite, got nan"),
@@ -422,6 +422,13 @@ class TestRotationCommand:
         (["make-map", "--kind", "conjugate", "--alpha", "golden", "--seed", "2.5", "--out", "{out}"],
          "invalid config document: invalid literal for int() with base 10: '2.5' in seed"),
         (MAKE_MAP_ARGS + ["--delta", "0.5"], "unknown keys in params for 'conjugate': delta"),
+        # a bad tau is named whether or not a gamma is claimed beside it
+        (["dc-check", "--alpha", "golden", "--tau", "0", "--radius", "8", "--gamma", "3"],
+         "tau must be positive and finite, got 0.0"),
+        (["dc-check", "--alpha", "golden", "--tau", "nan", "--radius", "8", "--gamma", "3"],
+         "tau must be positive and finite, got nan"),
+        (["dc-check", "--alpha", "golden", "--tau", "1", "--radius", "8", "--gamma", "0"],
+         "gamma must be positive and finite, got 0.0"),
     ],
 )
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv, message):

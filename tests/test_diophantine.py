@@ -66,15 +66,18 @@ class TestConstruction:
             DiophantineVector(np.array([0.1, 0.2, 0.3]), gamma=1.0, tau=1.0)
 
     def test_positive_constants_required(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^gamma must be positive and finite, got -1.0$"):
             DiophantineVector(np.array([GOLDEN]), gamma=-1.0, tau=1.0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^tau must be positive and finite, got 0.0$"):
             DiophantineVector(np.array([GOLDEN]), gamma=1.0, tau=0.0)
+        with pytest.raises(ValueError, match=r"^tau must be positive and finite, got nan$"):
+            DiophantineVector(np.array([GOLDEN]), gamma=-1.0, tau=math.nan)  # tau first
 
     @pytest.mark.parametrize("gamma, tau", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
     def test_finite_constants_required(self, gamma, tau):
-        # an infinite gamma or tau makes the claim hold vacuously
-        with pytest.raises(ValueError, match="gamma and tau must be positive and finite"):
+        # an infinite gamma or tau makes the claim hold vacuously; the bad one is named
+        name, value = ("gamma", gamma) if tau == 1.0 else ("tau", tau)
+        with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value}$"):
             DiophantineVector(np.array([GOLDEN]), gamma=gamma, tau=tau)
 
 

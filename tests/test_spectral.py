@@ -281,7 +281,7 @@ class TestEvaluation:
     def test_eval_at_points_matches_oracle_across_blocks(self, dim, monkeypatch):
         f = seeded_field(dim, 4, 0.3, seed=12) + 0.7
         width = spectral._modes((f,), (f.mean(),))[1].shape[1]
-        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 5 * width)  # blocks of 6 points
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 10 * width)  # blocks of 6 points
         x = np.random.default_rng(13).random((17, dim))
         vals = eval_at_points(f, x if dim == 2 else x[:, 0])
         assert vals.shape == (17,)
@@ -358,7 +358,7 @@ class TestPointwiseEvaluator:
         single_f = np.stack([f(p) for p in pts])
         if blocks:  # a few points per `_values` block
             width = spectral._modes(f.displacement, f.rho)[1].shape[1]
-            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 5 * width)
+            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 10 * width)
         batches = [pts[lo:lo + batch] for lo in range(0, len(pts), batch)]
         assert bits(np.concatenate([eval_at_points(u, b) for b in batches])) == bits(single_u)
         assert bits(np.concatenate([f(b) for b in batches])) == bits(single_f)
@@ -536,7 +536,7 @@ class TestTorusMapLift:
         u = tuple(seeded_field(dim, 4, 0.02, seed=14 + i) + 0.1 for i in range(dim))
         f = TorusMapLift(np.array([0.3, -1.2][:dim]), u)
         width = spectral._modes(f.displacement, f.rho)[1].shape[1]
-        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 5 * width)  # blocks of 6 points
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 10 * width)  # blocks of 6 points
         x = np.random.default_rng(15).random((17, dim))
         got = f(x) if dim == 2 else f(x[:, 0])[:, None]
         for y, p in zip(got, x):
@@ -1006,6 +1006,12 @@ class TestConjugate:
         assert deviation_norm(back, [GOLDEN]) < 1e-9
 
 
+def _floats_per_point(fields) -> int:
+    """Floats of scratch the 2D displaced kernel holds a point: every field's Re and Im rows, and the basis."""
+    deg = max(u.live_degree for u in fields)
+    return 2 * (deg + 1) * len(fields) + 2 * deg + 1
+
+
 def _displacement(dim: int, m: int, size: float, seed: int | None) -> tuple:
     """Constant displacement `size` (seed None), or `size` times Gaussian noise."""
     if seed is None:
@@ -1060,8 +1066,8 @@ class TestDisplacedEvaluation:
     def test_fields_match_oracle(self, dim, blocks, size, monkeypatch):
         fields = self._fields(dim)
         m = 16
-        if blocks:  # blocks of 7 points of width 11, the last one short (256 = 7 * 36 + 4)
-            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 7 * 11)
+        if blocks:  # blocks of 3 rows of 16, the last one short (256 = 5 * 48 + 16)
+            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 3 * m * _floats_per_point(fields))
         shift = [0.15, -0.35][:dim]
         v = _displacement(dim, m, size, 62 if size else None)
         out = _eval_displaced(fields, np.array(shift), v, m)
@@ -1094,8 +1100,8 @@ class TestDisplacedEvaluation:
         c = 0.1 * np.exp(1j * (0.7 + 0.9 * (4 * k[0] + k[1])))
         f = PeriodicField.from_entries(2, 3, [(k, c)])
         m = 16
-        if blocks:  # 77 // (2 * |k|_1 + 1) = 25, 15 or 11 points a block; none divides 256
-            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 77)
+        if blocks:  # blocks of 3 rows of 16, the last one short (256 = 5 * 48 + 16)
+            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 3 * m * _floats_per_point((f,)))
         shift = np.array([0.15, -0.35])
         v = _displacement(2, m, 0.02, 98)
         (out,) = _eval_displaced((f,), shift, v, m)
@@ -1106,9 +1112,16 @@ class TestDisplacedEvaluation:
         want = 2.0 * abs(c) * np.cos(2.0 * np.pi * phase + np.angle(c))
         assert np.max(np.abs(out - want)) < 1e-15
 
+    @staticmethod
+    def _live_25_map() -> tuple:
+        """A two-component map at live degree 25 in a box of 48, as the 2D reference run's."""
+        box = PeriodicField.zeros(2, 48)
+        return tuple(seeded_field(2, 25, 0.01, seed=64 + i) + box for i in range(2))
+
     def test_two_fields_peak_memory(self):
         # the largest ref-2d grid at degree 48; 35.8 MB is the peak of a complex
-        # Vandermonde block contracted in blocks of 2^20 entries
+        # Vandermonde block contracted in blocks of 2^20 entries, and 8.1 MB that
+        # of blocks sized by the basis alone
         fields = tuple(seeded_field(2, 48, 0.01, seed=64 + i) for i in range(2))
         m = 196
         v = _displacement(2, m, 1e-4, 66)
@@ -1118,15 +1131,15 @@ class TestDisplacedEvaluation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 6e6
 
     def test_powers_share_the_rows_buffer(self):
-        # live degree 25 in a box of 48 on the largest ref-2d grid: a block of 5,140
-        # points holds the basis (51 floats a point) and the rows (104), where the
-        # powers of the inner phase (50 more) live until the product writes the rows;
-        # with a buffer of their own the peak read 10.0 MB, sharing the rows 7.9 MB
-        box = PeriodicField.zeros(2, 48)
-        fields = tuple(seeded_field(2, 25, 0.01, seed=64 + i) + box for i in range(2))
+        # the largest ref-2d grid: a block of 17 rows (3,332 points) holds the
+        # basis (51 floats a point) and the rows (104), where the powers of the
+        # inner phase (50 more) live until the product writes the rows; the peak
+        # read 10.0 MB with a powers buffer of their own and blocks sized by the
+        # basis alone, 7.9 MB sharing the rows, 5.1 MB with blocks sized by both
+        fields = self._live_25_map()
         m = 196
         v = _displacement(2, m, 1e-4, 66)
         tracemalloc.start()
@@ -1135,7 +1148,38 @@ class TestDisplacedEvaluation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9e6
+        assert peak < 6e6
+
+    @pytest.mark.parametrize("m", [58, 196])
+    def test_blocks_are_whole_rows_within_the_budget(self, m, monkeypatch):
+        """One product per block, each of as many whole grid rows as the budget holds."""
+        fields = self._live_25_map()
+        columns, matmul = [], np.matmul
+
+        def spy(a, b, **kw):
+            columns.append(b.shape[1])
+            return matmul(a, b, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        _eval_displaced(fields, np.array([0.2, 0.7]), _displacement(2, m, 1e-4, 66), m)
+        rows = spectral._BLOCK_ENTRIES // (_floats_per_point(fields) * m)  # 155 floats a point
+        if m == 58:  # every chain-walk grid of the reference runs is one block
+            assert rows >= m and columns == [m * m]
+        else:  # 17 rows a block: 11 full blocks and one of 9 rows
+            assert rows == 17
+            assert columns == [rows * m] * (m // rows) + [(m % rows) * m]
+
+    def test_blocks_change_values_only_at_roundoff(self, monkeypatch):
+        # a point's bits can depend on its block, through the product's tail
+        # columns; one block and twelve agree to a few ulps of the coefficients' l1 sum
+        fields = self._live_25_map()
+        m = 196
+        v = _displacement(2, m, 1e-4, 66)
+        blocks = np.stack(_eval_displaced(fields, np.array([0.2, 0.7]), v, m))
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", _floats_per_point(fields) * m * m)
+        whole = np.stack(_eval_displaced(fields, np.array([0.2, 0.7]), v, m))
+        l1 = max(float(np.sum(np.abs(u.coeffs))) for u in fields)
+        assert np.max(np.abs(blocks - whole)) <= 4 * np.finfo(float).eps * l1
 
 
 # positive frequencies only; the negative half is the forced conjugate mirror
