@@ -18,7 +18,6 @@ from .cohomology import solve
 from .diophantine import DiophantineVector, _fit, _report, verified_vector
 from .driver import (
     CONFIG_KEYS,
-    EXIT_CODES,
     ExperimentConfig,
     _resolve_alpha,
     make_test_map,
@@ -95,7 +94,7 @@ def _build_parser() -> _Parser:
     coh.add_argument("--tau", type=float, required=True)
     coh.add_argument("--gamma", default="auto")
     coh.add_argument("--cutoff", type=int, required=True)
-    coh.add_argument("--out", help="write correctors as a chain JSON")
+    coh.add_argument("--out", help="write the corrector map as a map JSON")
 
     rot = sub.add_parser("rotation", help="estimate the rotation set of a map")
     rot.add_argument("--map", dest="map_path", required=True)
@@ -131,11 +130,13 @@ def _cmd_run(args) -> int:
                 f"step {n}: N={cutoff} eps0={eps0:.6e} drift={drift:.3e} "
                 f"bound={bound:.3e} corrector={phi0:.3e} [{flag}]"
             )
+        for message in result.messages:
+            print(message)
         print(f"status: {result.status.value} after {result.n_steps} accepted steps")
         print(f"final eps0: {result.final_eps0:.6e}")
         if result.verification_residual is not None:
             print(f"conjugacy residual: {result.verification_residual:.6e}")
-    return EXIT_CODES[result.status]
+    return result.exit_code
 
 
 def _cmd_params(args) -> int:
@@ -143,17 +144,16 @@ def _cmd_params(args) -> int:
     if not ok:
         print("infeasible:", ", ".join(bad))
         return 3
-    lo, hi = mu_window(args.sigma, args.lambda_, args.nu)
-    mu = args.mu if args.mu is not None else 0.5 * (lo + hi)
     # mu, tau and both counts are checked before the report starts
     params = derive_constants(
-        sigma=args.sigma, lambda_=args.lambda_, mu=mu, nu=args.nu,
+        sigma=args.sigma, lambda_=args.lambda_, mu=args.mu, nu=args.nu,
         tau=CONFIG_KEYS["", "tau"][1][args.dim] if args.tau is None else args.tau,
         d=args.dim, start_cutoff=args.start_cutoff,
     )
     schedule = schedule_cutoffs(args.start_cutoff, args.sigma, args.schedule)
     rep = replay_induction(params, n_steps=args.replay) if args.replay else None
-    print(f"mu window: ({lo:.6g}, {hi:.6g}); using mu={mu:.6g}")
+    lo, hi = mu_window(args.sigma, args.lambda_, args.nu)
+    print(f"mu window: ({lo:.6g}, {hi:.6g}); using mu={params.mu:.6g}")
     print(f"omega0 bound: {omega0_bound(args.sigma, args.lambda_):.12g}")
     print(f"exponents: a={params.a:.6g} gamma0={params.gamma0:.6g} s0={params.s0:.6g} b={params.b:.6g}")
     for name, row in check_inductive_inequalities(params).items():
@@ -192,7 +192,10 @@ def _cmd_cohomology(args) -> int:
     alpha = _parse_alpha(args.alpha)
     if alpha.size != f.dim:
         raise ConfigError("alpha dimension does not match the map")
-    gamma = None if args.gamma == "auto" else float(args.gamma)
+    try:
+        gamma = None if args.gamma == "auto" else float(args.gamma)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} in --gamma") from None
     # solve reads only the band min(cutoff, degree); the first shell is kept so
     # that a rotation map still gets a gamma, and a cutoff below 1 is still refused
     vec = verified_vector(alpha, args.tau, min(args.cutoff, max(f.degree, 1)), gamma)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diophantine import DiophantineVector
+from .diophantine import DiophantineVector, _power
 from .errors import CohomologyResidualError, DCViolation, DivisorTooSmall, NonFinite
 from .spectral import PeriodicField, _l1_radii, cs_norm, frequency_axis, truncate
 
@@ -99,7 +99,7 @@ def growth_ratios(f: PeriodicField, vec: DiophantineVector, cutoffs, s_values) -
         cells = []
         for s in s_values:
             value = cs_norm(sol.corrector, s)
-            envelope = vec.gamma * float(cutoff) ** (float(s) + vec.tau + f.dim / 2.0) * base
+            envelope = vec.gamma * _power(cutoff, float(s) + vec.tau + f.dim / 2.0) * base
             cells.append((s, value, value / envelope if envelope > 0 else np.inf))
         rows.append((int(cutoff), cells))
     return rows

@@ -22,6 +22,14 @@ __all__ = [
 _RESONANCE_FLOOR = 1e-13
 
 
+def _power(base: float, exponent: float) -> float:
+    """float(base) ** exponent, inf where that passes the float maximum."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return np.inf
+
+
 @dataclass(frozen=True, eq=False)
 class DiophantineVector:
     """Rotation vector with claimed small-divisor constants.

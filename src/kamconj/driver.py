@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,8 +58,8 @@ NAMED_ALPHAS = {
 # One row per scalar key: (section, key) -> (kind, default, lower bound, strict);
 # a strict bound is 0. A default keyed by dimension is picked by alpha's size;
 # None means absent (gamma: fit the smallest verified value, dc_radius: the
-# largest scheduled cutoff, residual_tol: 10 * eps_stop). Generator params take
-# the defaults of their kind (`_GENERATORS`).
+# largest scheduled cutoff, mu: the middle of its window, residual_tol:
+# 10 * eps_stop). Generator params take the defaults of their kind (`_GENERATORS`).
 CONFIG_KEYS = {
     ("", "tau"): (float, {1: 1.0, 2: 2.0}, 0, True),
     ("", "gamma"): (float, None, 0, True),
@@ -71,7 +71,7 @@ CONFIG_KEYS = {
     ("", "max_degree"): (int, {1: 2048, 2: 256}, 1, False),
     ("scheduler", "sigma"): (float, DEFAULTS["sigma"], None, False),
     ("scheduler", "lambda"): (float, DEFAULTS["lambda_"], None, False),
-    ("scheduler", "mu"): (float, DEFAULTS["mu"], None, False),
+    ("scheduler", "mu"): (float, None, None, False),
     ("scheduler", "nu"): (float, DEFAULTS["nu"], None, False),
     ("scheduler", "start_cutoff"): (int, DEFAULTS["start_cutoff"], 2, False),
     ("tolerances", "eps_stop"): (float, 1e-9, 0, False),
@@ -179,22 +179,15 @@ class ExperimentConfig:
     """Validated run configuration; build from a plain dict with `from_dict`."""
 
     alpha: np.ndarray
-    tau: float
     gamma: float | None  # None means: fit the smallest verified value
     dc_radius: int | None
-    sigma: float
-    lambda_: float
-    mu: float
-    nu: float
-    start_cutoff: int
+    params: SchedulerParams  # from tau and the scheduler section, by `derive_constants`
+    step: StepConfig  # `run_scheme` sets each step's target_degree
     initial_map: dict
     eps_stop: float
     max_iters: int
     residual_tol: float | None
     seed: int
-    smallness_c: float
-    c_post: float
-    drift_tol_abs: float
     max_degree: int
     output: dict = field(default_factory=dict)
 
@@ -236,6 +229,10 @@ class ExperimentConfig:
             for key, path in output.items():
                 if not (isinstance(path, str) and path):
                     raise ConfigError(f"output paths must be non-empty strings, got {path!r} in output.{key}")
+            sched = {k: values.pop(k) for k in ("tau", "sigma", "lambda_", "mu", "nu", "start_cutoff")}
+            step = {k: values.pop(k) for k in ("smallness_c", "c_post", "drift_tol_abs")}
+            # infeasible exponents fail here, with the scheduler's own error
+            values.update(params=derive_constants(d=alpha.size, **sched), step=StepConfig(**step))
             return cls(alpha=alpha, initial_map=imap, output=output, **values)
 
 
@@ -390,21 +387,12 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
     A step that fails smallness is retried at halved cutoffs, never below the
     last accepted one, and its row carries the cutoff finally used.
     """
-    dim = config.alpha.size
-    params = derive_constants(
-        sigma=config.sigma,
-        lambda_=config.lambda_,
-        mu=config.mu,
-        nu=config.nu,
-        tau=config.tau,
-        d=dim,
-        start_cutoff=config.start_cutoff,
-    )
+    params = config.params
     count = config.max_iters + 1
-    cutoffs = list(_snapped_cutoffs(config.start_cutoff, config.sigma, count, config.max_degree))
+    cutoffs = list(_snapped_cutoffs(params.start_cutoff, params.sigma, count, config.max_degree))
     cutoffs += [config.max_degree] * (count - len(cutoffs))
     dc_radius = config.dc_radius if config.dc_radius is not None else max(cutoffs)
-    vec = verified_vector(config.alpha, config.tau, dc_radius, config.gamma)
+    vec = verified_vector(config.alpha, params.tau, dc_radius, config.gamma)
 
     f = rebase(_load_initial_map(config), vec.alpha)
     first_map = f
@@ -422,12 +410,7 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         eps_s0 = deviation_norm(f, vec.alpha, params.s0, "fourier")
         env0, env_s, _ = envelopes(params, n)
         cutoff, target = cutoffs[n - 1], cutoffs[n]
-        step_cfg = StepConfig(
-            smallness_c=config.smallness_c,
-            c_post=config.c_post,
-            target_degree=target,
-            drift_tol_abs=config.drift_tol_abs,
-        )
+        step_cfg = replace(config.step, target_degree=target)
         used = cutoff
         try:
             while True:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import solve
-from .diophantine import DiophantineVector
+from .diophantine import DiophantineVector, _power
 from .errors import NonFinite, SmallnessViolated
 from .rotation import convex_hull, hull_contains
 from .spectral import (
@@ -132,7 +132,8 @@ def step(
     eps0_before = deviation_norm(f, vec.alpha, 0)
     if not math.isfinite(eps0_before):  # a nan margin would pass the smallness test
         raise NonFinite(f"deviation eps0 = {eps0_before} is not finite")
-    margin = vec.gamma * float(cutoff) ** (2.0 * vec.tau + d + 2.0) * eps0_before
+    # a rigid rotation (eps0 = 0) has margin 0 even where N^(2tau+d+2) reads inf
+    margin = vec.gamma * _power(cutoff, 2.0 * vec.tau + d + 2.0) * eps0_before if eps0_before else 0.0
     if config.smallness_c * margin >= 1.0:
         raise SmallnessViolated(
             f"C * gamma * N^(2tau+d+2) * eps0 = {config.smallness_c * margin:.3e} >= 1 "

@@ -119,10 +119,11 @@ def _monotone_chain(points: np.ndarray) -> np.ndarray:
 
 
 def hull_contains(hull: Hull, point, tol: float = 0.0) -> bool:
-    """Membership up to an absolute margin; degenerate hulls compare by distance.
+    """Membership up to a margin tol; degenerate hulls compare by distance.
 
-    A polygon edge a -> b rejects the point when its cross product falls
-    below -tol * max(1, |b - a|).
+    A polygon edge a -> b rejects the point when its cross product, |b - a|
+    times the point's distance past the edge, falls below -tol * max(1, |b - a|):
+    an edge shorter than 1 passes a point up to tol / |b - a| outside it.
     """
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if not np.all(np.isfinite(p)):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .diophantine import _power
 from .errors import EmptyWindow, InfeasibleParams, ScheduleOverflow
 
 __all__ = [
@@ -27,7 +28,7 @@ __all__ = [
     "find_min_start",
 ]
 
-DEFAULTS = {"sigma": 0.5, "lambda_": 3.0, "mu": 7.5, "nu": 2.0, "start_cutoff": 8}
+DEFAULTS = {"sigma": 0.5, "lambda_": 3.0, "nu": 2.0, "start_cutoff": 8}
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def omega0_bound(sigma: float, lambda_: float) -> float:
 def derive_constants(
     sigma: float = DEFAULTS["sigma"],
     lambda_: float = DEFAULTS["lambda_"],
-    mu: float = DEFAULTS["mu"],
+    mu: float | None = None,
     nu: float = DEFAULTS["nu"],
     tau: float = 2.0,
     d: int = 2,
@@ -100,6 +101,7 @@ def derive_constants(
     if not ok:
         raise InfeasibleParams("constraints violated: " + ", ".join(bad))
     lo, hi = mu_window(sigma, lambda_, nu)
+    mu = 0.5 * (lo + hi) if mu is None else mu  # absent: the window's middle, 7.5 at the defaults
     if not (lo < mu < hi):
         raise InfeasibleParams(f"mu={mu} outside the admissible window ({lo}, {hi})")
     a = 2.0 * tau + d + 2.0
@@ -181,7 +183,7 @@ def envelopes(p: SchedulerParams, n: int, omega0: float | None = None) -> tuple:
     w = p.omega0_max / 2.0 if omega0 is None else float(omega0)
     if w <= 0:
         raise ValueError("omega0 must be positive")
-    ln_n = ((1.0 + p.sigma) ** (n - 1)) * math.log(p.start_cutoff)
+    ln_n = _power(1.0 + p.sigma, n - 1) * math.log(p.start_cutoff)
 
     def clamp(logv: float) -> float:
         if logv < -745.0:

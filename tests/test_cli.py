@@ -61,6 +61,20 @@ class TestRun:
             initial_map={"kind": "drifted", "params": {"delta": [0.01]}},
         )
         assert main(["run", "--config", str(cfg)]) == 4
+        out = capsys.readouterr().out
+        assert re.search(r"^step 1: drift \S+ fails its bound \S+ \(hull_ok=False\)$", out, re.M)
+        assert out.index("fails its bound") < out.index("status: drift-obstruction")
+
+    @pytest.mark.parametrize("tau, last", [(400, "retrying at cutoff 2"), (600, "= inf >= 1 at cutoff 2")])
+    def test_huge_tau_ends_diverged(self, tmp_path, capsys, tau, last):
+        # N^(2 tau + 3) passes the float maximum at cutoffs 8 and 4, and at 2 for tau = 600: the margin reads inf
+        cfg, trace = write_config(tmp_path / "cfg.json", tau=tau), tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--trace", str(trace)]) == 3
+        out = capsys.readouterr().out
+        assert last in out and "status: diverged after 0 accepted steps" in out
+        assert trace.read_text().splitlines()[1].endswith(",0")
 
     def test_outputs_and_overrides(self, tmp_path, capsys):
         final = tmp_path / "final.json"
@@ -296,7 +310,7 @@ class TestCohomologyCommand:
         text = capsys.readouterr().out
         assert code == 0
         assert "component 0:" in text
-        phi = load_map(out)
+        phi = load_map(out)  # a map, not a chain
         assert phi.dim == 1
         assert phi.displacement[0].coefficient((1,)) != 0
 
@@ -326,6 +340,14 @@ class TestCohomologyCommand:
             reports.append(capsys.readouterr().out)
         assert radii == [12, 16, 16]
         assert reports[1] == reports[2]
+
+    def test_unreadable_gamma_names_its_flag(self, tmp_path, capsys):
+        src = tmp_path / "map.json"
+        main(["make-map", "--kind", "conjugate", "--alpha", "golden", "--seed", "0", "--out", str(src)])
+        capsys.readouterr()
+        args = ["cohomology", "--map", str(src), "--alpha", "golden", "--tau", "1", "--cutoff", "8"]
+        assert main([*args, "--gamma", "abc"]) == 1
+        assert capsys.readouterr().err == "error: could not convert string to float: 'abc' in --gamma\n"
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         src = tmp_path / "map.json"

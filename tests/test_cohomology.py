@@ -215,6 +215,14 @@ def test_growth_ratios_shape_and_envelope(golden_vector):
             assert ratio < 10.0
 
 
+def test_growth_ratios_past_the_float_maximum(golden_vector):
+    # 8^(400 + 0.5) overflows a float: the envelope reads inf and the ratio 0
+    f = seeded_field(1, 8, 1e-3, seed=60)
+    vec = dataclasses.replace(golden_vector, tau=400.0)
+    [(cutoff, [(s, value, ratio)])] = growth_ratios(f, vec, [8], [0])
+    assert (cutoff, s, ratio) == (8, 0, 0.0) and value > 0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.floats(min_value=-2, max_value=2))
 def test_single_mode_solution_explicit(k, re):

@@ -10,7 +10,9 @@ import pytest
 
 from kamconj import (
     ConfigError,
+    EmptyWindow,
     ExperimentConfig,
+    InfeasibleParams,
     OutOfRegime,
     PeriodicField,
     ResidualTooLarge,
@@ -28,6 +30,7 @@ from kamconj import (
 )
 from kamconj import driver, spectral
 from kamconj import kamstep as kstep
+from kamconj.cli import main
 from kamconj.io import load_map, save_map
 from kamconj.spectral import sampling_grid
 
@@ -67,19 +70,21 @@ class TestConfig:
     def test_defaults_1d(self):
         cfg = ExperimentConfig.from_dict(minimal_config())
         assert cfg.alpha[0] == pytest.approx(GOLDEN)
-        assert cfg.tau == 1.0
+        p = cfg.params
+        assert p.tau == 1.0
         assert cfg.gamma is None
         assert cfg.eps_stop == 1e-9
         assert cfg.max_iters == 12
-        assert cfg.start_cutoff == 8
-        assert cfg.sigma == 0.5 and cfg.lambda_ == 3.0 and cfg.mu == 7.5 and cfg.nu == 2.0
+        assert p.start_cutoff == 8
+        assert p.sigma == 0.5 and p.lambda_ == 3.0 and p.mu == 7.5 and p.nu == 2.0
         step_defaults = kstep.StepConfig()
-        assert cfg.c_post == step_defaults.c_post and cfg.drift_tol_abs == step_defaults.drift_tol_abs
+        assert cfg.step.c_post == step_defaults.c_post
+        assert cfg.step.drift_tol_abs == step_defaults.drift_tol_abs
         assert cfg.max_degree == 2048 and cfg.dc_radius is None and cfg.residual_tol is None
 
     def test_defaults_2d(self):
         cfg = ExperimentConfig.from_dict(minimal_config(alpha=["sqrt2-1", "sqrt3-1"]))
-        assert cfg.tau == 2.0
+        assert cfg.params.tau == 2.0
         assert np.allclose(cfg.alpha, PAIR_2D)
 
     def test_alpha_forms(self):
@@ -180,8 +185,36 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(
             minimal_config(scheduler={"start_cutoff": 8.0}, tolerances={"max_iters": 3.0}, seed=5.0)
         )
-        assert (cfg.start_cutoff, cfg.max_iters, cfg.seed) == (8, 3, 5)
-        assert all(type(v) is int for v in (cfg.start_cutoff, cfg.max_iters, cfg.seed))
+        assert (cfg.params.start_cutoff, cfg.max_iters, cfg.seed) == (8, 3, 5)
+        assert all(type(v) is int for v in (cfg.params.start_cutoff, cfg.max_iters, cfg.seed))
+
+    @pytest.mark.parametrize(
+        "scheduler, error, message",
+        [
+            ({"sigma": 0.99}, InfeasibleParams, "constraints violated: decay_outruns_refinement"),
+            ({"mu": 9.0}, InfeasibleParams, "mu=9.0 outside the admissible window (7.0, 8.0)"),
+            # feasible finite ratios leave a window; (1 + sigma) * lambda past the float maximum shuts it
+            ({"lambda": 1.5e308}, EmptyWindow, "no admissible mu: lower bound inf meets upper bound inf"),
+        ],
+    )
+    def test_infeasible_scheduler_is_refused_at_load(self, scheduler, error, message):
+        with pytest.raises(error) as info:
+            ExperimentConfig.from_dict(minimal_config(scheduler=scheduler))
+        assert str(info.value) == message
+
+    def test_absent_mu_is_the_middle_of_its_window(self, capsys):
+        cfg = ExperimentConfig.from_dict(minimal_config(scheduler={"lambda": 4}))
+        assert cfg.params.mu == 9.25  # the window is (8.5, 10)
+        assert main(["params", "--lambda", "4"]) == 0
+        assert "using mu=9.25" in capsys.readouterr().out
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config file", 1)[1]
+        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        cfg = ExperimentConfig.from_dict(example)
+        assert cfg.alpha.size == 2 and cfg.params.mu == example["scheduler"]["mu"]
+        assert cfg.step.smallness_c == example["smallness_c"]
 
     def test_generator_is_checked_at_load(self):
         with pytest.raises(ConfigError, match="unknown test map kind 'bogus'"):

@@ -52,6 +52,16 @@ class TestStep:
         # a desk-scale constant admits the same map
         step(f, golden_vector, 8, StepConfig(smallness_c=1e-8))
 
+    def test_huge_tau_margin_reads_inf(self, golden_vector):
+        # 8^803 passes the float maximum: the margin reads inf, not an OverflowError
+        vec = dataclasses.replace(golden_vector, tau=400.0)
+        f = perturbed_rotation([GOLDEN], 1e-3, seed=70)
+        with pytest.raises(SmallnessViolated, match=r"= inf >= 1 at cutoff 8"):
+            step(f, vec, 8)
+        # a rigid rotation still steps, with margin 0
+        _, _, diag = step(TorusMapLift.rotation([GOLDEN]), vec, 8)
+        assert diag.smallness_margin == 0.0
+
     def test_quadratic_improvement_sweep(self, golden_vector):
         cfg = StepConfig(smallness_c=1e-8)
         for eps in (1e-3, 1e-4, 1e-5):

@@ -248,6 +248,10 @@ class TestEnvelopes:
         e0, _, _ = envelopes(p, 40)
         assert e0 == 0.0
 
+    def test_schedule_past_the_float_maximum_clamps(self):
+        # 1.5^1999 overflows a float; every envelope still clamps
+        assert envelopes(derive_constants(tau=1.0, d=1), 2000) == (0.0, math.inf, 0.0)
+
 
 class TestReplay:
     def test_default_replay_holds_fifty_steps(self):
