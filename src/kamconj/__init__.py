@@ -28,7 +28,6 @@ from .errors import (
     NotDiffeomorphic,
     OutOfRegime,
     ResidualTooLarge,
-    ScheduleOverflow,
     SmallnessViolated,
 )
 from .kamstep import StepConfig, StepDiagnostics, step

@@ -30,7 +30,6 @@ from .scheduler import (
     check_inductive_inequalities,
     derive_constants,
     mu_window,
-    omega0_bound,
     replay_induction,
     schedule_cutoffs,
     validate,
@@ -80,7 +79,10 @@ def _build_parser() -> _Parser:
     par.add_argument("--dim", type=int, choices=(1, 2), default=2)
     par.add_argument("--start-cutoff", "--N1", dest="start_cutoff", type=int, default=DEFAULTS["start_cutoff"])
     par.add_argument("--replay", type=int, default=0, help="replay the envelope recursion this many steps")
-    par.add_argument("--schedule", type=int, default=0, help="print this many schedule cutoffs")
+    par.add_argument(
+        "--schedule", type=int, default=0,
+        help="print up to this many cutoffs a run steps at, ending at --dim's default max_degree",
+    )
 
     dc = sub.add_parser("dc-check", help="verify a small-divisor lower bound")
     dc.add_argument("--alpha", required=True)
@@ -144,17 +146,18 @@ def _cmd_params(args) -> int:
     if not ok:
         print("infeasible:", ", ".join(bad))
         return 3
-    # mu, tau and both counts are checked before the report starts
+    # mu, tau and both counts are checked before the report starts; tau and
+    # the schedule's cap are a run's defaults at this dimension
+    tau, cap = (CONFIG_KEYS["", key][1][args.dim] for key in ("tau", "max_degree"))
     params = derive_constants(
         sigma=args.sigma, lambda_=args.lambda_, mu=args.mu, nu=args.nu,
-        tau=CONFIG_KEYS["", "tau"][1][args.dim] if args.tau is None else args.tau,
-        d=args.dim, start_cutoff=args.start_cutoff,
+        tau=tau if args.tau is None else args.tau, d=args.dim, start_cutoff=args.start_cutoff,
     )
-    schedule = schedule_cutoffs(args.start_cutoff, args.sigma, args.schedule)
+    schedule = schedule_cutoffs(args.start_cutoff, args.sigma, args.schedule, cap)
     rep = replay_induction(params, n_steps=args.replay) if args.replay else None
     lo, hi = mu_window(args.sigma, args.lambda_, args.nu)
     print(f"mu window: ({lo:.6g}, {hi:.6g}); using mu={params.mu:.6g}")
-    print(f"omega0 bound: {omega0_bound(args.sigma, args.lambda_):.12g}")
+    print(f"omega0 bound: {params.omega0_max:.12g}")
     print(f"exponents: a={params.a:.6g} gamma0={params.gamma0:.6g} s0={params.s0:.6g} b={params.b:.6g}")
     for name, row in check_inductive_inequalities(params).items():
         state = "ok" if row["ok"] else "VIOLATED"

@@ -25,7 +25,7 @@ from .errors import (
     SmallnessViolated,
 )
 from .kamstep import StepConfig, step
-from .scheduler import DEFAULTS, SchedulerParams, _snapped_cutoffs, derive_constants, envelopes
+from .scheduler import DEFAULTS, SchedulerParams, derive_constants, envelopes, schedule_cutoffs
 from .spectral import (
     PeriodicField,
     TorusMapLift,
@@ -388,9 +388,9 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
     last accepted one, and its row carries the cutoff finally used.
     """
     params = config.params
-    count = config.max_iters + 1
-    cutoffs = list(_snapped_cutoffs(params.start_cutoff, params.sigma, count, config.max_degree))
-    cutoffs += [config.max_degree] * (count - len(cutoffs))
+    # a step past the list's end reuses its last cutoff, the first to reach the degree cap
+    cutoffs = schedule_cutoffs(params.start_cutoff, params.sigma, config.max_iters + 1, config.max_degree)
+    last = len(cutoffs) - 1
     dc_radius = config.dc_radius if config.dc_radius is not None else max(cutoffs)
     vec = verified_vector(config.alpha, params.tau, dc_radius, config.gamma)
 
@@ -409,7 +409,7 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         n += 1
         eps_s0 = deviation_norm(f, vec.alpha, params.s0, "fourier")
         env0, env_s, _ = envelopes(params, n)
-        cutoff, target = cutoffs[n - 1], cutoffs[n]
+        cutoff, target = cutoffs[min(n - 1, last)], cutoffs[min(n, last)]
         step_cfg = replace(config.step, target_degree=target)
         used = cutoff
         try:

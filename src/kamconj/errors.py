@@ -53,10 +53,6 @@ class InfeasibleParams(KamError):
     """Scheduler parameters violate the standing inequalities."""
 
 
-class ScheduleOverflow(KamError):
-    """Requested cutoff sequence exceeds the configured cap."""
-
-
 class OutOfRegime(KamError):
     """Generated or supplied map is outside the perturbative regime."""
 

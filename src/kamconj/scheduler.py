@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .diophantine import _power
-from .errors import EmptyWindow, InfeasibleParams, ScheduleOverflow
+from .errors import EmptyWindow, InfeasibleParams
 
 __all__ = [
     "SchedulerParams",
@@ -101,10 +101,17 @@ def derive_constants(
     if not ok:
         raise InfeasibleParams("constraints violated: " + ", ".join(bad))
     lo, hi = mu_window(sigma, lambda_, nu)
-    mu = 0.5 * (lo + hi) if mu is None else mu  # absent: the window's middle, 7.5 at the defaults
+    if not math.isfinite(hi):  # lo < hi, and every lower threshold is positive, so lo is finite too
+        raise InfeasibleParams(f"mu window ({lo}, {hi}) is past the float range")
+    # absent: the window's middle, 7.5 at the defaults; halved apart, so it stays finite
+    mu = 0.5 * lo + 0.5 * hi if mu is None else mu
     if not (lo < mu < hi):
         raise InfeasibleParams(f"mu={mu} outside the admissible window ({lo}, {hi})")
     a = 2.0 * tau + d + 2.0
+    exponents = {"a": a, "gamma0": lambda_ * a, "s0": mu * a, "b": nu * a}
+    for name, value in exponents.items():
+        if not math.isfinite(value):
+            raise InfeasibleParams(f"{name}={value} is past the float range")
     return SchedulerParams(
         sigma=sigma,
         lambda_=lambda_,
@@ -112,49 +119,40 @@ def derive_constants(
         nu=nu,
         tau=float(tau),
         d=int(d),
-        a=a,
-        gamma0=lambda_ * a,
-        s0=mu * a,
-        b=nu * a,
+        **exponents,
         omega0_max=omega0_bound(sigma, lambda_),
         start_cutoff=int(start_cutoff),
     )
 
 
-def _snapped_cutoffs(start: int, sigma: float, count: int, cap: int):
-    """Snapped N_n = start^((1+sigma)^(n-1)) for n = 1..count, until one exceeds `cap`.
-
-    Each value is evaluated in logs from the start value, so integer snapping
-    of earlier terms does not compound and large exponents do not overflow.
-    Values a hair below an integer (from float rounding) snap to it; anything
-    else rounds up.
-    """
-    log_start, log_cap = math.log(start), math.log(cap)
-    for n in range(1, count + 1):
-        ln_v = ((1.0 + sigma) ** (n - 1)) * log_start
-        if ln_v > log_cap + 1e-6:  # cannot snap back to the cap; exp may overflow
-            return
-        v = math.exp(ln_v)
-        r = round(v)
-        value = int(r) if abs(v - r) < 1e-6 * max(1.0, r) else int(math.ceil(v))
-        if value > cap:
-            return
-        yield value
+def _log_cutoff(start: int, sigma: float, n: int) -> float:
+    """log N_n = (1+sigma)^(n-1) * log N_1, inf past the float range."""
+    return _power(1.0 + sigma, n - 1) * math.log(start)
 
 
-def schedule_cutoffs(start: int, sigma: float, count: int, cap: int = 2 ** 20) -> list:
-    """First `count` cutoffs of the schedule, snapped to nearby integers.
+def schedule_cutoffs(start: int, sigma: float, count: int, cap: int) -> list:
+    """Snapped N_n = start^((1+sigma)^(n-1)) for n = 1..count, none above `cap`.
 
-    Values a hair below an integer (from float exponentiation) snap to it;
-    anything else rounds up.  Exceeding the cap raises ScheduleOverflow.
+    The list ends at the first cutoff that reaches the cap, which takes the
+    cap's value; a run reuses that last cutoff for every later step.  Each
+    value is evaluated in logs from the start value, so integer snapping of
+    earlier terms does not compound and large exponents do not overflow.
+    Values a hair below an integer (from float rounding) snap to it;
+    anything else rounds up.
     """
     if start < 2:
         raise ValueError("start cutoff must be at least 2")
     if count < 0:
         raise ValueError(f"schedule length must be at least 0, got {count}")
-    out = list(_snapped_cutoffs(start, sigma, count, cap))
-    if len(out) < count:
-        raise ScheduleOverflow(f"cutoff at step {len(out) + 1} exceeds cap {cap}")
+    log_cap = math.log(cap)
+    out = []
+    for n in range(1, count + 1):
+        # held just past the cap, where exp could overflow; any value past the cap reads as the cap
+        v = math.exp(min(_log_cutoff(start, sigma, n), log_cap + 1.0))
+        r = round(v)
+        out.append(min(cap, int(r) if abs(v - r) < 1e-6 * max(1.0, r) else int(math.ceil(v))))
+        if out[-1] == cap:
+            break
     return out
 
 
@@ -183,7 +181,7 @@ def envelopes(p: SchedulerParams, n: int, omega0: float | None = None) -> tuple:
     w = p.omega0_max / 2.0 if omega0 is None else float(omega0)
     if w <= 0:
         raise ValueError("omega0 must be positive")
-    ln_n = _power(1.0 + p.sigma, n - 1) * math.log(p.start_cutoff)
+    ln_n = _log_cutoff(p.start_cutoff, p.sigma, n)
 
     def clamp(logv: float) -> float:
         if logv < -745.0:
@@ -230,7 +228,8 @@ def replay_induction(
         high' = N^(s0+a) low^2 + N^(a/2) low*high + N^(a/2) high
 
     and checks the results against the envelopes at N^(1+sigma).  Margins are
-    the log-gaps (positive means the claim holds with room).  The flag
+    the log-gaps (positive means the claim holds with room); a margin that is
+    not finite raises ValueError, naming its step.  The flag
     `include_growth_cross_term` adds N^(s0+a) low*high to the high-norm row;
     that term is incompatible with the admissible window for every parameter
     choice, so the default replay omits it.
@@ -247,7 +246,6 @@ def replay_induction(
     lx = lw - p.gamma0 * ln
     ly = lw + p.b * ln
     margins_low, margins_high = [], []
-    ok = True
     first_violation = None
     for step in range(1, n_steps + 1):
         terms_x = [
@@ -268,19 +266,19 @@ def replay_induction(
         ln2 = (1.0 + p.sigma) * ln
         m_lo = -p.gamma0 * ln2 - lx2
         m_hi = p.b * ln2 - ly2
+        # a nan margin passes any `< 0` test, and past the float range the recursion shows
+        # neither a held nor a lost envelope, so a margin that is not finite stops the replay
+        if not (math.isfinite(m_lo) and math.isfinite(m_hi)):
+            raise ValueError(f"replay margins at step {step} are past the float range: ({m_lo}, {m_hi})")
         margins_low.append(m_lo)
         margins_high.append(m_hi)
         if m_lo < 0.0 or m_hi < 0.0:
-            ok = False
             first_violation = step
             break
         lx, ly, ln = lx2, ly2, ln2
     return ReplayReport(
-        ok=ok,
-        steps=len(margins_low),
-        first_violation=first_violation,
-        margins_low=tuple(margins_low),
-        margins_high=tuple(margins_high),
+        ok=first_violation is None, steps=len(margins_low), first_violation=first_violation,
+        margins_low=tuple(margins_low), margins_high=tuple(margins_high),
     )
 
 

@@ -76,6 +76,23 @@ class TestRun:
         assert last in out and "status: diverged after 0 accepted steps" in out
         assert trace.read_text().splitlines()[1].endswith(",0")
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"tau": 1e308}, "a=inf is past the float range"),
+            ({"scheduler": {"nu": 1e308}}, "s0=inf is past the float range"),
+            ({"scheduler": {"lambda": 1e308}}, "mu window (1.5e+308, inf) is past the float range"),
+        ],
+    )
+    def test_exponent_past_the_float_range_is_usage_error(self, tmp_path, capsys, overrides, message):
+        # a tau of 1e308 once ran, wrote eps_s0 = nan into its trace and ended diverged
+        cfg, trace = write_config(tmp_path / "cfg.json", **overrides), tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n" and not trace.exists()
+
     def test_outputs_and_overrides(self, tmp_path, capsys):
         final = tmp_path / "final.json"
         chain = tmp_path / "chain.json"
@@ -188,10 +205,26 @@ class TestParams:
         assert "VIOLATED" not in out
 
     def test_schedule_and_replay(self, capsys):
+        # a 2D run at its default max_degree of 256 steps at 8, 23, 108 and then 256
         assert main(["params", "--schedule", "4", "--replay", "10", "--N1", "8"]) == 0
         out = capsys.readouterr().out
-        assert "schedule: [8, 23, 108, 1117]" in out
+        assert "schedule: [8, 23, 108, 256]" in out
         assert "replay: ok=True steps=10" in out
+
+    @pytest.mark.parametrize(
+        "dim, count, schedule",
+        [("2", "5", "[8, 23, 108, 256]"), ("1", "5", "[8, 23, 108, 1117, 2048]"), ("1", "4", "[8, 23, 108, 1117]")],
+    )
+    def test_schedule_ends_at_the_default_degree_cap(self, capsys, dim, count, schedule):
+        # at most the requested count, and none past the cap a run at --dim's defaults steps at
+        assert main(["params", "--dim", dim, "--schedule", count]) == 0
+        assert f"schedule: {schedule}\n" in capsys.readouterr().out
+
+    def test_replay_past_the_float_range_prints_only_its_error(self, capsys):
+        # the margins of step 1740 read (inf, nan); they once printed as ok=True
+        assert main(["params", "--replay", "2000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: replay margins at step 1740 are past the float range: (inf, nan)\n"
 
     def test_start_cutoff_long_flag(self, capsys):
         assert main(["params", "--start-cutoff", "10", "--schedule", "3"]) == 0
@@ -217,6 +250,19 @@ class TestParams:
         assert main(["params", *flags]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--nu", "s0=inf is past the float range"),
+            ("--lambda", "mu window (1.5e+308, inf) is past the float range"),
+            ("--tau", "a=inf is past the float range"),
+        ],
+    )
+    def test_exponent_past_the_float_range_is_named(self, capsys, flag, message):
+        # --nu once blamed an infinite mu for a finite window, and --tau printed inf exponents with exit 0
+        assert main(["params", flag, "1e308"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_dimension_is_one_or_two(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -195,12 +195,21 @@ class TestConfig:
             ({"mu": 9.0}, InfeasibleParams, "mu=9.0 outside the admissible window (7.0, 8.0)"),
             # feasible finite ratios leave a window; (1 + sigma) * lambda past the float maximum shuts it
             ({"lambda": 1.5e308}, EmptyWindow, "no admissible mu: lower bound inf meets upper bound inf"),
+            # a finite window whose upper bound, or whose exponents, pass the float maximum
+            ({"lambda": 1e308}, InfeasibleParams, "mu window (1.5e+308, inf) is past the float range"),
+            ({"nu": 1e308}, InfeasibleParams, "s0=inf is past the float range"),
         ],
     )
     def test_infeasible_scheduler_is_refused_at_load(self, scheduler, error, message):
         with pytest.raises(error) as info:
             ExperimentConfig.from_dict(minimal_config(scheduler=scheduler))
         assert str(info.value) == message
+
+    def test_tau_past_the_float_range_is_refused_at_load(self):
+        # a = 2 * tau + d + 2 overflows; such a run once loaded and wrote eps_s0 = nan
+        with pytest.raises(InfeasibleParams) as info:
+            ExperimentConfig.from_dict(minimal_config(tau=1e308))
+        assert str(info.value) == "a=inf is past the float range"
 
     def test_absent_mu_is_the_middle_of_its_window(self, capsys):
         cfg = ExperimentConfig.from_dict(minimal_config(scheduler={"lambda": 4}))
@@ -647,6 +656,13 @@ class TestRunScheme:
             )
         )
         assert res.status is RunStatus.CONVERGED
+        assert res.vector.verified_up_to == 2048
+
+    def test_huge_budget_builds_no_schedule_of_its_length(self):
+        # the schedule ends at the degree cap, so the budget needs no upper bound
+        res = run_scheme(ExperimentConfig.from_dict(minimal_config(tolerances={"max_iters": 2 ** 62})))
+        assert res.status is RunStatus.CONVERGED and res.exit_code == 0
+        assert [row[1] for row in res.trace] == [8, 23, 108][: res.n_steps]
         assert res.vector.verified_up_to == 2048
 
     def test_initial_map_dimension_mismatch(self, tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from kamconj import (
     EmptyWindow,
     InfeasibleParams,
-    ScheduleOverflow,
     check_inductive_inequalities,
     derive_constants,
     envelopes,
@@ -20,7 +19,6 @@ from kamconj import (
     schedule_cutoffs,
     validate,
 )
-from kamconj.scheduler import _snapped_cutoffs
 
 CRITERION_7_GRID = [
     (sigma, lam, nu)
@@ -135,41 +133,52 @@ class TestDeriveConstants:
 
 class TestSchedule:
     def test_geometric_growth_from_eight(self):
-        assert schedule_cutoffs(8, 0.5, 4) == [8, 23, 108, 1117]
+        assert schedule_cutoffs(8, 0.5, 4, 2 ** 20) == [8, 23, 108, 1117]
 
     def test_growth_from_ten(self):
-        assert schedule_cutoffs(10, 0.5, 3) == [10, 32, 178]
+        assert schedule_cutoffs(10, 0.5, 3, 2 ** 20) == [10, 32, 178]
 
     def test_sigma_zero_is_constant(self):
-        assert schedule_cutoffs(12, 0.0, 4) == [12, 12, 12, 12]
+        assert schedule_cutoffs(12, 0.0, 4, 2 ** 20) == [12, 12, 12, 12]
 
     def test_exact_powers_snap_to_integer(self):
         # 4^(3/2) = 8 exactly; no ceiling bump
-        assert schedule_cutoffs(4, 0.5, 2) == [4, 8]
+        assert schedule_cutoffs(4, 0.5, 2, 2 ** 20) == [4, 8]
 
     def test_overflow_guard(self):
-        with pytest.raises(ScheduleOverflow):
-            schedule_cutoffs(10, 1.0, 8)
+        # 10^(2^4) passes the cap: it reads as the cap, and the list ends there
+        assert schedule_cutoffs(10, 1.0, 8, 2 ** 20) == [10, 100, 10000, 1048576]
 
     def test_schedule_stops_below_cap(self):
-        # the run scheme pads this with the cap: [8, 23, 108, 256, ...]
-        assert list(_snapped_cutoffs(8, 0.5, 13, 256)) == [8, 23, 108]
-        assert list(_snapped_cutoffs(4, 1.0, 5, 256)) == [4, 16, 256]
+        # a run reuses the last cutoff for every step past the list's end
+        assert schedule_cutoffs(8, 0.5, 13, 256) == [8, 23, 108, 256]
+        # a cutoff that lands on the cap ends the list as well
+        assert schedule_cutoffs(4, 1.0, 5, 256) == [4, 16, 256]
 
     def test_long_schedule_does_not_overflow(self):
         # 8^(1.5^40) is far past the float range; the log form never builds it
-        assert list(_snapped_cutoffs(8, 0.5, 41, 2048)) == [8, 23, 108, 1117]
-        with pytest.raises(ScheduleOverflow, match="step 5"):
-            schedule_cutoffs(8, 0.5, 41, cap=2048)
+        assert schedule_cutoffs(8, 0.5, 41, 2048) == [8, 23, 108, 1117, 2048]
+
+    def test_huge_count_returns_at_the_cap(self):
+        # the list's length is set by the cap, not by the count
+        assert schedule_cutoffs(8, 0.5, 2 ** 62, 256) == [8, 23, 108, 256]
+
+    def test_start_above_the_cap_reads_the_cap(self):
+        assert schedule_cutoffs(8, 0.5, 5, 4) == [4]
 
     def test_start_validation(self):
         with pytest.raises(ValueError, match="start"):
-            schedule_cutoffs(1, 0.5, 3)
+            schedule_cutoffs(1, 0.5, 3, 2 ** 20)
 
     def test_empty_schedule_allowed_negative_rejected(self):
-        assert schedule_cutoffs(8, 0.5, 0) == []
+        assert schedule_cutoffs(8, 0.5, 0, 2 ** 20) == []
         with pytest.raises(ValueError, match="schedule length must be at least 0, got -2"):
-            schedule_cutoffs(8, 0.5, -2)
+            schedule_cutoffs(8, 0.5, -2, 2 ** 20)
+
+    def test_schedule_overflow_is_gone(self):
+        # no cutoff list raises at its cap any more, so the error type left the package
+        with pytest.raises(ImportError):
+            from kamconj import ScheduleOverflow  # noqa: F401
 
 
 class TestInductiveInequalities:
@@ -291,6 +300,18 @@ class TestReplay:
     def test_needs_a_step(self, n_steps):
         with pytest.raises(ValueError, match="at least one step"):
             replay_induction(derive_constants(), n_steps=n_steps)
+
+    def test_last_finite_step_holds(self):
+        report = replay_induction(derive_constants(), n_steps=1739)
+        assert report.ok and report.steps == 1739
+        assert all(math.isfinite(m) and m > 0.0 for m in report.margins_low[-1:] + report.margins_high[-1:])
+
+    @pytest.mark.parametrize("start, step", [(8, 1740), (2, 1743)])
+    def test_margins_past_the_float_range_raise(self, start, step):
+        # the schedule's log passes the float maximum there: the margins read inf and nan,
+        # which show no lost envelope and must not read as a held one either
+        with pytest.raises(ValueError, match=f"replay margins at step {step} are past the float range"):
+            replay_induction(derive_constants(), n_steps=2000, start=start)
 
 
 def test_find_min_start_default():
