@@ -25,7 +25,7 @@ from .errors import (
     SmallnessViolated,
 )
 from .kamstep import StepConfig, step
-from .scheduler import DEFAULTS, SchedulerParams, derive_constants, envelopes, schedule_cutoffs
+from .scheduler import DEFAULTS, SchedulerParams, _cutoff, derive_constants, envelopes
 from .spectral import (
     PeriodicField,
     TorusMapLift,
@@ -340,9 +340,11 @@ def compose_chain(chain, max_degree: int | None = None) -> TorusMapLift:
 
 
 def conjugacy_verification(h: TorusMapLift, f: TorusMapLift, alpha) -> float:
-    """Sup norm of h(f(x)) - h(x) - alpha over a sampling grid.
+    """Sup norm of h(f(x)) - h(x) - alpha over the sampling grid of the maps' largest degree.
 
-    Zero exactly when h carries f to the rigid rotation by alpha.
+    Zero exactly when h carries f to the rigid rotation by alpha.  Both sides
+    are walked on the grid their band needs (`_composition_defect`), and the
+    box grid's points are the ones checked.
     """
     return _composition_defect(h, f, TorusMapLift.rotation(alpha), h)
 
@@ -388,10 +390,12 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
     last accepted one, and its row carries the cutoff finally used.
     """
     params = config.params
-    # a step past the list's end reuses its last cutoff, the first to reach the degree cap
-    cutoffs = schedule_cutoffs(params.start_cutoff, params.sigma, config.max_iters + 1, config.max_degree)
-    last = len(cutoffs) - 1
-    dc_radius = config.dc_radius if config.dc_radius is not None else max(cutoffs)
+
+    def cutoff(n: int) -> int:  # the schedule's n-th entry, at most the degree cap
+        return _cutoff(params.start_cutoff, params.sigma, n, config.max_degree)
+
+    # sigma > 0, so the schedule never decreases: its last entry a run can reach is its largest
+    dc_radius = config.dc_radius if config.dc_radius is not None else cutoff(config.max_iters + 1)
     vec = verified_vector(config.alpha, params.tau, dc_radius, config.gamma)
 
     f = rebase(_load_initial_map(config), vec.alpha)
@@ -409,9 +413,8 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
         n += 1
         eps_s0 = deviation_norm(f, vec.alpha, params.s0, "fourier")
         env0, env_s, _ = envelopes(params, n)
-        cutoff, target = cutoffs[min(n - 1, last)], cutoffs[min(n, last)]
-        step_cfg = replace(config.step, target_degree=target)
-        used = cutoff
+        step_cfg = replace(config.step, target_degree=cutoff(n + 1))
+        used = cutoff(n)
         try:
             while True:
                 try:

@@ -130,27 +130,32 @@ def _log_cutoff(start: int, sigma: float, n: int) -> float:
     return _power(1.0 + sigma, n - 1) * math.log(start)
 
 
-def schedule_cutoffs(start: int, sigma: float, count: int, cap: int) -> list:
-    """Snapped N_n = start^((1+sigma)^(n-1)) for n = 1..count, none above `cap`.
+def _cutoff(start: int, sigma: float, n: int, cap: int) -> int:
+    """The snapped N_n = start^((1+sigma)^(n-1)), at most `cap`.
 
-    The list ends at the first cutoff that reaches the cap, which takes the
-    cap's value; a run reuses that last cutoff for every later step.  Each
-    value is evaluated in logs from the start value, so integer snapping of
-    earlier terms does not compound and large exponents do not overflow.
-    Values a hair below an integer (from float rounding) snap to it;
-    anything else rounds up.
+    Evaluated in logs from the start value, so integer snapping of earlier
+    terms does not compound and large exponents do not overflow.  Values a
+    hair below an integer (from float rounding) snap to it; anything else
+    rounds up.  With sigma >= 0 the cutoffs never decrease in n.
+    """
+    # held just past the cap, where exp could overflow; any value past the cap reads as the cap
+    v = math.exp(min(_log_cutoff(start, sigma, n), math.log(cap) + 1.0))
+    r = round(v)
+    return min(cap, int(r) if abs(v - r) < 1e-6 * max(1.0, r) else int(math.ceil(v)))
+
+
+def schedule_cutoffs(start: int, sigma: float, count: int, cap: int) -> list:
+    """`_cutoff` for n = 1..count, in a list that ends at the first cutoff reaching `cap`.
+
+    That last cutoff takes the cap's value; a run reuses it for every later step.
     """
     if start < 2:
         raise ValueError("start cutoff must be at least 2")
     if count < 0:
         raise ValueError(f"schedule length must be at least 0, got {count}")
-    log_cap = math.log(cap)
     out = []
     for n in range(1, count + 1):
-        # held just past the cap, where exp could overflow; any value past the cap reads as the cap
-        v = math.exp(min(_log_cutoff(start, sigma, n), log_cap + 1.0))
-        r = round(v)
-        out.append(min(cap, int(r) if abs(v - r) < 1e-6 * max(1.0, r) else int(math.ceil(v))))
+        out.append(_cutoff(start, sigma, n, cap))
         if out[-1] == cap:
             break
     return out

@@ -12,10 +12,10 @@ derivative, truncation) only check that their result is finite.
 The box degree N is the nominal band, the one a schedule or caller asked
 for, and the check grids (norms, hulls, Jacobians, verification) follow it.
 The live degree is the largest l1 shell holding a nonzero coefficient; the
-evaluation kernels and the grids of the map chain (the inverse's sweeps
-included) follow that, since the box past it is exactly zero.  The chain
-sizes its first grid by how far the maps' spectra reach before they decay
-to its tail (`_reach`).
+evaluation kernels and the walk grids of the map chain (the inverse's sweeps
+included) and of the composition defect follow that, since the box past it
+is exactly zero.  Both size their first grid by how far the maps' spectra
+reach before they decay to the chain's tail (`_reach`).
 """
 
 from __future__ import annotations
@@ -793,39 +793,47 @@ def _walk(maps, m: int, invert: bool = False) -> tuple:
     return v, rho
 
 
-def _chain(maps, target: int, invert: bool = False) -> TorusMapLift:
-    """The `_walk` of maps on one grid, projected once at `target`.
+def _accepted_walk(walk, maps, target: int, bound: float, ceiling: int) -> tuple:
+    """(m, values, translation, spectra, bands) of `walk(m)` on the grid the chain's rule accepts.
 
     Each component keeps the band L = min(its live degree, target), its
-    largest l1 shell above `_CHAIN_TAIL` on the walk's grid, in the box of
-    `target`.  Only modes at |k| >= m - L alias into the kept band, so the
-    walk starts on the smallest grid that resolves every map and samples
-    min(target, R + 1) twice over, R being the largest `_reach` among the
-    maps' components (an inverted first map read from its own), and no more
-    than the sum of the live degrees when nothing is inverted.  It is
-    accepted when it samples each L twice over and no coefficient beyond L
-    is above `_CHAIN_TAIL`, and is doubled until then, up to `_grid`.  An
-    inverting chain refuses a first map whose Jacobian reaches 1/2
-    (NotContractive) once, before it walks.
+    largest l1 shell above `_CHAIN_TAIL` on the walk's grid.  Only modes at
+    |k| >= m - L alias into it, so the walk starts on the smallest grid that
+    resolves every map and samples min(target, bound, R + 1) twice over, R
+    being the largest `_reach` among the maps' components.  It is accepted
+    when it samples each L twice over and no coefficient beyond L is above
+    `_CHAIN_TAIL` (a value that is not finite makes them all so), and is
+    doubled until then, up to `ceiling`.
     """
-    if invert and not maps[0].jacobian_sup() < 0.5:  # not (< 1/2): a nan Jacobian fails too
-        raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
-    ceiling = _grid(target, maps)
-    live = [p.live_degree for p in maps]
     reach = max(u._reach for p in maps for u in p.displacement)
-    band = min(target, reach + 1)
-    if not invert:  # a chain without inverse is band-limited at its summed live degrees
-        band = min(band, sum(live))
-    m = _round4(max(2 * (band + 1), *(2 * d + 2 for d in live)))
+    band = min(target, bound, reach + 1)
+    m = _round4(max(2 * (band + 1), *(2 * p.live_degree + 2 for p in maps)))
     while True:
-        v, rho = _walk(maps, m, invert)
+        v, rho = walk(m)
         spec = [np.fft.fftn(a) / a.size for a in v]
         bands = [min(_live_degree(c), target) for c in spec]
         if m >= ceiling or all(
             2 * band + 2 <= m and _beyond(c, band) <= _CHAIN_TAIL for c, band in zip(spec, bands)
         ):
-            return TorusMapLift(rho, tuple(_project(c, band, target) for c, band in zip(spec, bands)))
+            return m, v, rho, spec, bands
         m = min(2 * m, ceiling)
+
+
+def _chain(maps, target: int, invert: bool = False) -> TorusMapLift:
+    """The `_walk` of maps on the grid `_accepted_walk` settles on, up to `_grid`, projected at `target`.
+
+    Each component keeps its band in the box of `target`.  An inverted first
+    map's reach is read from its own components.  An inverting chain refuses
+    a first map whose Jacobian reaches 1/2 (NotContractive) once, before it walks.
+    """
+    if invert and not maps[0].jacobian_sup() < 0.5:  # not (< 1/2): a nan Jacobian fails too
+        raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
+    # a chain without inverse is band-limited at its summed live degrees
+    bound = math.inf if invert else sum(p.live_degree for p in maps)
+    _, _, rho, spec, bands = _accepted_walk(
+        lambda m: _walk(maps, m, invert), maps, target, bound, _grid(target, maps)
+    )
+    return TorusMapLift(rho, tuple(_project(c, band, target) for c, band in zip(spec, bands)))
 
 
 def compose(g: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:
@@ -848,18 +856,30 @@ def compose(g: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) 
 
 
 def _composition_defect(a, b, c, d) -> float:
-    """Sup over a grid of |a(b(x)) - c(d(x))|, max over components.
+    """Sup over the box grid of |a(b(x)) - c(d(x))|, max over components.
 
-    The grid is the sampling grid of the largest degree among the four maps.
-    Each side is one `_walk`; their displacements and their translations are
+    The box grid is the sampling grid of the maps' largest degree D.  Each
+    side is one `_walk`, and their displacements and translations are
     differenced apart, so no small defect is rounded against a translation
-    of size 1.
+    of size 1.  The walks run on the grid `_accepted_walk` settles on, with
+    bands at most D and the larger side's summed live degrees.  Below the box
+    grid the defect's bands are read on it (`value_grid`), so the same points
+    are checked; a walk that reaches it is read directly.
     """
-    m = sampling_grid(max(a.degree, b.degree, c.degree, d.degree, 1))
-    (left, lrho), (right, rrho) = _walk((b, a), m), _walk((d, c), m)
-    for x, y in zip(left, right):
-        x -= y
-    return _sup(left, lrho - rrho)
+    target = max(a.degree, b.degree, c.degree, d.degree, 1)
+    box = sampling_grid(target)
+
+    def walk(m):
+        (left, lrho), (right, rrho) = _walk((b, a), m), _walk((d, c), m)
+        for x, y in zip(left, right):
+            x -= y
+        return left, lrho - rrho
+
+    bound = max(a.live_degree + b.live_degree, c.live_degree + d.live_degree)
+    m, v, rho, spec, bands = _accepted_walk(walk, (a, b, c, d), target, bound, box)
+    if m < box:
+        v = (value_grid(_project(s, band), box) for s, band in zip(spec, bands))
+    return _sup(v, rho)
 
 
 def conjugate(phi: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:

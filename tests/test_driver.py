@@ -665,6 +665,19 @@ class TestRunScheme:
         assert [row[1] for row in res.trace] == [8, 23, 108][: res.n_steps]
         assert res.vector.verified_up_to == 2048
 
+    def test_slow_schedule_reads_its_entries_one_at_a_time(self):
+        # sigma = 1e-10 steps at 8 for about 1e10 steps before the cap, so a list of
+        # every allowed step would have 2**62 entries; the run reads only the ones it uses
+        slow = {"scheduler": {"sigma": 1e-10, "nu": 1e10}}
+        results = [
+            run_scheme(ExperimentConfig.from_dict(minimal_config(**slow, tolerances={"max_iters": count})))
+            for count in (12, 2 ** 62)
+        ]
+        short, huge = ([r.status, r.exit_code, r.n_steps, [row[1] for row in r.trace]] for r in results)
+        assert huge == short and short[0] is RunStatus.CONVERGED and short[2] > 0
+        assert results[1].vector.verified_up_to == 2048  # the budget's last cutoff reads as the cap
+        assert results[0].vector.verified_up_to == 8
+
     def test_initial_map_dimension_mismatch(self, tmp_path):
         path = tmp_path / "rot2.json"
         save_map(TorusMapLift.rotation(PAIR_2D), path)
@@ -685,16 +698,19 @@ class TestRunScheme:
         """Each check samples on the grid its box degree sets, never on a live-degree grid.
 
         A grid sup is a lower bound, so no check may get coarser when the
-        kernels and the chain and sweep grids follow the live degree.
+        kernels and the chain and sweep grids follow the live degree.  The
+        final verification walks on the grid its band needs; the values its
+        sup reads come from `value_grid` on its box grid.
         """
-        grids, defects = [], []
-        value_grid, composition_defect = spectral.value_grid, spectral._composition_defect
+        grids, defects, walks = [], [], []
+        value_grid, composition_defect, walk = spectral.value_grid, spectral._composition_defect, spectral._walk
 
         def recorded_grid(f, m=None):
-            frame = sys._getframe(1)
+            frame, walked = sys._getframe(1), False
             while frame is not None and frame.f_code.co_name not in _CHECKS:
+                walked = walked or frame.f_code.co_name == "_walk"
                 frame = frame.f_back
-            if frame is not None:  # a kernel, chain or sweep grid otherwise
+            if frame is not None and not walked:  # a kernel, chain, sweep or walk grid otherwise
                 name, local, outer = frame.f_code.co_name, frame.f_locals, frame.f_back
                 if name == "cs_norm":
                     box = local["f"].degree
@@ -704,16 +720,26 @@ class TestRunScheme:
                 else:
                     box = local["self" if name == "jacobian_sup" else "f_next"].degree
                 used = sampling_grid(f.degree) if m is None else m
-                grids.append((name, used, box, f.live_degree < f.degree))
+                # the verification reads the defect projected at its band, whose
+                # live shell is below the box it is read on
+                below = f.live_degree < (box if name == "conjugacy_verification" else f.degree)
+                grids.append((name, used, box, below))
             return value_grid(f, m)
 
         def recorded_defect(a, b, c, d):
             defects.append((sys._getframe(1).f_code.co_name, a))
+            walks.append([])
             return composition_defect(a, b, c, d)
+
+        def recorded_walk(maps, m, invert=False):
+            if walks:
+                walks[-1].append(m)
+            return walk(maps, m, invert)
 
         monkeypatch.setattr(spectral, "value_grid", recorded_grid)
         monkeypatch.setattr(spectral, "_composition_defect", recorded_defect)
         monkeypatch.setattr(driver, "_composition_defect", recorded_defect)
+        monkeypatch.setattr(spectral, "_walk", recorded_walk)
         res = run_scheme(ExperimentConfig.from_dict(minimal_config(**TWO_STEP_2D)))
         assert res.status is RunStatus.CONVERGED and res.n_steps == 2
 
@@ -726,6 +752,9 @@ class TestRunScheme:
             assert used == sampling_grid(box), name
         # a run builds no inverse field: the final verification is its one composition check
         assert defects == [("conjugacy_verification", res.composed)]
+        # its walks, both sides on each grid, stop below the box grid its sup reads
+        (read,) = {used for name, used, _, _ in grids if name == "conjugacy_verification"}
+        assert walks[0] and max(walks[0]) < read
         # the composition is checked at its nominal band, the sum of the correctors' boxes
         assert res.composed.degree == sum(phi.degree for phi in res.chain)
         assert res.composed.live_degree < res.composed.degree

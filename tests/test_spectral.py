@@ -483,6 +483,35 @@ def _oracle_map(f: TorusMapLift, x: np.ndarray) -> np.ndarray:
     return x + f.rho + np.array([eval_oracle(u, x) for u in f.displacement])
 
 
+def _dense_composition_defect(a, b, c, d) -> float:
+    """Naive oracle for `_composition_defect`: both sides walked on the box grid and read there.
+
+    No tail test and no band-limited read: every checked point is a walked point.
+    """
+    m = sampling_grid(max(a.degree, b.degree, c.degree, d.degree, 1))
+    (left, lrho), (right, rrho) = spectral._walk((b, a), m), spectral._walk((d, c), m)
+    for x, y in zip(left, right):
+        x -= y
+    return spectral._sup(left, lrho - rrho)
+
+
+def _walked_defect(maps) -> tuple:
+    """(`_composition_defect` of the maps, the grid of each `_walk` it made)."""
+    walks, walk = [], spectral._walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_walk", lambda ms, m, invert=False: walks.append(m) or walk(ms, m, invert))
+        return _composition_defect(*maps), walks
+
+
+def _boxed_maps(dim: int, degree: int, box: int, amplitude: float) -> tuple:
+    """Four maps of slowly decaying degree-`degree` components, each held in a box of `box`."""
+    fields = [seeded_field(dim, degree, amplitude, seed, decay=0.05) for seed in range(40, 40 + 4 * dim)]
+    fields = [PeriodicField(dim, box, u._embed(box)) for u in fields]
+    return tuple(
+        TorusMapLift(0.1 * (i + 1) * np.arange(1, dim + 1), tuple(fields[dim * i:dim * (i + 1)])) for i in range(4)
+    )
+
+
 class TestCompositionDefect:
     @pytest.mark.parametrize("rigid_right", [False, True])
     def test_matches_oracle_on_the_grid_2d(self, rigid_right):
@@ -505,6 +534,49 @@ class TestCompositionDefect:
                 defect = _oracle_map(a, _oracle_map(b, x)) - _oracle_map(c, _oracle_map(d, x))
                 worst = max(worst, float(np.max(np.abs(defect))))
         assert _composition_defect(a, b, c, d) == pytest.approx(worst, abs=1e-13)
+
+
+    def test_band_read_matches_dense_walk_on_a_criterion_4_composition(self):
+        # like criterion 4's verification: the inverse of a degree-2 change of variables of
+        # C0 size 0.01, held in a box of 48, against the rotation it conjugates at degree 16
+        h = TorusMapLift(np.zeros(2), (seeded_field(2, 2, 0.01, 44), seeded_field(2, 2, 0.01, 45)))
+        rotation = TorusMapLift.rotation(PAIR_2D)
+        f = conjugate(h, rotation, target_degree=16)
+        composed = spectral._chain((h,), 48, invert=True)
+        maps = (composed, f, rotation, composed)
+        want = _dense_composition_defect(*maps)
+        got, walks = _walked_defect(maps)
+        # one grid, both sides, well below the 196-point box grid
+        assert len(walks) == 2 and walks[0] == walks[1] < sampling_grid(48)
+        assert abs(got - want) <= 1e-15
+
+    @pytest.mark.parametrize("dim, degree, box", [(1, 4, 48), (2, 3, 24)])
+    def test_slow_shells_double_below_the_box_grid(self, dim, degree, box):
+        maps = _boxed_maps(dim, degree, box, 0.04 if dim == 1 else 0.02)
+        want = _dense_composition_defect(*maps)
+        got, walks = _walked_defect(maps)
+        grids = walks[::2]
+        assert walks[1::2] == grids and len(grids) >= 3
+        assert all(2 * m == n for m, n in zip(grids, grids[1:])) and grids[-1] < sampling_grid(box)
+        assert abs(got - want) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_walk_that_reaches_the_box_grid_reads_it_directly(self, dim):
+        maps = _boxed_maps(dim, 3, 3, 0.05 if dim == 1 else 0.02)
+        want = _dense_composition_defect(*maps)
+        got, walks = _walked_defect(maps)
+        assert walks[-1] == sampling_grid(3) and len(walks) > 2
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("right, want", [("steep", "nan"), ("identity", "inf")])
+    def test_values_that_are_not_finite_are_read_on_the_box_grid(self, right, want):
+        # 2 * 0.9e308 overflows on every grid: against itself the defect is inf - inf = nan,
+        # against the identity it is inf; neither passes a tail test, so no band hides it
+        steep = PeriodicField.from_entries(2, 1, [((1, 0), 0.9e308)])
+        h, ident = TorusMapLift(np.zeros(2), (PeriodicField.zeros(2, 1), steep)), TorusMapLift.identity(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, walks = _walked_defect((h, ident, ident, h if right == "steep" else ident))
+        assert walks == [4, 4, 8, 8, 16, 16] and repr(got) == want
 
 
 class TestTorusMapLift:
@@ -1392,7 +1464,24 @@ class TestCopyFreeSups:
         want = outcome(lambda: float(np.max(
             [np.max(np.abs((x - y) + (p - q))) for x, y, p, q in zip(left, right, lrho, rrho)]
         )))
+        # degree-0 maps: the walks start on grid 4 and double up to the 16-point box grid;
+        # below it the left side's Nyquist mode fails the tail test, and at it the drawn
+        # pair is read directly
         f = TorusMapLift.identity(dim)
+        asked, served = [], []
+
+        def walk(maps, m, invert=False):
+            if not served:  # the left side on grid m: queue both sides
+                asked.append(m)
+                if m == sampling_grid(1):
+                    served.extend([(left, lrho), (right, rrho)])
+                else:
+                    nyquist = (-1.0) ** np.arange(m).reshape((m,) + (1,) * (dim - 1)) * np.ones((m,) * dim)
+                    served.extend([((nyquist,) * dim, np.zeros(dim)), ((0.0 * nyquist,) * dim, np.zeros(dim))])
+            grids, rho = served.pop(0)
+            return tuple(g.copy() for g in grids), rho
+
         with pytest.MonkeyPatch.context() as mp:
-            _serve(mp, "_walk", [(left, lrho), (right, rrho)])
+            mp.setattr(spectral, "_walk", walk)
             assert outcome(_composition_defect, f, f, f, f) == want
+        assert asked == [4, 8, 16] and not served
