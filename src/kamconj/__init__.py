@@ -13,7 +13,6 @@ from .driver import (
     run_scheme,
 )
 from .errors import (
-    AliasingRisk,
     CohomologyResidualError,
     ConfigError,
     DCViolation,
@@ -25,7 +24,6 @@ from .errors import (
     NoConvergence,
     NonFinite,
     NotContractive,
-    NotDiffeomorphic,
     OutOfRegime,
     ResidualTooLarge,
     SmallnessViolated,

@@ -412,7 +412,7 @@ def run_scheme(config: ExperimentConfig) -> RunResult:
             break
         n += 1
         eps_s0 = deviation_norm(f, vec.alpha, params.s0, "fourier")
-        env0, env_s, _ = envelopes(params, n)
+        env0, env_s = envelopes(params, n)
         step_cfg = replace(config.step, target_degree=cutoff(n + 1))
         used = cutoff(n)
         try:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class KamError(Exception):
@@ -13,11 +13,7 @@ class ConfigError(KamError):
     """Malformed or inconsistent experiment configuration."""
 
 
-class NotDiffeomorphic(KamError):
-    """A map fails the invertibility margin required for conjugation."""
-
-
-class NotContractive(NotDiffeomorphic):
+class NotContractive(KamError):
     """Displacement too large for the fixed-point inversion to contract."""
 
 
@@ -59,7 +55,3 @@ class OutOfRegime(KamError):
 
 class ResidualTooLarge(KamError):
     """A verification residual exceeds its stated tolerance."""
-
-
-class AliasingRisk(UserWarning):
-    """Requested output degree cannot represent the full product spectrum."""

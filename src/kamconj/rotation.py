@@ -124,11 +124,19 @@ def hull_contains(hull: Hull, point, tol: float = 0.0) -> bool:
     A polygon edge a -> b rejects the point when its cross product, |b - a|
     times the point's distance past the edge, falls below -tol * max(1, |b - a|):
     an edge shorter than 1 passes a point up to tol / |b - a| outside it.
+    The point must have the hull's dimension and tol be finite and >= 0; an
+    empty hull contains no point.
     """
+    if not 0 <= tol < np.inf:  # not (...): a nan tol fails too
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     p = np.atleast_1d(np.asarray(point, dtype=float))
+    if p.shape != (hull.dim,):
+        raise ValueError(f"point of shape {p.shape} does not match the hull dimension {hull.dim}")
     if not np.all(np.isfinite(p)):
         raise NonFinite("point must be finite")
     v = hull.vertices
+    if len(v) == 0:
+        return False
     if hull.dim == 1:
         return bool(v.min() - tol <= p[0] <= v.max() + tol)
     if len(v) <= 2:

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 DEFAULTS = {"sigma": 0.5, "lambda_": 3.0, "nu": 2.0, "start_cutoff": 8}
+_REPLAY_STEPS = 50  # steps of a default replay, and of each one `find_min_start` tries
+_START_LIMIT = 4096  # the largest start cutoff `find_min_start` tries
 
 
 @dataclass(frozen=True)
@@ -175,17 +177,11 @@ def check_inductive_inequalities(p: SchedulerParams) -> dict:
     return out
 
 
-def envelopes(p: SchedulerParams, n: int, omega0: float | None = None) -> tuple:
-    """Claimed bounds at step n: (low-norm, high-norm, improved low-norm).
+def envelopes(p: SchedulerParams, n: int) -> tuple:
+    """Claimed bounds at step n: (low-norm N_n^(-gamma0), high-norm N_n^b).
 
-    The low-norm envelope is N_n^(-gamma0), the high-norm envelope is N_n^b,
-    and the improved low-norm envelope is N_n^(-(1+omega0)*gamma0) with omega0
-    defaulting to half its admissible maximum.  Out-of-range values clamp to
-    0.0 and inf respectively.
+    Out-of-range values clamp to 0.0 and inf respectively.
     """
-    w = p.omega0_max / 2.0 if omega0 is None else float(omega0)
-    if w <= 0:
-        raise ValueError("omega0 must be positive")
     ln_n = _log_cutoff(p.start_cutoff, p.sigma, n)
 
     def clamp(logv: float) -> float:
@@ -193,11 +189,7 @@ def envelopes(p: SchedulerParams, n: int, omega0: float | None = None) -> tuple:
             return 0.0
         return math.inf if logv > 709.0 else math.exp(logv)
 
-    return (
-        clamp(-p.gamma0 * ln_n),
-        clamp(p.b * ln_n),
-        clamp(-(1.0 + w) * p.gamma0 * ln_n),
-    )
+    return clamp(-p.gamma0 * ln_n), clamp(p.b * ln_n)
 
 
 def _logsumexp(terms) -> float:
@@ -216,40 +208,30 @@ class ReplayReport:
     margins_high: tuple
 
 
-def replay_induction(
-    p: SchedulerParams,
-    n_steps: int = 50,
-    start: int | None = None,
-    prefactor: float = 1.0,
-    include_growth_cross_term: bool = False,
-) -> ReplayReport:
+def replay_induction(p: SchedulerParams, n_steps: int = _REPLAY_STEPS, start: int | None = None) -> ReplayReport:
     """Iterate the two-norm error recursion in log space against the envelopes.
 
     Starting from values sitting exactly on the envelopes at the first cutoff
-    (all model constants set to one; `prefactor` scales the starting values),
-    each step applies
+    (all model constants set to one), each step applies
 
         low'  = N^a low^2 + N^(a/2) low^2 + N^(a/2-s0) high + N^(a-s0) low*high
         high' = N^(s0+a) low^2 + N^(a/2) low*high + N^(a/2) high
 
     and checks the results against the envelopes at N^(1+sigma).  Margins are
     the log-gaps (positive means the claim holds with room); a margin that is
-    not finite raises ValueError, naming its step.  The flag
-    `include_growth_cross_term` adds N^(s0+a) low*high to the high-norm row;
-    that term is incompatible with the admissible window for every parameter
-    choice, so the default replay omits it.
+    not finite raises ValueError, naming its step.  The high-norm row leaves
+    out N^(s0+a) low*high: on the envelopes that term needs
+    mu < lambda + sigma*nu - 1, which the window's `quadratic_gain` floor
+    (1+sigma)*lambda + nu + 1/2 always exceeds.
     """
     N1 = p.start_cutoff if start is None else int(start)
     if N1 < 2:
         raise ValueError("start cutoff must be at least 2")
-    if prefactor <= 0:
-        raise ValueError("prefactor must be positive")
     if n_steps < 1:
         raise ValueError(f"replay needs at least one step, got {n_steps}")
-    lw = math.log(prefactor)
     ln = math.log(N1)
-    lx = lw - p.gamma0 * ln
-    ly = lw + p.b * ln
+    lx = -p.gamma0 * ln
+    ly = p.b * ln
     margins_low, margins_high = [], []
     first_violation = None
     for step in range(1, n_steps + 1):
@@ -264,8 +246,6 @@ def replay_induction(
             0.5 * p.a * ln + lx + ly,
             0.5 * p.a * ln + ly,
         ]
-        if include_growth_cross_term:
-            terms_y.append((p.s0 + p.a) * ln + lx + ly)
         lx2 = _logsumexp(terms_x)
         ly2 = _logsumexp(terms_y)
         ln2 = (1.0 + p.sigma) * ln
@@ -287,9 +267,9 @@ def replay_induction(
     )
 
 
-def find_min_start(p: SchedulerParams, n_steps: int = 50, limit: int = 4096) -> int:
-    """Smallest integer start cutoff whose replay stays under the envelopes."""
-    for n1 in range(2, limit + 1):
-        if replay_induction(p, n_steps=n_steps, start=n1).ok:
+def find_min_start(p: SchedulerParams) -> int:
+    """Smallest integer start cutoff whose default replay stays under the envelopes."""
+    for n1 in range(2, _START_LIMIT + 1):
+        if replay_induction(p, start=n1).ok:
             return n1
-    raise InfeasibleParams(f"no start cutoff up to {limit} sustains the envelopes")
+    raise InfeasibleParams(f"no start cutoff up to {_START_LIMIT} sustains the envelopes")

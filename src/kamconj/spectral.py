@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AliasingRisk, NoConvergence, NonFinite, NotContractive
+from .errors import NoConvergence, NonFinite, NotContractive
 
 __all__ = [
     "PeriodicField",
@@ -524,8 +524,8 @@ def cs_norm(f: PeriodicField, s: float = 0, method: str = "grid") -> float:
     The weighted sum is taken in logs over the nonzero coefficients, so it is
     inf only when the norm itself passes the float maximum.
     """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not 0 <= s < math.inf:  # not (...): a nan s fails too
+        raise ValueError(f"s must be nonnegative and finite, got {s}")
     if method == "fourier":
         nz = f.coeffs != 0
         if not nz.any():
@@ -640,6 +640,8 @@ class TorusMapLift:
 def rebase(f: TorusMapLift, alpha) -> TorusMapLift:
     """Shift the translation part by integers so rho - alpha lands in [-1/2, 1/2)^d."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if alpha.size != f.dim:
+        raise ValueError("alpha does not match the map dimension")
     shift = np.floor(f.rho - alpha + 0.5)
     if not shift.any():
         return f
@@ -793,7 +795,7 @@ def _walk(maps, m: int, invert: bool = False) -> tuple:
     return v, rho
 
 
-def _accepted_walk(walk, maps, target: int, bound: float, ceiling: int) -> tuple:
+def _accepted_walk(walk, maps, target: int, bound: float) -> tuple:
     """(m, values, translation, spectra, bands) of `walk(m)` on the grid the chain's rule accepts.
 
     Each component keeps the band L = min(its live degree, target), its
@@ -803,11 +805,12 @@ def _accepted_walk(walk, maps, target: int, bound: float, ceiling: int) -> tuple
     being the largest `_reach` among the maps' components.  It is accepted
     when it samples each L twice over and no coefficient beyond L is above
     `_CHAIN_TAIL` (a value that is not finite makes them all so), and is
-    doubled until then, up to `ceiling`.
+    doubled until then, up to `_grid(target, maps)`.
     """
     reach = max(u._reach for p in maps for u in p.displacement)
     band = min(target, bound, reach + 1)
     m = _round4(max(2 * (band + 1), *(2 * p.live_degree + 2 for p in maps)))
+    ceiling = _grid(target, maps)
     while True:
         v, rho = walk(m)
         spec = [np.fft.fftn(a) / a.size for a in v]
@@ -830,29 +833,20 @@ def _chain(maps, target: int, invert: bool = False) -> TorusMapLift:
         raise NotContractive("displacement Jacobian reaches 1/2; refusing to invert")
     # a chain without inverse is band-limited at its summed live degrees
     bound = math.inf if invert else sum(p.live_degree for p in maps)
-    _, _, rho, spec, bands = _accepted_walk(
-        lambda m: _walk(maps, m, invert), maps, target, bound, _grid(target, maps)
-    )
+    _, _, rho, spec, bands = _accepted_walk(lambda m: _walk(maps, m, invert), maps, target, bound)
     return TorusMapLift(rho, tuple(_project(c, band, target) for c, band in zip(spec, bands)))
 
 
-def compose(g: TorusMapLift, f: TorusMapLift, target_degree: int | None = None) -> TorusMapLift:
+def compose(g: TorusMapLift, f: TorusMapLift) -> TorusMapLift:
     """Compose lifts, returning the band-limited projection of g after f.
 
     The composed displacement is generally not band-limited; it is sampled
-    pointwise on an oversampled grid and projected once at `target_degree`
-    (default: the sum of the two degrees).  Asking for less warns.
+    pointwise on an oversampled grid and projected once at the sum of the
+    two degrees, which holds its whole spectrum.
     """
     if g.dim != f.dim:
         raise ValueError("dimension mismatch")
-    full = g.degree + f.degree
-    target = full if target_degree is None else int(target_degree)
-    if target < full:
-        warnings.warn(
-            "target degree below the combined bandwidth; spectrum will be clipped",
-            AliasingRisk,
-        )
-    return _chain((f, g), target)
+    return _chain((f, g), g.degree + f.degree)
 
 
 def _composition_defect(a, b, c, d) -> float:
@@ -862,9 +856,10 @@ def _composition_defect(a, b, c, d) -> float:
     side is one `_walk`, and their displacements and translations are
     differenced apart, so no small defect is rounded against a translation
     of size 1.  The walks run on the grid `_accepted_walk` settles on, with
-    bands at most D and the larger side's summed live degrees.  Below the box
-    grid the defect's bands are read on it (`value_grid`), so the same points
-    are checked; a walk that reaches it is read directly.
+    bands at most D and the larger side's summed live degrees, up to the box
+    grid (the maps' `_grid`, as no live degree passes D).  Below the box grid
+    the defect's bands are read on it (`value_grid`), so the same points are
+    checked; a walk that reaches it is read directly.
     """
     target = max(a.degree, b.degree, c.degree, d.degree, 1)
     box = sampling_grid(target)
@@ -876,7 +871,7 @@ def _composition_defect(a, b, c, d) -> float:
         return left, lrho - rrho
 
     bound = max(a.live_degree + b.live_degree, c.live_degree + d.live_degree)
-    m, v, rho, spec, bands = _accepted_walk(walk, (a, b, c, d), target, bound, box)
+    m, v, rho, spec, bands = _accepted_walk(walk, (a, b, c, d), target, bound)
     if m < box:
         v = (value_grid(_project(s, band), box) for s, band in zip(spec, bands))
     return _sup(v, rho)

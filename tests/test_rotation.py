@@ -81,6 +81,35 @@ class TestHull:
         assert area2 > 0.0
 
 
+class TestHullContainsInputs:
+    """A point of another dimension or a tol that is not finite and >= 0 is an error, never a verdict."""
+
+    TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+
+    def test_third_component_against_a_polygon(self):
+        with pytest.raises(ValueError, match="hull dimension 2"):
+            hull_contains(convex_hull(self.TRIANGLE), [0.1, 0.1, 5.0])
+
+    def test_second_component_against_an_interval(self):
+        with pytest.raises(ValueError, match="hull dimension 1"):
+            hull_contains(convex_hull([[0.1], [0.3]]), [0.2, 9.0])
+
+    def test_one_component_against_a_polygon(self):
+        with pytest.raises(ValueError, match="hull dimension 2"):
+            hull_contains(convex_hull(self.TRIANGLE), [0.1])
+
+    def test_empty_hull_contains_no_point(self):
+        hull = convex_hull(np.empty((0, 2)))
+        assert len(hull.vertices) == 0
+        assert not hull_contains(hull, [0.0, 0.0])
+        assert not hull_contains(hull, [0.0, 0.0], tol=1.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_tol_not_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            hull_contains(convex_hull(self.TRIANGLE), [5.0, 5.0], tol=tol)
+
+
 def _non_finite_clouds():
     with_bad = np.random.default_rng(17).random((400, 2))
     with_bad[[5, 90, 200]] = [[np.nan, 0.5], [np.inf, 0.2], [0.4, -np.inf]]

@@ -227,39 +227,24 @@ class TestInductiveInequalities:
 class TestEnvelopes:
     def test_first_step_values(self):
         p = dataclasses.replace(derive_constants(), start_cutoff=10)
-        e0, es, e_improved = envelopes(p, 1)
+        e0, es = envelopes(p, 1)
         assert e0 == pytest.approx(1e-24, rel=1e-12)
         assert es == pytest.approx(1e16, rel=1e-12)
-        w = p.omega0_max / 2.0
-        assert e_improved == pytest.approx(10.0 ** (-(1.0 + w) * 24.0), rel=1e-12)
-
-    def test_explicit_omega0(self):
-        p = derive_constants()
-        _, _, e_improved = envelopes(p, 1, omega0=0.1)
-        assert e_improved == pytest.approx(8.0 ** (-1.1 * 24.0), rel=1e-12)
-        with pytest.raises(ValueError, match="positive"):
-            envelopes(p, 1, omega0=0.0)
 
     def test_monotone_along_schedule(self):
         p = derive_constants()
         rows = [envelopes(p, n) for n in range(1, 8)]
-        for (a0, a1, a2), (b0, b1, b2) in zip(rows, rows[1:]):
-            assert b0 < a0 and b1 > a1 and b2 < a2
-
-    def test_improved_below_base(self):
-        p = derive_constants()
-        for n in range(1, 10):
-            e0, _, better = envelopes(p, n)
-            assert better <= e0
+        for (a0, a1), (b0, b1) in zip(rows, rows[1:]):
+            assert b0 < a0 and b1 > a1
 
     def test_underflow_clamps_to_zero(self):
         p = derive_constants()
-        e0, _, _ = envelopes(p, 40)
+        e0, _ = envelopes(p, 40)
         assert e0 == 0.0
 
     def test_schedule_past_the_float_maximum_clamps(self):
         # 1.5^1999 overflows a float; every envelope still clamps
-        assert envelopes(derive_constants(tau=1.0, d=1), 2000) == (0.0, math.inf, 0.0)
+        assert envelopes(derive_constants(tau=1.0, d=1), 2000) == (0.0, math.inf)
 
 
 class TestReplay:
@@ -282,15 +267,18 @@ class TestReplay:
         assert report.margins_low[-1] > report.margins_low[0]
         assert report.margins_high[-1] > report.margins_high[0]
 
-    def test_growth_cross_term_breaks_first_step(self):
-        p = derive_constants(start_cutoff=2)
-        report = replay_induction(p, include_growth_cross_term=True)
-        assert not report.ok
-        assert report.first_violation == 1
-
-    def test_large_prefactor_fails(self):
-        p = derive_constants(start_cutoff=2)
-        assert replay_induction(p, prefactor=1e6).ok is False
+    def test_growth_cross_term_is_below_the_window(self):
+        # the omitted N^(s0+a) low*high term keeps the high envelope only for mu < lambda + sigma*nu - 1
+        feasible = 0
+        for sigma, lam, nu in CRITERION_7_GRID:
+            if validate(sigma, lam, nu)[0]:
+                try:
+                    lo, _ = mu_window(sigma, lam, nu)
+                except EmptyWindow:
+                    continue
+                feasible += 1
+                assert lo > lam + sigma * nu - 1.0
+        assert feasible == 3504
 
     def test_explicit_start_overrides(self):
         p = derive_constants(start_cutoff=8)
@@ -323,4 +311,4 @@ def test_find_min_start_infeasible():
     p = derive_constants()
     bad = dataclasses.replace(p, gamma0=1.0, s0=500.0)
     with pytest.raises(InfeasibleParams):
-        find_min_start(bad, limit=64)
+        find_min_start(bad)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kamconj import (
-    AliasingRisk,
     NoConvergence,
     NonFinite,
     NotContractive,
@@ -433,6 +432,15 @@ class TestNorms:
         with pytest.raises(ValueError, match="nonnegative"):
             cs_norm(sin_field(1.0), -1)
 
+    @pytest.mark.parametrize("method", ["grid", "fourier"])
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_s_not_finite_rejected(self, s, method):
+        f = sin_field(1.0)
+        with pytest.raises(ValueError, match="s must be nonnegative and finite"):
+            cs_norm(f, s, method)
+        with pytest.raises(ValueError, match="s must be nonnegative and finite"):
+            deviation_norm(TorusMapLift(np.array([0.1]), (f,)), [0.1], s, method)
+
     def test_grid_norm_past_the_float_maximum(self):
         # the derivative's coefficient 4e307 * 4 pi overflows, and so does its sup
         f = PeriodicField.from_entries(1, 2, [(2, 4e307)])
@@ -625,6 +633,10 @@ class TestTorusMapLift:
         h = rebase(g, [GOLDEN])
         assert h is g
 
+    def test_rebase_dimension_check(self):
+        with pytest.raises(ValueError, match="alpha does not match the map dimension"):
+            rebase(TorusMapLift.rotation([2.3, 1.1]), [0.3])
+
     def test_deviation_norm_includes_rho_offset(self):
         f = TorusMapLift(np.array([GOLDEN + 0.003]), (sin_field(0.001),))
         dev = deviation_norm(f, [GOLDEN])
@@ -646,21 +658,21 @@ class TestCompose:
 
     def test_rotation_after_map_adds_translation(self):
         f = TorusMapLift(np.array([0.1]), (sin_field(0.05),))
-        g = compose(TorusMapLift.rotation([0.25]), f, target_degree=f.degree)
+        g = compose(TorusMapLift.rotation([0.25]), f)
         assert g.rho[0] == pytest.approx(0.35, abs=1e-13)
         x = np.linspace(0, 1, 7, endpoint=False)
         assert np.allclose(g(x), f(x) + 0.25, atol=1e-13)
 
     def test_map_after_rotation_shifts_argument(self):
         f = TorusMapLift(np.array([0.1]), (sin_field(0.05),))
-        g = compose(f, TorusMapLift.rotation([0.25]), target_degree=f.degree)
+        g = compose(f, TorusMapLift.rotation([0.25]))
         x = np.linspace(0, 1, 7, endpoint=False)
         assert np.allclose(g(x), f(x + 0.25), atol=1e-13)
 
     def test_pointwise_oracle_small_amplitude(self):
         f = TorusMapLift(np.array([0.2]), (sin_field(0.01),))
         g = TorusMapLift(np.array([0.3]), (cos_field(0.02),))
-        h = compose(g, f, target_degree=24)
+        h = spectral._chain((f, g), 24)
         for x in [0.0, 0.17, 0.52, 0.9]:
             assert h(x) == pytest.approx(g(f(x)), abs=1e-12)
 
@@ -669,20 +681,9 @@ class TestCompose:
         v = (seeded_field(2, 2, 0.015, seed=22), seeded_field(2, 2, 0.015, seed=23))
         f = TorusMapLift(np.array([0.1, 0.2]), u)
         g = TorusMapLift(np.array([0.3, 0.4]), v)
-        h = compose(g, f, target_degree=20)
+        h = spectral._chain((f, g), 20)
         pt = np.array([0.37, 0.81])
         assert np.allclose(h(pt), g(f(pt)), atol=1e-11)
-
-    def test_aliasing_warning_iff_target_below_sum(self):
-        f = TorusMapLift(np.array([0.0]), (sin_field(0.3, k=2),))
-        g = TorusMapLift(np.array([0.0]), (sin_field(0.3, k=3),))
-        with pytest.warns(AliasingRisk):
-            compose(g, f, target_degree=3)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", AliasingRisk)
-            compose(g, f, target_degree=48)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -724,7 +725,7 @@ class TestChainGrid:
         g = TorusMapLift(np.array([0.3, 0.4]), tuple(slow[2:]))
         target = 6
         seen = _tail_reads(monkeypatch)
-        h = compose(g, f, target_degree=target)
+        h = spectral._chain((f, g), target)
         start, m = _round4(2 * (target + 1)), _grid(target, (f, g))
         assert start < m
         assert seen[0][0] == start and seen[0][1] > spectral._CHAIN_TAIL
