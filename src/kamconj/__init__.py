@@ -1,7 +1,7 @@
 """Spectral conjugation of near-rotation torus maps to Diophantine rotations."""
 
 from .cohomology import CohomologySolution, growth_ratios, solve
-from .diophantine import DCReport, DiophantineVector, best_gamma, small_divisor, verified, verify_dc
+from .diophantine import DiophantineVector, verified_vector
 from .driver import (
     EXIT_CODES,
     ExperimentConfig,
@@ -59,7 +59,6 @@ from .spectral import (
     cs_norm,
     deviation_norm,
     eval_at_points,
-    field_from_grid,
     rebase,
     sampling_grid,
     truncate,

@@ -9,15 +9,7 @@ import numpy as np
 
 from .errors import DCViolation, DegenerateVector
 
-__all__ = [
-    "DiophantineVector",
-    "DCReport",
-    "small_divisor",
-    "verify_dc",
-    "verified",
-    "best_gamma",
-    "verified_vector",
-]
+__all__ = ["DiophantineVector", "verified_vector"]
 
 _RESONANCE_FLOOR = 1e-13
 
@@ -36,7 +28,7 @@ class DiophantineVector:
 
     The claim is dist(k . alpha, Z) >= 1 / (gamma * |k|_1^tau) for all
     0 < |k|_1 <= verified_up_to.  Construction does not check the claim;
-    call `verify_dc` (or `verified`) to establish it over a range.
+    `verified_vector` establishes it over a range.
     """
 
     alpha: np.ndarray
@@ -57,14 +49,6 @@ class DiophantineVector:
     @property
     def dim(self) -> int:
         return int(self.alpha.size)
-
-
-@dataclass(frozen=True)
-class DCReport:
-    ok: bool
-    worst_k: tuple
-    worst_ratio: float
-    checked_up_to: int
 
 
 def _reduced(alpha) -> np.ndarray:
@@ -91,13 +75,6 @@ def _ball(dim: int, radius: int):
     return np.stack([np.repeat(k1, counts), k2], axis=1)
 
 
-def small_divisor(vec: DiophantineVector, k) -> float:
-    """Magnitude of e^(2*pi*i*k.alpha) - 1, reduced mod 1 before exponentiation."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    t = float(np.dot(k, vec.alpha)) % 1.0
-    return float(2.0 * abs(np.sin(np.pi * t)))
-
-
 def _worst(alpha: np.ndarray, tau: float, radius: int):
     if not 0 < tau < np.inf:  # before the pass, which would read a nan tau as a nan gamma
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -114,32 +91,9 @@ def _worst(alpha: np.ndarray, tau: float, radius: int):
     return tuple(int(x) for x in k[i]), float(ratio[i])
 
 
-def _report(vec: DiophantineVector, radius: int, worst: tuple) -> DCReport:
+def _holds(vec: DiophantineVector, worst: tuple) -> bool:
     """The claim's verdict on one pass's (worst_k, worst_ratio)."""
-    return DCReport(bool(worst[1] >= 1.0 / vec.gamma), *worst, int(radius))
-
-
-def verify_dc(vec: DiophantineVector, radius: int) -> DCReport:
-    """Check the claimed (gamma, tau) bound for all 0 < |k|_1 <= radius.
-
-    The distance dist(k . alpha, Z) is symmetric under k -> -k, so only a
-    canonical half of the ball is enumerated.
-    """
-    return _report(vec, radius, _worst(vec.alpha, vec.tau, int(radius)))
-
-
-def _stamped(vec: DiophantineVector, report: DCReport) -> DiophantineVector:
-    if not report.ok:
-        raise DCViolation(
-            f"dist(k.alpha, Z) * |k|^tau = {report.worst_ratio:.6e} at k={report.worst_k}, "
-            f"below 1/gamma = {1.0 / vec.gamma:.6e}"
-        )
-    return dataclasses.replace(vec, verified_up_to=report.checked_up_to)
-
-
-def verified(vec: DiophantineVector, radius: int) -> DiophantineVector:
-    """Return a copy whose verified range covers `radius`, or raise DCViolation."""
-    return vec if vec.verified_up_to >= radius else _stamped(vec, verify_dc(vec, radius))
+    return bool(worst[1] >= 1.0 / vec.gamma)
 
 
 def _fit(alpha, tau: float, radius: int) -> tuple:
@@ -150,19 +104,26 @@ def _fit(alpha, tau: float, radius: int) -> tuple:
     return 1.0 / worst_ratio, worst
 
 
-def best_gamma(alpha, tau: float, radius: int) -> float:
-    """Smallest admissible gamma over the given frequency range.
-
-    Raises DegenerateVector when some k.alpha is an integer to within roundoff,
-    in which case no finite gamma works.
-    """
-    return _fit(alpha, tau, radius)[0]
-
-
 def verified_vector(alpha, tau: float, radius: int, gamma=None) -> DiophantineVector:
-    """(alpha, gamma, tau) verified up to `radius`; no gamma means `best_gamma` plus 1e-12 relative."""
-    if gamma is not None:
-        return verified(DiophantineVector(alpha, gamma, tau), radius)
-    gamma, worst = _fit(alpha, tau, radius)  # the fitting pass is the verifying pass
-    vec = DiophantineVector(alpha, gamma * (1.0 + 1e-12), tau)
-    return _stamped(vec, _report(vec, radius, worst))
+    """(alpha, gamma, tau) verified up to `radius`, from one pass over the ball.
+
+    The distance dist(k . alpha, Z) is symmetric under k -> -k, so the pass
+    enumerates a canonical half of the ball.  A given gamma must bound it
+    (else DCViolation).  No gamma means the smallest admissible one plus
+    1e-12 relative; when some k.alpha is an integer to roundoff no finite
+    gamma works, and DegenerateVector is raised.
+    """
+    if gamma is None:
+        best, worst = _fit(alpha, tau, radius)  # the fitting pass is the verifying pass
+        vec = DiophantineVector(alpha, best * (1.0 + 1e-12), tau)
+    else:
+        vec = DiophantineVector(alpha, gamma, tau)
+        if radius <= 0:  # the claim covers no frequency: it holds, with nothing to stamp
+            return vec
+        worst = _worst(vec.alpha, vec.tau, int(radius))
+    if not _holds(vec, worst):
+        raise DCViolation(
+            f"dist(k.alpha, Z) * |k|^tau = {worst[1]:.6e} at k={worst[0]}, "
+            f"below 1/gamma = {1.0 / vec.gamma:.6e}"
+        )
+    return dataclasses.replace(vec, verified_up_to=int(radius))

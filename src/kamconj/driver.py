@@ -346,6 +346,9 @@ def conjugacy_verification(h: TorusMapLift, f: TorusMapLift, alpha) -> float:
     are walked on the grid their band needs (`_composition_defect`), and the
     box grid's points are the ones checked.
     """
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if alpha.size != f.dim:
+        raise ValueError("alpha does not match the map dimension")
     return _composition_defect(h, f, TorusMapLift.rotation(alpha), h)
 
 

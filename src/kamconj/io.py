@@ -1,16 +1,19 @@
-"""File formats: JSON documents for fields, maps and conjugacy chains, CSV traces.
+"""File formats: JSON documents for maps and conjugacy chains, CSV traces.
 
 Floats are serialized through repr() so round-trips are lossless.  Every JSON
-document carries schema_version and a kind tag.  Fields are real, so
-c(-k) = conj(c(k)): a coefficient list holds k = 0 (when nonzero) and the
-half spectrum after it in C order (k1 > 0, or k1 = 0 and k2 > 0; in 1D
-k > 0), and loading fills each mirror that is not listed with its
-conjugate.  Lists that name both halves, as earlier versions wrote them,
-load to the same coefficients.
+document carries schema_version and a kind tag.  A map's displacement fields
+are real, so c(-k) = conj(c(k)): a coefficient list holds k = 0 (when
+nonzero) and the half spectrum after it in C order (k1 > 0, or k1 = 0 and
+k2 > 0; in 1D k > 0), and loading fills each mirror that is not listed with
+its conjugate.  Lists that name both halves, as earlier versions wrote them,
+load to the same coefficients.  A loaded number is a JSON number, never a
+bool or a string, and an integer (a dimension, a degree, a frequency) is an
+int or an integral float, as in a run config.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -24,8 +27,6 @@ from .spectral import PeriodicField, TorusMapLift
 __all__ = [
     "SCHEMA_VERSION",
     "TRACE_HEADER",
-    "field_to_doc",
-    "field_from_doc",
     "map_to_doc",
     "map_from_doc",
     "chain_to_doc",
@@ -54,11 +55,35 @@ def _coeffs_to_doc(u: PeriodicField) -> list:
     return [[k, re, im] for k, re, im in zip(ks, c.real.tolist(), c.imag.tolist())]
 
 
-def _numbers(column) -> np.ndarray:
-    a = np.array(column)
-    if a.dtype.kind not in "biuf":
-        raise ValueError("coefficient values must be numbers")
-    return a
+_NUMBERS = {int, float}
+
+
+def _numbers(column, name: str) -> np.ndarray:
+    """A list of JSON numbers as floats; a bool or a string is refused by name."""
+    if not set(map(type, column)) <= _NUMBERS:
+        raise ValueError(f"{name} must be numbers")
+    return np.array(column, dtype=float)
+
+
+def _integer(doc: dict, key: str) -> int:
+    """doc[key] as an int; a bool, a string or a non-integral float is refused by name."""
+    value = doc[key]
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r} in {key}")
+    return value
+
+
+def _frequencies(ks) -> tuple:
+    """ks, whose entries must be JSON numbers; from_spectrum refuses a non-integral one."""
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(ks)))
+    except TypeError:  # a scalar frequency, as 1D allows
+        kinds = set(map(type, itertools.chain.from_iterable(k if type(k) is list else [k] for k in ks)))
+    if not kinds <= _NUMBERS:
+        raise ValueError("frequencies must be integers")
+    return ks
 
 
 def _coeffs_from_doc(dim: int, degree: int, coeffs) -> PeriodicField:
@@ -69,19 +94,9 @@ def _coeffs_from_doc(dim: int, degree: int, coeffs) -> PeriodicField:
         raise ValueError("each coefficient entry must be [k, re, im]")
     ks, re, im = zip(*coeffs) if coeffs else ((), (), ())
     values = np.empty(len(ks), dtype=np.complex128)
-    values.real = _numbers(re)
-    values.imag = _numbers(im)
-    return PeriodicField.from_spectrum(dim, degree, ks, values)
-
-
-def field_to_doc(f: PeriodicField) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "field",
-        "dim": f.dim,
-        "degree": f.degree,
-        "coeffs": _coeffs_to_doc(f),
-    }
+    values.real = _numbers(re, "coefficient values")
+    values.imag = _numbers(im, "coefficient values")
+    return PeriodicField.from_spectrum(dim, degree, _frequencies(ks), values)
 
 
 def _expect(doc: dict, kind: str) -> None:
@@ -104,12 +119,6 @@ def _invalid(name: str):
         raise ConfigError(f"invalid {name} document: {exc}") from None
 
 
-def field_from_doc(doc: dict) -> PeriodicField:
-    _expect(doc, "field")
-    with _invalid("field"):
-        return _coeffs_from_doc(int(doc["dim"]), int(doc["degree"]), doc["coeffs"])
-
-
 def map_to_doc(f: TorusMapLift) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -125,13 +134,12 @@ def map_to_doc(f: TorusMapLift) -> dict:
 def map_from_doc(doc: dict) -> TorusMapLift:
     _expect(doc, "torus_map")
     with _invalid("map"):
-        dim = int(doc["dim"])
-        degree = int(doc["degree"])
+        dim, degree = _integer(doc, "dim"), _integer(doc, "degree")
         comps = doc["coeffs"]
         if len(comps) != dim:
             raise ConfigError("component count does not match dim")
         fields = tuple(_coeffs_from_doc(dim, degree, comp) for comp in comps)
-        return TorusMapLift(np.array([float(x) for x in doc["rho"]]), fields)
+        return TorusMapLift(_numbers(doc["rho"], "rho"), fields)
 
 
 def chain_to_doc(chain, alpha, composed: TorusMapLift | None = None) -> dict:
@@ -153,7 +161,7 @@ def chain_from_doc(doc: dict) -> tuple:
     with _invalid("chain"):
         chain = [map_from_doc(d) for d in doc["steps"]]
         composed = map_from_doc(doc["composed"]) if "composed" in doc else None
-        return chain, np.array([float(x) for x in doc["alpha"]]), composed
+        return chain, _numbers(doc["alpha"], "alpha"), composed
 
 
 def save_json(doc: dict, path) -> None:

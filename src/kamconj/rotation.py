@@ -22,13 +22,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Hull:
-    """Convex hull of a point cloud; an interval in 1D, a CCW polygon in 2D."""
+    """Convex hull of a point cloud; an interval in 1D, a CCW polygon in 2D.
+
+    An empty cloud's hull has no vertices.
+    """
 
     dim: int
     vertices: np.ndarray
 
     def diameter(self) -> float:
+        """Largest distance between two vertices; an empty hull has none (ValueError)."""
         v = self.vertices
+        if len(v) == 0:
+            raise ValueError("an empty hull has no diameter")
         if self.dim == 1:
             return float(v.max() - v.min())
         d = v[:, None, :] - v[None, :, :]
@@ -37,6 +43,8 @@ class Hull:
 
 def convex_hull(points) -> Hull:
     """Hull vertices of a finite point set (monotone chain in 2D); nan or inf raise.
+
+    An empty set, of shape (0, 1) or (0, 2), gives a hull with no vertices.
 
     In 2D the points strictly inside an extreme-point polygon are dropped
     first; they are never hull vertices, so the vertices are the chain's own.
@@ -48,6 +56,8 @@ def convex_hull(points) -> Hull:
         raise NonFinite("hull points must be finite")
     dim = pts.shape[1]
     if dim == 1:
+        if not len(pts):
+            return Hull(1, np.empty((0, 1)))
         lo, hi = float(pts.min()), float(pts.max())
         return Hull(1, np.array([[lo]] if lo == hi else [[lo], [hi]]))
     if dim != 2:
@@ -182,7 +192,10 @@ def _birkhoff_batch(f: TorusMapLift, starts: np.ndarray, n_iter: int) -> np.ndar
     """
     if n_iter < 1:
         raise ValueError("need at least one iterate")
-    x0 = np.asarray(starts, dtype=float).reshape(-1, f.dim) % 1.0
+    x0 = np.asarray(starts, dtype=float).reshape(-1, f.dim)
+    if not np.isfinite(x0).all():  # once per batch, not per iterate: an orbit from nan stays nan
+        raise NonFinite("orbit starts must be finite")
+    x0 = x0 % 1.0
     k, w = modes = _modes(f.displacement, f.rho)
     theta, phase, unit, unit_floats = _mode_scratch(modes, len(x0))
     x, disp, wraps = x0.copy(), np.empty_like(x0), np.zeros_like(x0)

@@ -36,7 +36,6 @@ __all__ = [
     "frequency_axis",
     "sampling_grid",
     "value_grid",
-    "field_from_grid",
     "eval_at_points",
     "truncate",
     "cs_norm",
@@ -90,15 +89,35 @@ def _real_scalar(scalar) -> float:
     return float(np.real(scalar))
 
 
+def _box(dim, degree) -> tuple:
+    """The coefficient box shape (2 * degree + 1,) * dim of a field, once dim and degree are checked."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (1, 2):
+        raise ValueError("only dimensions 1 and 2 are supported")
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
+    return (2 * int(degree) + 1,) * int(dim)
+
+
 def _frequency_array(dim: int, ks) -> np.ndarray:
-    """Frequencies as an (n, dim) integer array; in 1D a frequency may be a scalar."""
+    """Frequencies as an (n, dim) integer array; in 1D a frequency may be a scalar.
+
+    A float component counts when it is integral; any other is refused, as
+    is a component that is not a number (a bool, a string).
+    """
     try:
         try:
-            k = np.array(ks, dtype=np.int64)
+            k = np.array(ks)
         except ValueError:  # ragged: in 1D, scalars mixed with 1-tuples
-            k = np.array([np.ravel(x) for x in ks], dtype=np.int64)
-    except (ValueError, OverflowError):
+            k = np.array([np.ravel(x) for x in ks])
+    except ValueError:
         raise ValueError(f"frequencies must be integer tuples matching dimension {dim}") from None
+    if k.dtype.kind == "f":
+        whole = (np.trunc(k) == k) & (np.abs(k) < 2.0 ** 63)  # a nan or inf component fails too
+        if not whole.all():
+            raise ValueError(f"frequency component {float(k[~whole][0])!r} is not an integer")
+    elif k.size and k.dtype.kind not in "iu":
+        raise ValueError(f"frequencies must be integer tuples matching dimension {dim}")
+    k = k.astype(np.int64, copy=False)
     if k.ndim == 1:  # scalar frequencies, or none at all
         k = k.reshape(-1, 1 if k.size else dim)
     if k.ndim != 2 or k.shape[1] != dim:
@@ -115,16 +134,10 @@ class PeriodicField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        n = 2 * self.degree + 1
+        shape = _box(self.dim, self.degree)
         c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (n,) * self.dim:
-            raise ValueError(
-                f"coefficient box must have shape {(n,) * self.dim}, got {c.shape}"
-            )
+        if c.shape != shape:
+            raise ValueError(f"coefficient box must have shape {shape}, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise NonFinite("coefficients must be finite")
         flipped = np.conj(np.flip(c))
@@ -154,13 +167,7 @@ class PeriodicField:
 
     @classmethod
     def zeros(cls, dim: int, degree: int = 0) -> "PeriodicField":
-        n = 2 * degree + 1
-        return cls._exact(dim, degree, np.zeros((n,) * dim, dtype=np.complex128))
-
-    @classmethod
-    def constant(cls, dim: int, value: float) -> "PeriodicField":
-        box = np.full((1,) * dim, complex(value))
-        return cls(dim, 0, box)
+        return cls._exact(dim, degree, np.zeros(_box(dim, degree), dtype=np.complex128))
 
     @classmethod
     def from_entries(cls, dim: int, degree: int, entries) -> "PeriodicField":
@@ -173,11 +180,13 @@ class PeriodicField:
     def from_spectrum(cls, dim: int, degree: int, ks, values) -> "PeriodicField":
         """Build a field from frequencies `ks` and their complex `values`.
 
-        In 1D a frequency may be a scalar.  For a repeated k the last value
-        wins.  The mirror coefficient at -k is filled with the conjugate unless
-        -k is given too; inconsistent explicit pairs are rejected by the
-        constructor's symmetry check.
+        In 1D a frequency may be a scalar, and a component may be an
+        integral float; any other float is refused.  For a repeated k the last
+        value wins.  The mirror coefficient at -k is filled with the conjugate
+        unless -k is given too; inconsistent explicit pairs are rejected by
+        the constructor's symmetry check.
         """
+        shape = _box(dim, degree)
         k = _frequency_array(dim, ks)
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != (len(k),):
@@ -187,18 +196,17 @@ class PeriodicField:
         if outside.size:
             k0 = tuple(k[outside[0]].tolist())
             raise ValueError(f"frequency {k0} outside the l1 ball of radius {degree}")
-        n = 2 * degree + 1
-        flat = np.ravel_multi_index(tuple((k + degree).T), (n,) * dim)
+        flat = np.ravel_multi_index(tuple((k + degree).T), shape)
         last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]  # each k's last entry
         flat, values = flat[last], values[last]
-        box = np.zeros(n ** dim, dtype=np.complex128)
+        box = np.zeros(math.prod(shape), dtype=np.complex128)
         box[flat] = values
-        given = np.zeros(n ** dim, dtype=bool)
+        given = np.zeros(box.size, dtype=bool)
         given[flat] = True
         mirror = box.size - 1 - flat  # -k in C order
         fill = ~given[mirror]
         box[mirror[fill]] = np.conj(values[fill])
-        return cls(dim, degree, box.reshape((n,) * dim))
+        return cls(dim, degree, box.reshape(shape))
 
     def coefficient(self, k) -> complex:
         k = (int(k),) if np.isscalar(k) else tuple(int(x) for x in k)
@@ -351,22 +359,6 @@ def value_grid(f: PeriodicField, m: int | None = None) -> np.ndarray:
     return vals
 
 
-def field_from_grid(values: np.ndarray, degree: int) -> PeriodicField:
-    """Project grid samples onto the l1 ball of the given degree.
-
-    The grid must resolve the target band (m >= 2*degree+1 per axis); energy
-    at box corners outside the ball is discarded by the field constructor.
-    """
-    values = np.asarray(values, dtype=float)
-    dim = values.ndim
-    m = values.shape[0]
-    if any(s != m for s in values.shape):
-        raise ValueError("grid must be square")
-    if m < 2 * degree + 1:
-        raise ValueError("grid too coarse for the requested degree")
-    return _project(np.fft.fftn(values) / (m ** dim), degree)
-
-
 def _project(spec: np.ndarray, degree: int, box: int | None = None) -> PeriodicField:
     """The field carried by the l1 ball of radius `degree` of a normalized DFT.
 
@@ -453,7 +445,9 @@ def _values(fields, means, x: np.ndarray) -> np.ndarray:
 
 
 def _points(pts: np.ndarray, dim: int) -> tuple:
-    """(flat points of shape (p, dim), shape of the point array without its axis)."""
+    """(flat points of shape (p, dim), shape of the point array without its axis); nan or inf raise."""
+    if not np.isfinite(pts).all():  # a phase at a non-finite point is nan
+        raise NonFinite("evaluation points must be finite")
     if dim == 1:
         return pts.reshape(-1, 1), pts.shape
     if pts.ndim == 0 or pts.shape[-1] != 2:
@@ -614,10 +608,6 @@ class TorusMapLift:
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         zero = PeriodicField.zeros(rho.size, 0)
         return cls(rho, (zero,) * rho.size)
-
-    @classmethod
-    def identity(cls, dim: int) -> "TorusMapLift":
-        return cls.rotation(np.zeros(dim))
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 import kamconj
-from kamconj import DiophantineVector, PeriodicField, cs_norm, verified
+from kamconj import DiophantineVector, PeriodicField, cs_norm, verified_vector
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PAIR_2D = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
@@ -217,9 +217,9 @@ def outcome(fn, *args):
 
 @pytest.fixture(scope="session")
 def golden_vector() -> DiophantineVector:
-    return verified(DiophantineVector(np.array([GOLDEN]), gamma=3.0, tau=1.0), 256)
+    return verified_vector([GOLDEN], 1.0, 256, 3.0)
 
 
 @pytest.fixture(scope="session")
 def pair_vector() -> DiophantineVector:
-    return verified(DiophantineVector(np.array(PAIR_2D), gamma=17.0, tau=2.0), 256)
+    return verified_vector(PAIR_2D, 2.0, 256, 17.0)

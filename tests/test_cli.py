@@ -148,6 +148,18 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "error: invalid map document: missing key 'rho'" in capsys.readouterr().err
 
+    def test_non_integral_frequency_is_usage_error(self, tmp_path, capsys):
+        # read as k = 1, this map ran to a drift obstruction (exit 4)
+        path = tmp_path / "k15.json"
+        path.write_text(json.dumps(
+            {"schema_version": 1, "kind": "torus_map", "dim": 1, "degree": 2,
+             "rho": [GOLDEN], "coeffs": [[[[1.5], 0.0, -0.005]]]}
+        ))
+        cfg = write_config(tmp_path / "cfg.json", initial_map={"file": str(path)})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error: invalid map document: frequency component 1.5 is not an integer" in err
+
     def test_oversized_map_box_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(

@@ -21,7 +21,7 @@ from kamconj import (
     growth_ratios,
     solve,
     truncate,
-    verified,
+    verified_vector,
 )
 from kamconj import spectral
 from kamconj.cohomology import _divisors
@@ -195,7 +195,7 @@ def test_coefficient_check_is_never_looser(golden_vector, pair_vector, dim, live
 @pytest.mark.parametrize("dim, degree", [(1, 2048), (2, 256)])
 def test_flat_spectrum_on_the_largest_box(golden_vector, pair_vector, dim, degree):
     # random phases of modulus one on every mode of the largest box a run allows
-    vec = verified(golden_vector, degree) if dim == 1 else pair_vector
+    vec = verified_vector(GOLDEN, 1.0, degree, 3.0) if dim == 1 else pair_vector
     n = 2 * degree + 1
     c = np.exp(2j * np.pi * np.random.default_rng(62).random((n,) * dim))
     sol = solve(PeriodicField(dim, degree, c + np.conj(np.flip(c))), vec, degree)
@@ -226,7 +226,7 @@ def test_growth_ratios_past_the_float_maximum(golden_vector):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.floats(min_value=-2, max_value=2))
 def test_single_mode_solution_explicit(k, re):
-    vec = verified(DiophantineVector(np.array([GOLDEN]), gamma=3.0, tau=1.0), 8)
+    vec = verified_vector([GOLDEN], 1.0, 8, 3.0)
     f = PeriodicField.from_entries(1, k, [((k,), complex(re, 0.5))])
     sol = solve(f, vec, k)
     div = np.exp(2j * np.pi * ((k * GOLDEN) % 1.0)) - 1.0

@@ -9,18 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kamconj import (
-    DCViolation,
-    DegenerateVector,
-    DiophantineVector,
-    best_gamma,
-    small_divisor,
-    verified,
-    verify_dc,
-)
+from kamconj import DCViolation, DegenerateVector, DiophantineVector, verified_vector
 from kamconj import diophantine
 from kamconj.cli import main
-from kamconj.diophantine import _ball, _fit, verified_vector
+from kamconj.cohomology import _divisors
+from kamconj.diophantine import _ball, _fit, _worst
 
 from conftest import GOLDEN, PAIR_2D, dc_oracle
 
@@ -82,104 +75,109 @@ class TestConstruction:
 
 
 class TestSmallDivisor:
+    """The solver's divisors e^(2 pi i k.alpha) - 1, read off the box of `cohomology._divisors`."""
+
     def test_matches_explicit_formula(self):
+        # the chord 2 |sin(pi t)|, t = k.alpha mod 1
         vec = DiophantineVector(np.array([GOLDEN]), gamma=3.0, tau=1.0)
+        box = np.abs(_divisors(vec, 13))
         for k in (1, 2, 5, 13):
-            t = (k * GOLDEN) % 1.0
-            expected = abs(np.exp(2j * np.pi * t) - 1.0)
-            assert small_divisor(vec, [k]) == pytest.approx(expected, rel=1e-14)
+            expected = 2.0 * abs(math.sin(math.pi * ((k * GOLDEN) % 1.0)))
+            assert box[k + 13] == pytest.approx(expected, rel=1e-14)
 
     def test_chord_dominates_four_times_distance(self):
         # |e^(2 pi i t) - 1| >= 4 dist(t, Z) for all t
         vec = DiophantineVector(np.array(PAIR_2D), gamma=17.0, tau=2.0)
+        box = np.abs(_divisors(vec, 6))
         for k1 in range(-6, 7):
             for k2 in range(-6, 7):
                 if (k1, k2) == (0, 0):
                     continue
                 t = (k1 * PAIR_2D[0] + k2 * PAIR_2D[1]) % 1.0
                 dist = min(t, 1.0 - t)
-                assert small_divisor(vec, [k1, k2]) >= 4.0 * dist - 1e-15
+                assert box[k1 + 6, k2 + 6] >= 4.0 * dist - 1e-15
 
     def test_zero_at_resonance(self):
         vec = DiophantineVector(np.array([0.5]), gamma=10.0, tau=1.0)
-        assert small_divisor(vec, [2]) == pytest.approx(0.0, abs=1e-15)
+        assert abs(_divisors(vec, 2)[2 + 2]) == pytest.approx(0.0, abs=1e-15)
+
+
+def _pass(vec: DiophantineVector, radius: int) -> tuple:
+    """(worst_k, worst_ratio) of one pass over the ball for the vector's alpha and tau."""
+    return _worst(vec.alpha, vec.tau, radius)
 
 
 class TestVerification:
     def test_golden_worst_ratio_frozen(self):
-        vec = DiophantineVector(np.array([GOLDEN]), gamma=3.0, tau=1.0)
-        report = verify_dc(vec, 256)
-        assert report.ok
-        assert report.worst_ratio == pytest.approx(GOLDEN_WORST_RATIO, rel=1e-14)
-        assert report.checked_up_to == 256
+        vec = verified_vector([GOLDEN], 1.0, 256, 3.0)
+        assert vec.verified_up_to == 256
+        assert _pass(vec, 256)[1] == pytest.approx(GOLDEN_WORST_RATIO, rel=1e-14)
 
     def test_golden_matches_enumeration_oracle(self):
         worst, worst_k = dc_oracle([GOLDEN], 1.0, 128)
         vec = DiophantineVector(np.array([GOLDEN]), gamma=3.0, tau=1.0)
-        report = verify_dc(vec, 128)
-        assert report.worst_ratio == pytest.approx(worst, rel=1e-14)
-        assert report.worst_k == worst_k
+        k, ratio = _pass(vec, 128)
+        assert ratio == pytest.approx(worst, rel=1e-14)
+        assert k == worst_k
 
     def test_pair_matches_enumeration_oracle(self):
         worst, worst_k = dc_oracle(PAIR_2D, 2.0, 40)
         vec = DiophantineVector(np.array(PAIR_2D), gamma=17.0, tau=2.0)
-        report = verify_dc(vec, 40)
-        assert report.worst_ratio == pytest.approx(worst, rel=1e-14)
-        assert report.worst_k == worst_k
+        k, ratio = _pass(vec, 40)
+        assert ratio == pytest.approx(worst, rel=1e-14)
+        assert k == worst_k
 
     def test_too_small_gamma_fails(self):
-        vec = DiophantineVector(np.array([GOLDEN]), gamma=2.0, tau=1.0)
-        assert not verify_dc(vec, 256).ok
+        with pytest.raises(DCViolation):
+            verified_vector([GOLDEN], 1.0, 256, 2.0)
 
     def test_verified_stamps_range(self):
-        vec = DiophantineVector(np.array([GOLDEN]), gamma=3.0, tau=1.0)
-        stamped = verified(vec, 64)
-        assert stamped.verified_up_to == 64
-        again = verified(stamped, 32)
-        assert again is stamped
+        assert verified_vector([GOLDEN], 1.0, 64, 3.0).verified_up_to == 64
+        # a claim over no frequency holds vacuously, and stamps nothing
+        assert verified_vector([GOLDEN], 1.0, 0, 3.0).verified_up_to == 0
 
     def test_verified_raises_on_violation(self):
-        vec = DiophantineVector(np.array([GOLDEN]), gamma=2.0, tau=1.0)
         with pytest.raises(DCViolation, match="k="):
-            verified(vec, 256)
+            verified_vector([GOLDEN], 1.0, 256, 2.0)
 
     def test_worst_ratio_monotone_in_radius(self):
         vec = DiophantineVector(np.array(PAIR_2D), gamma=17.0, tau=2.0)
-        ratios = [verify_dc(vec, r).worst_ratio for r in (8, 16, 32, 64, 128)]
+        ratios = [_pass(vec, r)[1] for r in (8, 16, 32, 64, 128)]
         assert all(b <= a + 1e-15 for a, b in zip(ratios, ratios[1:]))
 
 
 class TestBestGamma:
+    """The smallest admissible gamma, as `_fit` reads it off one pass."""
+
     def test_golden_frozen_value(self):
-        assert best_gamma([GOLDEN], 1.0, 256) == pytest.approx(GOLDEN_BEST_GAMMA, rel=1e-14)
+        assert _fit([GOLDEN], 1.0, 256)[0] == pytest.approx(GOLDEN_BEST_GAMMA, rel=1e-14)
 
     def test_pair_frozen_value(self):
-        assert best_gamma(PAIR_2D, 2.0, 256) == pytest.approx(PAIR_BEST_GAMMA, rel=1e-14)
+        assert _fit(PAIR_2D, 2.0, 256)[0] == pytest.approx(PAIR_BEST_GAMMA, rel=1e-14)
         _, worst_k = dc_oracle(PAIR_2D, 2.0, 256)
         assert worst_k == PAIR_WORST_K
 
     def test_sharpness(self):
-        # the returned gamma validates, a slightly smaller one does not
-        g = best_gamma([GOLDEN], 1.0, 128)
-        ok = DiophantineVector(np.array([GOLDEN]), gamma=g * (1 + 1e-9), tau=1.0)
-        bad = DiophantineVector(np.array([GOLDEN]), gamma=g * (1 - 1e-9), tau=1.0)
-        assert verify_dc(ok, 128).ok
-        assert not verify_dc(bad, 128).ok
+        # the fitted gamma validates, a slightly smaller one does not
+        g = _fit([GOLDEN], 1.0, 128)[0]
+        verified_vector([GOLDEN], 1.0, 128, g * (1 + 1e-9))
+        with pytest.raises(DCViolation):
+            verified_vector([GOLDEN], 1.0, 128, g * (1 - 1e-9))
 
     def test_degenerate_vector_raises(self):
         with pytest.raises(DegenerateVector, match="resonance"):
-            best_gamma([0.5], 1.0, 8)
+            verified_vector([0.5], 1.0, 8)
 
     def test_near_resonance_raises(self):
         with pytest.raises(DegenerateVector):
-            best_gamma([0.25 + 1e-16], 1.0, 8)
+            verified_vector([0.25 + 1e-16], 1.0, 8)
 
 
 class TestVerifiedVector:
     @pytest.mark.parametrize("alpha, tau", [([GOLDEN], 1.0), (PAIR_2D, 2.0)])
     def test_auto_gamma_is_best_gamma_raised_past_roundoff(self, alpha, tau):
         vec = verified_vector(alpha, tau, 128)
-        assert vec.gamma == best_gamma(alpha, tau, 128) * (1.0 + 1e-12)
+        assert vec.gamma == _fit(alpha, tau, 128)[0] * (1.0 + 1e-12)
         assert vec.verified_up_to == 128
 
     def test_explicit_gamma_is_verified(self):
@@ -195,10 +193,9 @@ class TestVerifiedVector:
 )
 def test_verify_matches_oracle_random_alpha(alpha, radius):
     worst, worst_k = dc_oracle([alpha], 1.0, radius)
-    vec = DiophantineVector(np.array([alpha]), gamma=1.0, tau=1.0)
-    report = verify_dc(vec, radius)
-    assert report.worst_ratio == pytest.approx(worst, rel=1e-12, abs=1e-15)
-    assert report.worst_k == worst_k
+    k, ratio = _pass(DiophantineVector(np.array([alpha]), gamma=1.0, tau=1.0), radius)
+    assert ratio == pytest.approx(worst, rel=1e-12, abs=1e-15)
+    assert k == worst_k
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,10 +208,9 @@ def test_verify_matches_oracle_random_alpha(alpha, radius):
 @example(0.7789984073527905, 0.3262472352849394, 7)
 def test_verify_matches_oracle_random_pair(a1, a2, radius):
     worst, worst_k = dc_oracle([a1, a2], 2.0, radius)
-    vec = DiophantineVector(np.array([a1, a2]), gamma=1.0, tau=2.0)
-    report = verify_dc(vec, radius)
-    assert report.worst_ratio == pytest.approx(worst, rel=1e-12, abs=1e-15)
-    assert report.worst_k == worst_k
+    k, ratio = _pass(DiophantineVector(np.array([a1, a2]), gamma=1.0, tau=2.0), radius)
+    assert ratio == pytest.approx(worst, rel=1e-12, abs=1e-15)
+    assert k == worst_k
 
 
 # (alpha, tau, radius) for the one-pass checks: golden and the pair, and the random pair's example
@@ -226,9 +222,9 @@ ONE_PASS_CASES = (
 
 
 def _two_pass(alpha, tau, radius):
-    """The fitted vector and its report, enumerating the ball once to fit and once to verify."""
-    vec = DiophantineVector(alpha, best_gamma(alpha, tau, radius) * (1.0 + 1e-12), tau)
-    return vec, verify_dc(vec, radius)
+    """The fitted vector and its worst mode, enumerating the ball once to fit and once to verify."""
+    vec = DiophantineVector(alpha, _fit(alpha, tau, radius)[0] * (1.0 + 1e-12), tau)
+    return vec, _pass(vec, radius)
 
 
 def _message(call):
@@ -248,16 +244,15 @@ def worst_calls(monkeypatch):
 class TestOnePass:
     @pytest.mark.parametrize("alpha, tau, radius", ONE_PASS_CASES)
     def test_matches_two_pass_oracle(self, alpha, tau, radius):
-        oracle, report = _two_pass(alpha, tau, radius)
+        oracle, (worst_k, worst_ratio) = _two_pass(alpha, tau, radius)
         vec = verified_vector(alpha, tau, radius)
         assert vec.gamma.hex() == oracle.gamma.hex() and vec.verified_up_to == radius
         _, worst = _fit(alpha, tau, radius)
-        assert worst == (report.worst_k, report.worst_ratio) and report.ok
-        # a claim just under the fitted gamma fails with the oracle's own report
+        assert worst == (worst_k, worst_ratio) and worst_ratio >= 1.0 / oracle.gamma
+        # a claim just under the fitted gamma fails, naming the oracle's worst mode
         low = oracle.gamma * (1.0 - 1e-9)
-        assert _message(lambda: verified_vector(alpha, tau, radius, low)) == _message(
-            lambda: verified(DiophantineVector(alpha, low, tau), radius)
-        )
+        expected = f"dist(k.alpha, Z) * |k|^tau = {worst_ratio:.6e} at k={worst_k}, below 1/gamma = {1.0 / low:.6e}"
+        assert _message(lambda: verified_vector(alpha, tau, radius, low)) == (DCViolation, expected)
 
     @pytest.mark.parametrize("alpha, tau, radius", [(PAIR_2D, 2.0, 48), (PAIR_2D, 2.0, 256), ([GOLDEN], 1.0, 2048)])
     def test_fitted_gamma_bits_frozen(self, alpha, tau, radius):
@@ -266,7 +261,11 @@ class TestOnePass:
 
     @pytest.mark.parametrize("alpha, tau", [([0.5], 1.0), ((0.5, 0.25), 2.0), ([0.25 + 1e-16], 1.0)])
     def test_resonance_message_matches_oracle(self, alpha, tau):
-        assert _message(lambda: verified_vector(alpha, tau, 8)) == _message(lambda: best_gamma(alpha, tau, 8))
+        # the first resonant mode of the canonical half ball, in its order
+        k = {(0.5,): (2,), (0.5, 0.25): (0, 4), (0.25 + 1e-16,): (4,)}[tuple(alpha)]
+        expected = f"resonance at k={k}: k.alpha is an integer to roundoff"
+        assert _message(lambda: verified_vector(alpha, tau, 8)) == (DegenerateVector, expected)
+        assert _message(lambda: _fit(alpha, tau, 8)) == (DegenerateVector, expected)
 
     @pytest.mark.parametrize("gamma", [None, 3.0])
     def test_one_enumeration_per_verified_vector(self, gamma, worst_calls):
@@ -278,15 +277,12 @@ class TestOnePass:
         flags = [] if claim is None else ["--gamma", str(claim)]
         code = main(["dc-check", "--alpha", "sqrt2-1,sqrt3-1", "--tau", "2", "--K", "32", *flags])
         assert len(worst_calls) == 1
-        gamma = best_gamma(PAIR_2D, 2.0, 32)
-        expected = [
-            f"worst-case gamma over |k|_1 <= 32: {gamma!r}",
-            f"worst mode: k={verify_dc(DiophantineVector(PAIR_2D, gamma, 2.0), 32).worst_k}",
-        ]
+        gamma, _ = _fit(PAIR_2D, 2.0, 32)
+        worst_k, worst_ratio = _pass(DiophantineVector(PAIR_2D, gamma, 2.0), 32)
+        expected = [f"worst-case gamma over |k|_1 <= 32: {gamma!r}", f"worst mode: k={worst_k}"]
         if claim is not None:
-            report = verify_dc(DiophantineVector(PAIR_2D, claim, 2.0), 32)
-            state = "holds" if report.ok else "FAILS"
-            expected.append(f"claim gamma={claim}: {state} (worst ratio {report.worst_ratio!r} at k={report.worst_k})")
+            state = "holds" if worst_ratio >= 1.0 / claim else "FAILS"
+            expected.append(f"claim gamma={claim}: {state} (worst ratio {worst_ratio!r} at k={worst_k})")
         assert capsys.readouterr().out.splitlines() == expected
         assert code == (0 if claim in (None, 17.0) else 3)
 
@@ -295,8 +291,8 @@ class TestNonFiniteAlpha:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: best_gamma([math.nan], 1.0, 8),
-            lambda: best_gamma([math.inf, 0.3], 2.0, 8),
+            lambda: _fit([math.nan], 1.0, 8),
+            lambda: _fit([math.inf, 0.3], 2.0, 8),
             lambda: DiophantineVector([math.nan], 5.0, 1.0),
             lambda: verified_vector([math.inf], 1.0, 8),
             lambda: verified_vector([0.3, -math.inf], 2.0, 8, 5.0),
@@ -314,12 +310,12 @@ class TestOverflowAndTau:
     def test_resonance_behind_an_overflow_is_named(self, alpha, k):
         # |k|_1^2000 = inf there: the resonance reads ratio 0, not 0 * inf = nan
         with pytest.raises(DegenerateVector, match=rf"^resonance at k={re.escape(str(k))}"):
-            best_gamma(alpha, 2000.0, 8)
+            verified_vector(alpha, 2000.0, 8)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("alpha", [[0.3], [0.5]])
     def test_tau_refused_by_name_before_the_pass(self, alpha, tau, monkeypatch):
         monkeypatch.setattr(diophantine, "_ball", lambda *a: pytest.fail("the ball was enumerated"))
         with pytest.raises(ValueError, match=rf"^tau must be positive and finite, got {tau}$"):
-            best_gamma(alpha, tau, 8)
+            verified_vector(alpha, tau, 8)
 

@@ -23,7 +23,6 @@ from kamconj import (
     conjugacy_verification,
     deviation_norm,
     eval_at_points,
-    field_from_grid,
     make_test_map,
     rebase,
     run_scheme,
@@ -392,7 +391,8 @@ class TestChainHelpers:
         m = 64
         x = np.arange(m) / m
         rho = sum(phi.rho for phi in chain)
-        walk = field_from_grid(chain[2](chain[1](chain[0](x))) - x - rho, total.degree)
+        v = chain[2](chain[1](chain[0](x))) - x - rho
+        walk = spectral._project(np.fft.fftn(v) / v.size, total.degree)
         want = TorusMapLift(rho, (walk,))
         assert np.max(np.abs(total.rho - want.rho)) <= 2e-16
         # at cap 4 the chain stops at its 20-point ceiling, which aliases modes from 16 on
@@ -400,9 +400,17 @@ class TestChainHelpers:
         assert np.max(np.abs(total.displacement[0].coeffs - want.displacement[0].coeffs)) <= tol
 
     def test_conjugacy_verification_exact_for_rotation(self):
-        h = TorusMapLift.identity(1)
+        h = TorusMapLift.rotation(np.zeros(1))
         f = TorusMapLift.rotation([GOLDEN])
         assert conjugacy_verification(h, f, [GOLDEN]) < 1e-15
+
+    @pytest.mark.parametrize("alpha", [[0.1], [0.1, 0.2, 0.3], []])
+    def test_conjugacy_verification_refuses_an_alpha_of_another_dimension(self, alpha):
+        # a 1-vector against a 2D map measured 0.4993 against the wrong rotation
+        f = make_test_map("conjugate", {"degree": 2, "amplitude": 0.01}, PAIR_2D, seed=3)
+        h = TorusMapLift.rotation(np.zeros(2))
+        with pytest.raises(ValueError, match="^alpha does not match the map dimension$"):
+            conjugacy_verification(h, f, alpha)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_conjugacy_verification_keeps_a_nan_defect(self, order):
@@ -412,7 +420,7 @@ class TestChainHelpers:
         fields = (PeriodicField.zeros(2, 1), steep)
         h = TorusMapLift(np.zeros(2), tuple(fields[i] for i in order))
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = conjugacy_verification(h, TorusMapLift.identity(2), np.zeros(2))
+            residual = conjugacy_verification(h, TorusMapLift.rotation(np.zeros(2)), np.zeros(2))
         assert math.isnan(residual)
 
 

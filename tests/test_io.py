@@ -10,10 +10,9 @@ from kamconj import ConfigError, PeriodicField, TorusMapLift, convex_hull
 from kamconj.io import (
     SCHEMA_VERSION,
     TRACE_HEADER,
+    _coeffs_to_doc,
     chain_from_doc,
     chain_to_doc,
-    field_from_doc,
-    field_to_doc,
     hull_to_csv,
     load_chain,
     load_json,
@@ -21,7 +20,6 @@ from kamconj.io import (
     map_from_doc,
     map_to_doc,
     save_chain,
-    save_json,
     save_map,
     trace_to_csv,
 )
@@ -32,48 +30,64 @@ from conftest import GOLDEN, seeded_field
 AWKWARD = [0.1 + 0.2, 1.0 / 3.0, math.pi * 1e-17, -0.0, 5e-324]
 
 
+def field_map(u: PeriodicField) -> TorusMapLift:
+    """The map at rho = 0 whose every displacement component is u, its mean folded into rho."""
+    return TorusMapLift(np.zeros(u.dim), (u,) * u.dim)
+
+
+def same_map(a: TorusMapLift, b: TorusMapLift) -> bool:
+    return a.rho.tobytes() == b.rho.tobytes() and all(
+        x.degree == y.degree and x.coeffs.tobytes() == y.coeffs.tobytes()
+        for x, y in zip(a.displacement, b.displacement)
+    )
+
+
 class TestFieldDocs:
+    """A field's coefficient list, as each displacement component of a map document carries it."""
+
     def test_round_trip_exact(self):
-        f = seeded_field(2, 3, 1.0, seed=100)
-        g = field_from_doc(field_to_doc(f))
-        assert g.dim == f.dim and g.degree == f.degree
-        assert np.array_equal(g.coeffs, f.coeffs)
+        f = field_map(seeded_field(2, 3, 1.0, seed=100))
+        assert same_map(map_from_doc(map_to_doc(f)), f)
 
     def test_awkward_floats_survive_json(self):
         entries = [((k + 1,), complex(v, -v)) for k, v in enumerate(AWKWARD[:3])]
-        f = PeriodicField.from_entries(1, 3, entries)
-        text = json.dumps(field_to_doc(f))
-        g = field_from_doc(json.loads(text))
-        assert np.array_equal(g.coeffs, f.coeffs)
+        f = field_map(PeriodicField.from_entries(1, 3, entries))
+        text = json.dumps(map_to_doc(f))
+        assert same_map(map_from_doc(json.loads(text)), f)
 
     def test_doc_shape(self):
-        f = PeriodicField.from_entries(1, 1, [((1,), 0.5j)])
-        doc = field_to_doc(f)
+        doc = map_to_doc(field_map(PeriodicField.from_entries(1, 1, [((1,), 0.5j)])))
         assert doc["schema_version"] == SCHEMA_VERSION
-        assert doc["kind"] == "field"
-        assert doc["coeffs"] == [[[1], 0.0, 0.5]]
+        assert doc["kind"] == "torus_map"
+        assert doc["coeffs"] == [[[[1], 0.0, 0.5]]]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_doc_holds_the_mean_and_the_half_spectrum(self, dim):
         f = seeded_field(dim, 4, 1.0, seed=119) + 0.25
         half = [[list(k), c.real, c.imag] for k, c in f.entries() if k >= (0,) * dim]
         assert half[0] == [[0] * dim, 0.25, 0.0]
-        assert field_to_doc(f)["coeffs"] == half
-        assert field_to_doc(f - 0.25)["coeffs"] == half[1:]
+        assert _coeffs_to_doc(f) == half
+        assert _coeffs_to_doc(f - 0.25) == half[1:]
+        # a map's components are written zero-mean; a listed mean loads into rho
+        doc = map_to_doc(field_map(f))
+        assert doc["coeffs"] == [half[1:]] * dim and doc["rho"] == [0.25] * dim
+        doc["coeffs"], doc["rho"] = [half] * dim, [0.0] * dim
+        assert same_map(map_from_doc(doc), field_map(f))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_save_load_save_is_byte_identical(self, tmp_path, dim):
-        # a mean, signed zeros, an (even) subnormal and the awkward floats
-        values = [0.75, complex(AWKWARD[0], -0.0), complex(-0.0, AWKWARD[1]),
+        # signed zeros, an (even) subnormal and the awkward floats
+        values = [complex(AWKWARD[0], -0.0), complex(-0.0, AWKWARD[1]),
                   complex(AWKWARD[2], AWKWARD[3]), complex(8 * AWKWARD[4], -AWKWARD[0])]
-        ks = [(0,), (1,), (2,), (3,), (4,)] if dim == 1 else [(0, 0), (0, 1), (1, -2), (1, 1), (2, 2)]
-        f = PeriodicField.from_entries(dim, 4, zip(ks, values))
-        assert [f.coefficient(k) for k in ks] == values
+        ks = [(1,), (2,), (3,), (4,)] if dim == 1 else [(0, 1), (1, -2), (1, 1), (2, 2)]
+        u = PeriodicField.from_entries(dim, 4, zip(ks, values))
+        assert [u.coefficient(k) for k in ks] == values
+        f = TorusMapLift(np.full(dim, 0.75), (u,) * dim)
         first, second = tmp_path / "a.json", tmp_path / "b.json"
-        save_json(field_to_doc(f), first)
-        g = field_from_doc(load_json(first))
-        save_json(field_to_doc(g), second)
-        assert g.coeffs.tobytes() == f.coeffs.tobytes()
+        save_map(f, first)
+        g = load_map(first)
+        save_map(g, second)
+        assert same_map(g, f)
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize(
@@ -85,30 +99,32 @@ class TestFieldDocs:
         ],
     )
     def test_bad_spectrum_rejected(self, coeffs, match):
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "field", "dim": 2, "degree": 2, "coeffs": coeffs}
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "torus_map", "dim": 2, "degree": 2,
+               "rho": [0.0, 0.0], "coeffs": [coeffs, []]}
         with pytest.raises(ConfigError, match=match):
-            field_from_doc(doc)
+            map_from_doc(doc)
 
     def test_schema_version_enforced(self):
-        doc = field_to_doc(PeriodicField.zeros(1, 1))
+        doc = map_to_doc(field_map(PeriodicField.zeros(1, 1)))
         doc["schema_version"] = 99
         with pytest.raises(ConfigError, match="schema_version"):
-            field_from_doc(doc)
+            map_from_doc(doc)
 
     def test_kind_mismatch_rejected(self):
-        doc = field_to_doc(PeriodicField.zeros(1, 1))
-        doc["kind"] = "torus_map"
+        doc = map_to_doc(field_map(PeriodicField.zeros(1, 1)))
+        doc["kind"] = "field"  # no longer a document kind
         with pytest.raises(ConfigError, match="kind"):
-            field_from_doc(doc)
+            map_from_doc(doc)
 
     def test_missing_kind_tolerated(self):
-        doc = field_to_doc(seeded_field(1, 2, 1.0, seed=101))
+        f = field_map(seeded_field(1, 2, 1.0, seed=101))
+        doc = map_to_doc(f)
         del doc["kind"]
-        field_from_doc(doc)
+        assert same_map(map_from_doc(doc), f)
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="object"):
-            field_from_doc([1, 2])
+            map_from_doc([1, 2])
 
 
 class TestMapDocs:
@@ -188,10 +204,10 @@ class TestMapDocs:
         doc["rho"] = [float(bad)]
         with pytest.raises(ConfigError, match="finite"):
             map_from_doc(doc)
-        fdoc = field_to_doc(f.displacement[0])
-        fdoc["coeffs"][0][2] = float(bad)
+        doc = map_to_doc(f)
+        doc["coeffs"][0][0][2] = float(bad)
         with pytest.raises(ConfigError, match="finite"):
-            field_from_doc(fdoc)
+            map_from_doc(doc)
 
     def test_awkward_rho_round_trips(self, tmp_path):
         f = TorusMapLift(np.array([AWKWARD[0]]), (seeded_field(1, 1, 0.01, seed=107),))
@@ -258,26 +274,22 @@ class TestFullSpectrumDocs:
             doc["coeffs"] = [full_spectrum(u) for u in f.displacement]
             return doc
 
-        def same(a, b):
-            return a.rho.tobytes() == b.rho.tobytes() and all(
-                x.coeffs.tobytes() == y.coeffs.tobytes() for x, y in zip(a.displacement, b.displacement)
-            )
-
+        # a full list with a mean, which loads into rho
         field = seeded_field(dim, 3, 1.0, seed=125) + 0.5
-        doc = field_to_doc(field)
-        doc["coeffs"] = full_spectrum(field)
-        assert len(doc["coeffs"]) == np.count_nonzero(field.coeffs)
-        assert field_from_doc(reread(doc)).coeffs.tobytes() == field.coeffs.tobytes()
+        doc = map_to_doc(field_map(field))
+        doc["coeffs"], doc["rho"] = [full_spectrum(field)] * dim, [0.0] * dim
+        assert len(doc["coeffs"][0]) == np.count_nonzero(field.coeffs)
+        assert same_map(map_from_doc(reread(doc)), field_map(field))
 
         f = seeded_map(dim, 126)
-        assert same(map_from_doc(reread(full_map_doc(f))), f)
+        assert same_map(map_from_doc(reread(full_map_doc(f))), f)
 
         steps = [seeded_map(dim, 130), seeded_map(dim, 132)]
         doc = chain_to_doc([], [GOLDEN, AWKWARD[0]][:dim])
         doc["steps"] = [full_map_doc(phi) for phi in steps]
         doc["composed"] = full_map_doc(f)
         chain, _, composed = chain_from_doc(reread(doc))
-        assert all(same(a, b) for a, b in zip(chain, steps)) and same(composed, f)
+        assert all(same_map(a, b) for a, b in zip(chain, steps)) and same_map(composed, f)
 
 
 # one malformed edit of a 2D map document per case, and the message it must give
@@ -286,6 +298,25 @@ SPOILED = {
     "scalar k in 2D": (lambda d: d["coeffs"][0].append([1, 0.1, 0.0]), "dimension"),
     "string value": (lambda d: d["coeffs"][0][0].__setitem__(1, "x"), "numbers"),
     "scalar rho": (lambda d: d.__setitem__("rho", 0.5), "not iterable"),
+}
+
+
+def _set_k(value):
+    """An edit that makes the first frequency of the first coefficient list [value]."""
+    return lambda d: d["coeffs"][0][0].__setitem__(0, [value])
+
+
+# one edit of a 1D map document per number a run config refuses, and the message it must give
+LOOSE = {
+    "frequency 1.5": (_set_k(1.5), "frequency component 1.5 is not an integer"),
+    "frequency 1.9999": (_set_k(1.9999), "frequency component 1.9999 is not an integer"),
+    "frequency true": (_set_k(True), "frequencies must be integers"),
+    "frequency string": (_set_k("1"), "frequencies must be integers"),
+    "degree 2.7": (lambda d: d.__setitem__("degree", 2.7), "expected an integer, got 2.7 in degree"),
+    "dim 1.5": (lambda d: d.__setitem__("dim", 1.5), "expected an integer, got 1.5 in dim"),
+    "dim true": (lambda d: d.__setitem__("dim", True), "expected an integer, got True in dim"),
+    "rho true": (lambda d: d.__setitem__("rho", [True]), "rho must be numbers"),
+    "value true": (lambda d: d["coeffs"][0][0].__setitem__(1, True), "coefficient values must be numbers"),
 }
 
 
@@ -304,14 +335,37 @@ class TestMalformedDocs:
 
     @pytest.mark.parametrize("case", ["scalar k in 2D", "string value"])
     def test_field(self, case):
+        # a spoiled coefficient list is named by the map document that carries it
         spoil, match = SPOILED[case]
-        doc = field_to_doc(seeded_field(2, 3, 1.0, seed=142))
-        spoil({"coeffs": [doc["coeffs"]]})
-        with pytest.raises(ConfigError, match=f"invalid field document: .*{match}"):
-            field_from_doc(doc)
+        doc = map_to_doc(seeded_map(2, 142))
+        spoil(doc)
+        with pytest.raises(ConfigError, match=f"invalid map document: .*{match}"):
+            map_from_doc(doc)
         del doc["coeffs"]
-        with pytest.raises(ConfigError, match="invalid field document: missing key 'coeffs'"):
-            field_from_doc(doc)
+        with pytest.raises(ConfigError, match="invalid map document: missing key 'coeffs'"):
+            map_from_doc(doc)
+
+    @pytest.mark.parametrize("case", sorted(LOOSE))
+    def test_a_number_a_config_refuses(self, case):
+        spoil, match = LOOSE[case]
+        doc = map_to_doc(seeded_map(1, 150))
+        spoil(doc)
+        with pytest.raises(ConfigError, match=f"^invalid map document: {match}$"):
+            map_from_doc(doc)
+
+    def test_integral_floats_read_as_integers(self):
+        doc = map_to_doc(seeded_map(1, 150))
+        doc["dim"], doc["degree"] = 1.0, 3.0
+        for entry in doc["coeffs"][0]:
+            entry[0] = [float(entry[0][0])]
+        f = map_from_doc(doc)
+        assert same_map(f, seeded_map(1, 150)) and type(f.degree) is int
+
+    def test_chain_alpha_refuses_a_bool(self):
+        doc = chain_to_doc([], [GOLDEN])
+        doc["alpha"] = [True]
+        with pytest.raises(ConfigError, match="^invalid chain document: alpha must be numbers$"):
+            chain_from_doc(doc)
 
     # the first degree past the 2**24-coefficient box in each dimension, and negative ones
     @pytest.mark.parametrize("dim, degree", [(1, 2 ** 23), (2, 2048), (2, 10 ** 6), (1, -1), (2, -3)])
@@ -325,10 +379,6 @@ class TestMalformedDocs:
         chain["steps"] = [doc]
         with pytest.raises(ConfigError, match=f"invalid map document: {match}"):
             chain_from_doc(chain)
-        field = field_to_doc(seeded_field(dim, 3, 1.0, seed=146))
-        field["degree"] = degree
-        with pytest.raises(ConfigError, match=f"invalid field document: {match}"):
-            field_from_doc(field)
 
     def test_chain_keys(self):
         doc = chain_to_doc([seeded_map(1, 143)], [GOLDEN])

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kamconj import (
+    NonFinite,
     PeriodicField,
     TorusMapLift,
     birkhoff_rotation,
@@ -80,6 +82,14 @@ class TestHull:
             area2 += a[0] * b[1] - b[0] * a[1]
         assert area2 > 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_cloud_gives_an_empty_hull(self, dim):
+        hull = convex_hull(np.empty((0, dim)))
+        assert hull.dim == dim and hull.vertices.shape == (0, dim)
+        assert not hull_contains(hull, [0.5] * dim)
+        with pytest.raises(ValueError, match="^an empty hull has no diameter$"):
+            hull.diameter()
+
 
 class TestHullContainsInputs:
     """A point of another dimension or a tol that is not finite and >= 0 is an error, never a verdict."""
@@ -137,6 +147,16 @@ class TestNonFinitePoints:
             hull_contains(hull, point)
         with pytest.raises(ValueError, match="finite"):
             hull_contains(convex_hull([[0.1], [0.3]]), [x for x in point if not np.isfinite(x)][:1])
+
+    @pytest.mark.parametrize("start", [[np.nan, 0.1], [0.1, np.inf]])
+    def test_birkhoff_rejects_a_non_finite_start(self, start):
+        f = TorusMapLift(np.array(PAIR_2D), (seeded_field(2, 2, 0.01, seed=3),) * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any phase is taken
+            with pytest.raises(NonFinite, match="^orbit starts must be finite$"):
+                birkhoff_rotation(f, start, 10)
+            with pytest.raises(NonFinite, match="^orbit starts must be finite$"):
+                _birkhoff_batch(f, np.array([[0.2, 0.3], start]), 10)
 
 
 def rotation_2d_cloud(index: int = 0, resolution: int = 256) -> np.ndarray:

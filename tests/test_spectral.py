@@ -20,7 +20,6 @@ from kamconj import (
     cs_norm,
     deviation_norm,
     eval_at_points,
-    field_from_grid,
     make_test_map,
     rebase,
     sampling_grid,
@@ -52,12 +51,55 @@ def cos_field(eps: float, k: int = 1) -> PeriodicField:
     return PeriodicField.from_entries(1, abs(k), [((k,), 0.5 * eps)])
 
 
+def _from_grid(values: np.ndarray, degree: int) -> PeriodicField:
+    """The field of the given degree whose samples on a square grid that resolves it are `values`."""
+    return spectral._project(np.fft.fftn(values) / values.size, degree)
+
+
 class TestConstruction:
     def test_zeros_and_constant(self):
         z = PeriodicField.zeros(2, 3)
         assert z.dim == 2 and z.degree == 3 and z.mean() == 0.0
-        c = PeriodicField.constant(1, 2.5)
-        assert c.mean() == 2.5 and c.degree == 0
+        c = PeriodicField.zeros(1) + 2.5
+        assert c.mean() == 2.5 and c.degree == 0 and c.coeffs.tolist() == [2.5 + 0j]
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: PeriodicField(1, 1.5, np.zeros(4)), "degree must be a nonnegative integer, got 1.5"),
+            (lambda: PeriodicField(1, True, np.zeros(3)), "degree must be a nonnegative integer, got True"),
+            (lambda: PeriodicField(1, -1, np.zeros(0)), "degree must be a nonnegative integer, got -1"),
+            (lambda: PeriodicField(3, 0, np.zeros((1, 1, 1))), "only dimensions 1 and 2 are supported"),
+            (lambda: PeriodicField.zeros(3, 1), "only dimensions 1 and 2 are supported"),
+            (lambda: PeriodicField.zeros(1.0), "only dimensions 1 and 2 are supported"),
+            (lambda: PeriodicField.zeros(1, -1), "degree must be a nonnegative integer, got -1"),
+            (lambda: PeriodicField.zeros(2, 2.0), "degree must be a nonnegative integer, got 2.0"),
+            (lambda: PeriodicField.from_entries(1, -1, []), "degree must be a nonnegative integer, got -1"),
+            (lambda: PeriodicField.from_entries(3, 1, []), "only dimensions 1 and 2 are supported"),
+            (lambda: PeriodicField.from_spectrum(2, 1.5, [], []), "degree must be a nonnegative integer, got 1.5"),
+        ],
+        ids=["init-float", "init-bool", "init-negative", "init-3d", "zeros-3d", "zeros-float-dim",
+             "zeros-negative", "zeros-float", "entries-negative", "entries-3d", "spectrum-float"],
+    )
+    def test_dim_and_degree_checked_by_every_constructor(self, build, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            build()
+
+    @pytest.mark.parametrize("k", [(1.5,), (1.9999,), (np.nan,), (np.inf,), (1e300,)])
+    def test_from_entries_refuses_a_non_integral_frequency(self, k):
+        # 1.5 was truncated to k = 1
+        with pytest.raises(ValueError, match=r"^frequency component .* is not an integer$"):
+            PeriodicField.from_entries(1, 2, [(k, 1.0)])
+
+    @pytest.mark.parametrize("k", [(True,), ("1",)])
+    def test_from_entries_refuses_a_frequency_that_is_not_a_number(self, k):
+        with pytest.raises(ValueError, match="^frequencies must be integer tuples matching dimension 1$"):
+            PeriodicField.from_entries(1, 2, [(k, 1.0)])
+
+    def test_from_entries_reads_integral_floats(self):
+        f = PeriodicField.from_entries(2, 2, [((1.0, -1.0), 0.5), ((0, 2), 0.25j)])
+        g = PeriodicField.from_entries(2, 2, [((1, -1), 0.5), ((0, 2), 0.25j)])
+        assert f.coeffs.tobytes() == g.coeffs.tobytes()
 
     def test_rejects_non_hermitian_box(self):
         box = np.zeros(3, dtype=complex)
@@ -206,6 +248,19 @@ class TestArithmetic:
 
 
 class TestEvaluation:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_refused(self, dim, bad):
+        f = seeded_field(dim, 3, 0.1, seed=9)
+        lift = TorusMapLift(np.zeros(dim), (f,) * dim)
+        point = bad if dim == 1 else np.array([[0.1, 0.2], [bad, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any phase is taken
+            with pytest.raises(NonFinite, match="^evaluation points must be finite$"):
+                eval_at_points(f, point)
+            with pytest.raises(NonFinite, match="^evaluation points must be finite$"):
+                lift(point)
+
     def test_value_grid_matches_oracle_1d(self):
         f = seeded_field(1, 5, 1.0, seed=7)
         m = 24
@@ -289,7 +344,7 @@ class TestEvaluation:
 
     def test_field_from_grid_round_trip(self):
         f = seeded_field(2, 4, 0.7, seed=10)
-        g = field_from_grid(value_grid(f, 32), 4)
+        g = _from_grid(value_grid(f, 32), 4)
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-13
 
     def test_sampling_grid_values(self):
@@ -531,7 +586,7 @@ class TestCompositionDefect:
 
         a, b = random_map(60, 3), random_map(62, 2)
         if rigid_right:  # rotations on the right are not sampled
-            c, d = TorusMapLift.rotation(PAIR_2D), TorusMapLift.identity(2)
+            c, d = TorusMapLift.rotation(PAIR_2D), TorusMapLift.rotation(np.zeros(2))
         else:
             c, d = random_map(64, 2), random_map(66, 3)
         m = sampling_grid(3)
@@ -581,7 +636,7 @@ class TestCompositionDefect:
         # 2 * 0.9e308 overflows on every grid: against itself the defect is inf - inf = nan,
         # against the identity it is inf; neither passes a tail test, so no band hides it
         steep = PeriodicField.from_entries(2, 1, [((1, 0), 0.9e308)])
-        h, ident = TorusMapLift(np.zeros(2), (PeriodicField.zeros(2, 1), steep)), TorusMapLift.identity(2)
+        h, ident = TorusMapLift(np.zeros(2), (PeriodicField.zeros(2, 1), steep)), TorusMapLift.rotation(np.zeros(2))
         with np.errstate(over="ignore", invalid="ignore"):
             got, walks = _walked_defect((h, ident, ident, h if right == "steep" else ident))
         assert walks == [4, 4, 8, 8, 16, 16] and repr(got) == want
@@ -603,7 +658,7 @@ class TestTorusMapLift:
         r = TorusMapLift.rotation([GOLDEN])
         assert r.degree == 0
         assert r(0.2) == pytest.approx(0.2 + GOLDEN)
-        e = TorusMapLift.identity(2)
+        e = TorusMapLift.rotation(np.zeros(2))
         assert np.allclose(e(np.array([0.3, 0.4])), [0.3, 0.4])
 
     def test_call_matches_displacement(self):
@@ -687,7 +742,7 @@ class TestCompose:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            compose(TorusMapLift.identity(1), TorusMapLift.identity(2))
+            compose(TorusMapLift.rotation(np.zeros(1)), TorusMapLift.rotation(np.zeros(2)))
 
 
 def _tail_reads(monkeypatch) -> list:
@@ -713,7 +768,7 @@ def _oracle_chain(maps, target: int) -> TorusMapLift:
         y = y + p.rho[:, None] + np.array([eval_oracle(u, y) for u in p.displacement])
     rho = sum(p.rho for p in maps)
     vals = y - x - rho[:, None]
-    return TorusMapLift(rho, tuple(field_from_grid(v.reshape((m,) * dim), target) for v in vals))
+    return TorusMapLift(rho, tuple(_from_grid(v.reshape((m,) * dim), target) for v in vals))
 
 
 class TestChainGrid:
@@ -1011,7 +1066,7 @@ class TestInvert:
         for y in rng.random((5, phi.dim)):
             assert np.max(np.abs(_oracle_map(psi, y) - _oracle_inverse(phi, y))) <= 1e-12
         # both composition residuals, on the sampling grid of the larger box
-        ident = TorusMapLift.identity(phi.dim)
+        ident = TorusMapLift.rotation(np.zeros(phi.dim))
         assert _composition_defect(phi, psi, ident, ident) <= spectral._INVERT_TOL
         assert _composition_defect(psi, phi, ident, ident) <= spectral._INVERT_TOL
 
@@ -1039,7 +1094,7 @@ class TestInvert:
 class TestConjugate:
     def test_identity_conjugation_is_noop(self):
         f = TorusMapLift(np.array([GOLDEN]), (sin_field(0.02),))
-        g = conjugate(TorusMapLift.identity(1), f)
+        g = conjugate(TorusMapLift.rotation(np.zeros(1)), f)
         assert g.rho[0] == pytest.approx(f.rho[0], abs=1e-13)
         x = np.linspace(0, 1, 9, endpoint=False)
         assert np.allclose(g(x), f(x), atol=1e-12)
@@ -1131,7 +1186,7 @@ class TestDisplacedEvaluation:
         return (
             seeded_field(dim, 5, 1.0, seed=60) + 0.4,
             seeded_field(dim, 3, 0.5, seed=61),
-            PeriodicField.constant(dim, -0.7),
+            PeriodicField.zeros(dim) + (-0.7),
         )
 
     @pytest.mark.parametrize("size", [0.02, 0.0], ids=["displaced", "zero"])
@@ -1294,7 +1349,7 @@ def test_fourier_norm_dominates_grid_norm(f):
 @settings(max_examples=30, deadline=None)
 @given(small_fields)
 def test_grid_projection_round_trip(f):
-    g = field_from_grid(value_grid(f), f.degree)
+    g = _from_grid(value_grid(f), f.degree)
     assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-10 * max(1.0, np.max(np.abs(f.coeffs)))
 
 
@@ -1448,7 +1503,7 @@ class TestCopyFreeSups:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "sampling_grid", lambda degree: 3)
             _serve(mp, "value_grid", grids)
-            assert outcome(TorusMapLift.identity(dim).jacobian_sup) == want
+            assert outcome(TorusMapLift.rotation(np.zeros(dim)).jacobian_sup) == want
 
     def test_sup_keeps_a_nan_in_either_place(self):
         zero, nan = np.array([-0.0, 1.0, -math.inf]), np.array([0.5, math.nan])
@@ -1468,7 +1523,7 @@ class TestCopyFreeSups:
         # degree-0 maps: the walks start on grid 4 and double up to the 16-point box grid;
         # below it the left side's Nyquist mode fails the tail test, and at it the drawn
         # pair is read directly
-        f = TorusMapLift.identity(dim)
+        f = TorusMapLift.rotation(np.zeros(dim))
         asked, served = [], []
 
         def walk(maps, m, invert=False):
