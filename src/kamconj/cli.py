@@ -59,6 +59,14 @@ def _parse_alpha(text: str) -> np.ndarray:
     return _resolve_alpha(pieces)
 
 
+def _floats(text: str) -> list:
+    """Comma-separated decimal values, as --delta takes them."""
+    try:
+        return [float(piece) for piece in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="kamconj", description="Conjugate near-rotation torus maps to rigid rotations.")
     sub = p.add_subparsers(dest="command", required=True)
@@ -108,11 +116,12 @@ def _build_parser() -> _Parser:
     mk = sub.add_parser("make-map", help="generate a test map")
     mk.add_argument("--kind", required=True)
     mk.add_argument("--alpha", required=True)
-    mk.add_argument("--seed", required=True)
+    # each number flag is read from text as its CONFIG_KEYS row's kind: make_test_map gets no strings
+    mk.add_argument("--seed", type=CONFIG_KEYS["", "seed"][0], required=True)
     mk.add_argument("--out", required=True)
     for key in _PARAM_KEYS:
-        mk.add_argument("--" + key.replace("_", "-"))
-    mk.add_argument("--delta", help="comma-separated translation offset")
+        mk.add_argument("--" + key.replace("_", "-"), type=CONFIG_KEYS["initial_map.params", key][0])
+    mk.add_argument("--delta", type=_floats, help="comma-separated translation offset")
     mk.add_argument("--modes", help="mode list as JSON")
     return p
 
@@ -235,9 +244,7 @@ def _cmd_rotation(args) -> int:
 
 
 def _cmd_make_map(args) -> int:
-    params = {key: getattr(args, key) for key in _PARAM_KEYS if getattr(args, key) is not None}
-    if args.delta is not None:
-        params["delta"] = args.delta.split(",")
+    params = {key: getattr(args, key) for key in (*_PARAM_KEYS, "delta") if getattr(args, key) is not None}
     if args.modes is not None:
         params["modes"] = json.loads(args.modes)
     alpha = _parse_alpha(args.alpha)

@@ -108,7 +108,7 @@ def verified_vector(alpha, tau: float, radius: int, gamma=None) -> DiophantineVe
     """(alpha, gamma, tau) verified up to `radius`, from one pass over the ball.
 
     The distance dist(k . alpha, Z) is symmetric under k -> -k, so the pass
-    enumerates a canonical half of the ball.  A given gamma must bound it
+    enumerates a canonical half of the ball (radius at least 1).  A given gamma must bound it
     (else DCViolation).  No gamma means the smallest admissible one plus
     1e-12 relative; when some k.alpha is an integer to roundoff no finite
     gamma works, and DegenerateVector is raised.
@@ -118,8 +118,6 @@ def verified_vector(alpha, tau: float, radius: int, gamma=None) -> DiophantineVe
         vec = DiophantineVector(alpha, best * (1.0 + 1e-12), tau)
     else:
         vec = DiophantineVector(alpha, gamma, tau)
-        if radius <= 0:  # the claim covers no frequency: it holds, with nothing to stamp
-            return vec
         worst = _worst(vec.alpha, vec.tau, int(radius))
     if not _holds(vec, worst):
         raise DCViolation(

@@ -31,6 +31,7 @@ from .spectral import (
     TorusMapLift,
     _chain,
     _composition_defect,
+    _frequency_array,
     conjugate,
     deviation_norm,
     rebase,
@@ -114,28 +115,14 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
-def _number(kind, value):
-    """value as an int or a finite float; bools and non-integral floats are refused."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    value = kind(value)
-    if kind is float and not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
-
-
 def _read(d: dict, section: str, key: str, default):
     """d[key] converted and bounded by its CONFIG_KEYS row, `default` when absent or null."""
     kind, _, low, strict = CONFIG_KEYS[section, key]
     path = f"{section}.{key}" if section else key
     if d.get(key) is None:
         return default
-    try:
-        value = _number(kind, d[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid config document: {exc} in {path}") from None
+    with kio._invalid("config"):
+        value = kio._number(kind, d[key], path)
     if low is not None and (value <= low if strict else value < low):
         need = "positive" if strict else f"at least {low}"
         raise ConfigError(f"{key} must be {need}, got {value} in {path}")
@@ -156,10 +143,8 @@ def _resolve_component(x) -> float:
         if x not in NAMED_ALPHAS:
             raise ConfigError(f"unknown rotation tag {x!r}; use one of {sorted(NAMED_ALPHAS)}")
         return NAMED_ALPHAS[x]
-    try:
-        return _number(float, x)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"alpha components must be finite numbers or tags, got {x!r}") from None
+    with kio._invalid("config"):
+        return kio._number(float, x, "alpha")
 
 
 def _resolve_alpha(spec) -> np.ndarray:
@@ -246,23 +231,15 @@ def _random_field(dim: int, degree: int, amplitude: float, decay: float, rng) ->
 
 
 def _read_modes(modes, dim: int) -> tuple:
-    """single-mode's [k, re, im] lists, one per component, as fields of one degree."""
+    """single-mode's coefficient lists, one per component, read as a map document's at one degree."""
     per_comp = modes if dim == 2 else [modes]
     lists = isinstance(modes, (list, tuple)) and all(isinstance(c, (list, tuple)) and c for c in per_comp)
     if not lists or len(per_comp) != dim:
         raise ConfigError("single-mode needs one nonempty mode list per component in initial_map.params.modes")
-    comps = []
-    for comp in per_comp:
-        comps.append([])
-        for mode in comp:
-            try:
-                k, re, im = mode
-                k = tuple(_number(int, x) for x in (k if isinstance(k, (list, tuple)) else [k]))
-                comps[-1].append((k, complex(_number(float, re), _number(float, im))))
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"each mode is [k, re, im], got {mode!r} in initial_map.params.modes") from None
-    degree = max(sum(map(abs, k)) for entries in comps for k, _ in entries)
-    return tuple(PeriodicField.from_entries(dim, degree, entries) for entries in comps)
+    with kio._invalid("config", "initial_map.params.modes"):
+        ks = _frequency_array(dim, [k for comp in per_comp for k, *_ in comp])
+        degree = int(np.abs(ks).sum(axis=1).max())  # the largest l1 radius among the frequencies
+        return tuple(kio._coeffs_from_doc(dim, degree, comp) for comp in per_comp)
 
 
 def _generator_params(kind: str, params, dim: int) -> dict:
@@ -281,10 +258,9 @@ def _generator_params(kind: str, params, dim: int) -> dict:
         out["target_degree"] = max(16, 4 * out["degree"])
     if kind == "drifted":
         delta = params.get("delta", [0.0] * dim)
-        try:
-            out["delta"] = np.array([_number(float, x) for x in np.atleast_1d(delta).tolist()])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid config document: {exc} in initial_map.params.delta") from None
+        delta = delta if isinstance(delta, (list, tuple, np.ndarray)) else [delta]
+        with kio._invalid("config"):
+            out["delta"] = np.array([kio._number(float, x, "initial_map.params.delta") for x in delta])
         if out["delta"].size != dim:
             raise ConfigError("delta must match the dimension in initial_map.params.delta")
     if kind == "single-mode":

@@ -6,14 +6,16 @@ are real, so c(-k) = conj(c(k)): a coefficient list holds k = 0 (when
 nonzero) and the half spectrum after it in C order (k1 > 0, or k1 = 0 and
 k2 > 0; in 1D k > 0), and loading fills each mirror that is not listed with
 its conjugate.  Lists that name both halves, as earlier versions wrote them,
-load to the same coefficients.  A loaded number is a JSON number, never a
-bool or a string, and an integer (a dimension, a degree, a frequency) is an
-int or an integral float, as in a run config.
+load to the same coefficients.
+
+Every number a run reads, in a config, a document or a `make-map` flag,
+follows one rule (`_number`; `_numbers` for a column): a bool or a string is
+never a number, an integer (a dimension, a degree, a frequency) is an int or
+an integral float, and a float is finite.  A chain's alpha and maps match its dim.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rotation import Hull
-from .spectral import PeriodicField, TorusMapLift
+from .spectral import _NOT_NUMBERS, PeriodicField, TorusMapLift
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -58,32 +60,29 @@ def _coeffs_to_doc(u: PeriodicField) -> list:
 _NUMBERS = {int, float}
 
 
+def _number(kind, value, where: str):
+    """value as `kind`, int or float, by the rule every number a run reads follows.
+
+    A bool or a string is never a number (numpy's numbers are, for callers
+    in Python); an int refuses a non-integral float but reads 8.0 as 8, and
+    a float must be finite.  A refusal is a ValueError that ends `in {where}`.
+    """
+    if type(value) in _NOT_NUMBERS or kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected {'an integer' if kind is int else 'a number'}, got {value!r} in {where}")
+    try:
+        value = kind(value)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{exc} in {where}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r} in {where}")
+    return value
+
+
 def _numbers(column, name: str) -> np.ndarray:
     """A list of JSON numbers as floats; a bool or a string is refused by name."""
     if not set(map(type, column)) <= _NUMBERS:
         raise ValueError(f"{name} must be numbers")
     return np.array(column, dtype=float)
-
-
-def _integer(doc: dict, key: str) -> int:
-    """doc[key] as an int; a bool, a string or a non-integral float is refused by name."""
-    value = doc[key]
-    if type(value) is float and value.is_integer():
-        return int(value)
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r} in {key}")
-    return value
-
-
-def _frequencies(ks) -> tuple:
-    """ks, whose entries must be JSON numbers; from_spectrum refuses a non-integral one."""
-    try:
-        kinds = set(map(type, itertools.chain.from_iterable(ks)))
-    except TypeError:  # a scalar frequency, as 1D allows
-        kinds = set(map(type, itertools.chain.from_iterable(k if type(k) is list else [k] for k in ks)))
-    if not kinds <= _NUMBERS:
-        raise ValueError("frequencies must be integers")
-    return ks
 
 
 def _coeffs_from_doc(dim: int, degree: int, coeffs) -> PeriodicField:
@@ -96,7 +95,7 @@ def _coeffs_from_doc(dim: int, degree: int, coeffs) -> PeriodicField:
     values = np.empty(len(ks), dtype=np.complex128)
     values.real = _numbers(re, "coefficient values")
     values.imag = _numbers(im, "coefficient values")
-    return PeriodicField.from_spectrum(dim, degree, _frequencies(ks), values)
+    return PeriodicField.from_spectrum(dim, degree, ks, values)
 
 
 def _expect(doc: dict, kind: str) -> None:
@@ -109,14 +108,15 @@ def _expect(doc: dict, kind: str) -> None:
 
 
 @contextmanager
-def _invalid(name: str):
-    """Report what a malformed document raises as a ConfigError."""
+def _invalid(name: str, where: str = ""):
+    """Report what a malformed document raises as a ConfigError, ending `in {where}` when given."""
+    at = f" in {where}" if where else ""
     try:
         yield
     except KeyError as exc:
-        raise ConfigError(f"invalid {name} document: missing key {exc}") from None
+        raise ConfigError(f"invalid {name} document: missing key {exc}{at}") from None
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {name} document: {exc}") from None
+        raise ConfigError(f"invalid {name} document: {exc}{at}") from None
 
 
 def map_to_doc(f: TorusMapLift) -> dict:
@@ -134,7 +134,7 @@ def map_to_doc(f: TorusMapLift) -> dict:
 def map_from_doc(doc: dict) -> TorusMapLift:
     _expect(doc, "torus_map")
     with _invalid("map"):
-        dim, degree = _integer(doc, "dim"), _integer(doc, "degree")
+        dim, degree = _number(int, doc["dim"], "dim"), _number(int, doc["degree"], "degree")
         comps = doc["coeffs"]
         if len(comps) != dim:
             raise ConfigError("component count does not match dim")
@@ -161,7 +161,13 @@ def chain_from_doc(doc: dict) -> tuple:
     with _invalid("chain"):
         chain = [map_from_doc(d) for d in doc["steps"]]
         composed = map_from_doc(doc["composed"]) if "composed" in doc else None
-        return chain, _numbers(doc["alpha"], "alpha"), composed
+        dim, alpha = _number(int, doc["dim"], "dim"), _numbers(doc["alpha"], "alpha")
+        if dim not in (1, 2) or alpha.shape != (dim,) or not np.isfinite(alpha).all():
+            raise ValueError(f"alpha must be dim finite numbers, dim 1 or 2, got {alpha.tolist()} and dim {dim}")
+        for key, maps in (("steps", chain), ("composed", [composed] if composed else [])):
+            if any(f.dim != dim for f in maps):
+                raise ValueError(f"a map in {key} does not match dim = {dim}")
+        return chain, alpha, composed
 
 
 def save_json(doc: dict, path) -> None:

@@ -98,11 +98,15 @@ def _box(dim, degree) -> tuple:
     return (2 * int(degree) + 1,) * int(dim)
 
 
+# what no input reads as a number, however it converts
+_NOT_NUMBERS = {bool, np.bool_, str, np.str_}
+
+
 def _frequency_array(dim: int, ks) -> np.ndarray:
     """Frequencies as an (n, dim) integer array; in 1D a frequency may be a scalar.
 
     A float component counts when it is integral; any other is refused, as
-    is a component that is not a number (a bool, a string).
+    is a component that is not a number (a bool, a string) in any position.
     """
     try:
         try:
@@ -111,12 +115,18 @@ def _frequency_array(dim: int, ks) -> np.ndarray:
             k = np.array([np.ravel(x) for x in ks])
     except ValueError:
         raise ValueError(f"frequencies must be integer tuples matching dimension {dim}") from None
+    # numpy reads a bool beside an int as an int, so the components' own types are
+    # scanned, in C: a map document's lists come through here in every run's load_map
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(ks)))
+    except TypeError:  # scalar frequencies, as 1D allows
+        kinds = set(map(type, itertools.chain.from_iterable(map(np.ravel, ks))))
+    if k.size and (k.dtype.kind not in "iuf" or kinds & _NOT_NUMBERS):
+        raise ValueError(f"frequencies must be integer tuples matching dimension {dim}")
     if k.dtype.kind == "f":
         whole = (np.trunc(k) == k) & (np.abs(k) < 2.0 ** 63)  # a nan or inf component fails too
         if not whole.all():
             raise ValueError(f"frequency component {float(k[~whole][0])!r} is not an integer")
-    elif k.size and k.dtype.kind not in "iu":
-        raise ValueError(f"frequencies must be integer tuples matching dimension {dim}")
     k = k.astype(np.int64, copy=False)
     if k.ndim == 1:  # scalar frequencies, or none at all
         k = k.reshape(-1, 1 if k.size else dim)

@@ -30,11 +30,11 @@ MALFORMED_CONFIGS = [
     ({"tau": 0}, "tau must be positive"),
     (
         {"tolerances": {"max_iters": "x"}},
-        "invalid config document: invalid literal for int() with base 10: 'x' in tolerances.max_iters",
+        "invalid config document: expected an integer, got 'x' in tolerances.max_iters",
     ),
     (
         {"scheduler": {"sigma": "x"}},
-        "invalid config document: could not convert string to float: 'x' in scheduler.sigma",
+        "invalid config document: expected a number, got 'x' in scheduler.sigma",
     ),
     ({"initial_map": {"kind": "conjugate", "params": [1]}}, "initial_map params must be an object"),
     ({"initial_map": {"kind": "conjugate", "params": {"degree": -1}}}, "degree must be at least 0, got -1"),
@@ -61,6 +61,27 @@ MALFORMED_CONFIGS = [
     ({"output": {"trace": 7}}, "output paths must be non-empty strings, got 7 in output.trace"),
     ({"output": {"chain": ""}}, "output paths must be non-empty strings, got '' in output.chain"),
     ({"output": {"final_map": None}}, "output paths must be non-empty strings, got None in output.final_map"),
+    # a string is never a number, even one that spells it, nor is a bool beside a number
+    (
+        {"tolerances": {"max_iters": "5"}},
+        "invalid config document: expected an integer, got '5' in tolerances.max_iters",
+    ),
+    ({"seed": " 7 "}, "invalid config document: expected an integer, got ' 7 ' in seed"),
+    ({"smallness_c": "1e-6"}, "invalid config document: expected a number, got '1e-6' in smallness_c"),
+    (
+        {"initial_map": {"kind": "drifted", "params": {"delta": ["0.01"]}}},
+        "invalid config document: expected a number, got '0.01' in initial_map.params.delta",
+    ),
+    (
+        {"alpha": ["sqrt2-1", "sqrt3-1"], "initial_map": {"kind": "drifted", "params": {"delta": [True, 0.01]}}},
+        "invalid config document: expected a number, got True in initial_map.params.delta",
+    ),
+    (
+        {"initial_map": {"kind": "single-mode", "params": {"modes": [[1, "1e-4", 0.0]]}}},
+        "invalid config document: coefficient values must be numbers in initial_map.params.modes",
+    ),
+    ({"alpha": [True, 0.3]}, "invalid config document: expected a number, got True in alpha"),
+    ({"alpha": math.nan}, "invalid config document: expected a finite number, got nan in alpha"),
 ]
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -473,13 +474,14 @@ class TestRotationCommand:
         (["params", "--start-cutoff", "1", "--schedule", "3"], "start cutoff must be at least 2"),
         (["params", "--replay", "-1"], "replay needs at least one step, got -1"),
         (["make-map", "--kind", "single-mode", "--alpha", "golden", "--seed", "0", "--out", "{out}",
-          "--modes", "[[1, 0.1]]"], "each mode is [k, re, im], got [1, 0.1]"),
+          "--modes", "[[1, 0.1]]"],
+         "invalid config document: each coefficient entry must be [k, re, im] in initial_map.params.modes"),
         (["params", "--start-cutoff", "1"], "start cutoff must be at least 2"),
         (["params", "--schedule", "-2"], "schedule length must be at least 0, got -2"),
-        (MAKE_MAP_ARGS + ["--degree", "x"],
-         "invalid config document: invalid literal for int() with base 10: 'x' in initial_map.params.degree"),
-        (MAKE_MAP_ARGS + ["--degree", "2.5"],
-         "invalid config document: invalid literal for int() with base 10: '2.5' in initial_map.params.degree"),
+        # a flag read as its row's kind still meets the row's bound
+        (MAKE_MAP_ARGS + ["--degree", "-1"], "degree must be at least 0, got -1 in initial_map.params.degree"),
+        (MAKE_MAP_ARGS + ["--decay", "nan"],
+         "invalid config document: expected a finite number, got nan in initial_map.params.decay"),
         (MAKE_MAP_ARGS + ["--target-degree", "-4"],
          "target_degree must be at least 0, got -4 in initial_map.params.target_degree"),
         (MAKE_MAP_ARGS + ["--amplitude", "inf"],
@@ -489,7 +491,8 @@ class TestRotationCommand:
          "single-mode needs one nonempty mode list per component in initial_map.params.modes"),
         (["make-map", "--kind", "single-mode", "--alpha", "golden", "--seed", "0", "--out", "{out}",
           "--modes", '[["a", 0.0, 0.1]]'],
-         "each mode is [k, re, im], got ['a', 0.0, 0.1] in initial_map.params.modes"),
+         "invalid config document: frequencies must be integer tuples matching dimension 1"
+         " in initial_map.params.modes"),
         (DC_CHECK_ARGS + ["--gamma", "inf"], "gamma must be positive and finite, got inf"),
         (["dc-check", "--alpha", "golden", "--tau", "inf", "--radius", "8"], "tau must be positive and finite, got inf"),
         (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "8", "--gamma", "inf"],
@@ -499,8 +502,8 @@ class TestRotationCommand:
         (["params", "--tau", "nan"], "tau must be positive and finite, got nan"),
         (["make-map", "--kind", "conjugate", "--alpha", "golden", "--seed", "-3", "--out", "{out}"],
          "seed must be at least 0, got -3 in seed"),
-        (["make-map", "--kind", "conjugate", "--alpha", "golden", "--seed", "2.5", "--out", "{out}"],
-         "invalid config document: invalid literal for int() with base 10: '2.5' in seed"),
+        (["make-map", "--kind", "drifted", "--alpha", "golden", "--seed", "0", "--out", "{out}", "--delta", "nan"],
+         "invalid config document: expected a finite number, got nan in initial_map.params.delta"),
         (MAKE_MAP_ARGS + ["--delta", "0.5"], "unknown keys in params for 'conjugate': delta"),
         # a bad tau is named whether or not a gamma is claimed beside it
         (["dc-check", "--alpha", "golden", "--tau", "0", "--radius", "8", "--gamma", "3"],
@@ -509,6 +512,9 @@ class TestRotationCommand:
          "tau must be positive and finite, got nan"),
         (["dc-check", "--alpha", "golden", "--tau", "1", "--radius", "8", "--gamma", "0"],
          "gamma must be positive and finite, got 0.0"),
+        # a cutoff below 1 is refused with a given gamma as without one
+        (["cohomology", "--map", "{map}", "--alpha", "golden", "--tau", "1", "--cutoff", "0", "--gamma", "3"],
+         "radius must be at least 1"),
     ],
 )
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv, message):
@@ -518,6 +524,27 @@ def test_bad_argument_is_usage_error(tmp_path, capsys, argv, message):
     assert main([a.format(map=src, out=out) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# make-map flags that do not parse as their kind (CONFIG_KEYS's row, a list of floats for --delta)
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--degree", "x"], "argument --degree: invalid int value: 'x'"),
+        (["--degree", "2.5"], "argument --degree: invalid int value: '2.5'"),
+        (["--target-degree", "8.0"], "argument --target-degree: invalid int value: '8.0'"),
+        (["--seed", "2.5"], "argument --seed: invalid int value: '2.5'"),
+        (["--amplitude", "x"], "argument --amplitude: invalid float value: 'x'"),
+        (["--delta", "0.01,x"], "argument --delta: expected comma-separated numbers, got '0.01,x'"),
+    ],
+)
+def test_unparsed_flag_is_usage_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as info:
+        main([a.format(out=out) for a in MAKE_MAP_ARGS] + flags)
+    assert info.value.code == 1
+    assert capsys.readouterr().err.endswith(f"kamconj make-map: error: {message}\n")
     assert not out.exists()
 
 
@@ -556,12 +583,14 @@ class TestMakeMap:
     @pytest.mark.parametrize("delta", ["abc", "0.01,x", "nan"])
     def test_bad_delta_is_usage_error(self, tmp_path, capsys, delta):
         out = tmp_path / "x.json"
-        code = main(
-            [
-                "make-map", "--kind", "drifted", "--alpha", "golden", "--seed", "0",
-                "--delta", delta, "--out", str(out),
-            ]
-        )
+        argv = [
+            "make-map", "--kind", "drifted", "--alpha", "golden", "--seed", "0",
+            "--delta", delta, "--out", str(out),
+        ]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a list that does not parse
+            code = exc.code
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
@@ -576,6 +605,23 @@ class TestMakeMap:
         )
         assert code == 0
         assert load_map(out).dim == 2
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["options dropped", "options kept"])
+def test_readme_commands_run(tmp_path, monkeypatch, capsys, keep):
+    # each `kamconj` line of the README's command block, in a directory that holds
+    # the Config file example as experiment.json; the make-map lines write the maps the others read
+    readme = (PYPROJECT.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = sorted((line for line in block.splitlines() if line.startswith("kamconj ")),
+                   key=lambda line: not line.startswith("kamconj make-map"))
+    config = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "experiment.json").write_text(config)
+    assert {line.split()[1] for line in lines} == {"run", "params", "dc-check", "cohomology", "rotation", "make-map"}
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(re.sub(r"\[([^]]*)\]", r"\1" if keep else "", line))[1:]
+        assert main(argv) == 0, line
 
 
 def test_console_script_installed():

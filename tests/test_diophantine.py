@@ -133,8 +133,10 @@ class TestVerification:
 
     def test_verified_stamps_range(self):
         assert verified_vector([GOLDEN], 1.0, 64, 3.0).verified_up_to == 64
-        # a claim over no frequency holds vacuously, and stamps nothing
-        assert verified_vector([GOLDEN], 1.0, 0, 3.0).verified_up_to == 0
+        # a radius below 1 is refused with a given gamma as without one
+        for gamma in (3.0, None):
+            with pytest.raises(ValueError, match="^radius must be at least 1$"):
+                verified_vector([GOLDEN], 1.0, 0, gamma)
 
     def test_verified_raises_on_violation(self):
         with pytest.raises(DCViolation, match="k="):

@@ -30,7 +30,7 @@ from kamconj import (
 from kamconj import driver, spectral
 from kamconj import kamstep as kstep
 from kamconj.cli import main
-from kamconj.io import load_map, save_map
+from kamconj.io import load_map, map_to_doc, save_map
 from kamconj.spectral import sampling_grid
 
 from conftest import GOLDEN, MALFORMED_CONFIGS, PAIR_2D
@@ -182,10 +182,12 @@ class TestConfig:
 
     def test_integral_float_reads_as_int(self):
         cfg = ExperimentConfig.from_dict(
-            minimal_config(scheduler={"start_cutoff": 8.0}, tolerances={"max_iters": 3.0}, seed=5.0)
+            minimal_config(scheduler={"start_cutoff": 8.0}, tolerances={"max_iters": 3.0}, seed=5.0, smallness_c=1)
         )
         assert (cfg.params.start_cutoff, cfg.max_iters, cfg.seed) == (8, 3, 5)
         assert all(type(v) is int for v in (cfg.params.start_cutoff, cfg.max_iters, cfg.seed))
+        # and an int reads as a float
+        assert cfg.step.smallness_c == 1.0 and type(cfg.step.smallness_c) is float
 
     @pytest.mark.parametrize(
         "scheduler, error, message",
@@ -362,6 +364,19 @@ class TestMakeTestMap:
         with pytest.raises(ConfigError) as info:
             make_test_map(kind, params, alpha, seed=0)
         assert str(info.value).endswith(f" in initial_map.params.{key}")
+
+    # the spellings the number rule accepts: an integral float for an int, an int for a float
+    @pytest.mark.parametrize(
+        "kind, params, canonical",
+        [
+            ("conjugate", {"degree": 2.0, "amplitude": 0}, {"degree": 2, "amplitude": 0.0}),
+            ("drifted", {"delta": [0]}, {"delta": [0.0]}),
+            ("single-mode", {"modes": [[1.0, 0, 1e-4]]}, {"modes": [[1, 0.0, 1e-4]]}),
+        ],
+    )
+    def test_number_spellings_read_alike(self, kind, params, canonical):
+        a, b = (make_test_map(kind, p, [GOLDEN], seed=9) for p in (params, canonical))
+        assert map_to_doc(a) == map_to_doc(b)
 
     @pytest.mark.parametrize("kind", ["random-decay", "conjugate", "drifted"])
     def test_negative_degree_rejected(self, kind):

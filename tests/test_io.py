@@ -310,13 +310,27 @@ def _set_k(value):
 LOOSE = {
     "frequency 1.5": (_set_k(1.5), "frequency component 1.5 is not an integer"),
     "frequency 1.9999": (_set_k(1.9999), "frequency component 1.9999 is not an integer"),
-    "frequency true": (_set_k(True), "frequencies must be integers"),
-    "frequency string": (_set_k("1"), "frequencies must be integers"),
+    "frequency true": (_set_k(True), "frequencies must be integer tuples matching dimension 1"),
+    "frequency string": (_set_k("1"), "frequencies must be integer tuples matching dimension 1"),
     "degree 2.7": (lambda d: d.__setitem__("degree", 2.7), "expected an integer, got 2.7 in degree"),
     "dim 1.5": (lambda d: d.__setitem__("dim", 1.5), "expected an integer, got 1.5 in dim"),
     "dim true": (lambda d: d.__setitem__("dim", True), "expected an integer, got True in dim"),
     "rho true": (lambda d: d.__setitem__("rho", [True]), "rho must be numbers"),
     "value true": (lambda d: d["coeffs"][0][0].__setitem__(1, True), "coefficient values must be numbers"),
+}
+
+
+# one edit of a 1D chain document, with a step and a composed map, per field that must match its dim
+_ALPHA_DIM = "alpha must be dim finite numbers, dim 1 or 2"
+CHAIN_SPOILED = {
+    "alpha of two": (lambda d: d.__setitem__("alpha", [0.1, 0.2]), f"{_ALPHA_DIM}, got [0.1, 0.2] and dim 1"),
+    "alpha inf": (lambda d: d.__setitem__("alpha", [math.inf]), f"{_ALPHA_DIM}, got [inf] and dim 1"),
+    "alpha empty": (lambda d: d.__setitem__("alpha", []), f"{_ALPHA_DIM}, got [] and dim 1"),
+    "2D step": (lambda d: d["steps"].append(map_to_doc(seeded_map(2, 153))), "a map in steps does not match dim = 1"),
+    "2D composed": (lambda d: d.__setitem__("composed", map_to_doc(seeded_map(2, 154))),
+                    "a map in composed does not match dim = 1"),
+    "dim 3": (lambda d: d.update(dim=3, alpha=[0.1, 0.2, 0.3]), f"{_ALPHA_DIM}, got [0.1, 0.2, 0.3] and dim 3"),
+    "dim missing": (lambda d: d.pop("dim"), "missing key 'dim'"),
 }
 
 
@@ -366,6 +380,16 @@ class TestMalformedDocs:
         doc["alpha"] = [True]
         with pytest.raises(ConfigError, match="^invalid chain document: alpha must be numbers$"):
             chain_from_doc(doc)
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_SPOILED))
+    def test_chain_fields_match_its_dim(self, case):
+        # each of these once loaded: the chain's dim was written and never read
+        spoil, message = CHAIN_SPOILED[case]
+        doc = chain_to_doc([seeded_map(1, 151)], [GOLDEN], composed=seeded_map(1, 152))
+        spoil(doc)
+        with pytest.raises(ConfigError) as info:
+            chain_from_doc(doc)
+        assert str(info.value) == f"invalid chain document: {message}"
 
     # the first degree past the 2**24-coefficient box in each dimension, and negative ones
     @pytest.mark.parametrize("dim, degree", [(1, 2 ** 23), (2, 2048), (2, 10 ** 6), (1, -1), (2, -3)])
